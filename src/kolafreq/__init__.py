@@ -3,7 +3,9 @@
 The pipeline: generate sets of words the Kolakoski word avoids
 (`avoided_set`), enumerate the words avoiding them with the Goulden-Jackson
 cluster method (`weight_gf`, `weight_series`) or an avoidance automaton
-(`degree_profile`, `weight_poly_dp`), turn the results into exact rational
+(`degree_profile` for the per-length extreme ones-counts, `weight_poly_dp`
+for the series slices 0..N in one counting pass), read a profile off a
+series (`DegreeProfile.from_series`), turn the results into exact rational
 bounds (`bound_from_denominator`, `best_bound`), and sharpen them by fitting
 the eventual quasi-polynomial structure (`fit_quasipoly`,
 `semi_rigorous_bound`).

@@ -11,11 +11,10 @@ thousands of steps), and plain brute-force enumeration for small lengths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from .avoided import WordsLike, as_words, ensure_factor_free
-from .polynomials import WeightPoly, mpz, unpack_signed
+from .polynomials import Series, WeightPoly, mpz, unpack_signed
 from .words import contains_any_factor
 
 DEAD = -1
@@ -139,13 +138,30 @@ class DegreeProfile:
     min_ones: tuple[int, ...]
     max_ones: tuple[int, ...]
 
+    @classmethod
+    def from_series(cls, S: WordsLike, series: Series) -> "DegreeProfile":
+        """Read the extremes off the nonzero coefficients of each series slice."""
+        mins, maxs = [], []
+        for n in range(series.order + 1):
+            lo, hi = series.min_ones(n), series.max_ones(n)
+            if lo is None or hi is None:
+                raise EmptyLanguageError(f"no word of length {n} avoids the set")
+            mins.append(lo)
+            maxs.append(hi)
+        return cls(as_words(S), series.order, tuple(mins), tuple(maxs))
+
     def check_invariants(self) -> None:
-        assert self.min_ones[0] == 0 and self.max_ones[0] == 0
+        """Raise AssertionError unless the extremes form a valid profile."""
+        if self.min_ones[0] != 0 or self.max_ones[0] != 0:
+            raise AssertionError("length-0 extremes must be 0")
         for n in range(self.N + 1):
-            assert 0 <= self.min_ones[n] <= self.max_ones[n] <= n
+            if not 0 <= self.min_ones[n] <= self.max_ones[n] <= n:
+                raise AssertionError(f"extremes out of range at n={n}")
         for n in range(self.N):
-            assert self.min_ones[n + 1] - self.min_ones[n] in (0, 1)
-            assert self.max_ones[n + 1] - self.max_ones[n] in (0, 1)
+            if self.min_ones[n + 1] - self.min_ones[n] not in (0, 1):
+                raise AssertionError(f"min-ones jump at n={n}")
+            if self.max_ones[n + 1] - self.max_ones[n] not in (0, 1):
+                raise AssertionError(f"max-ones jump at n={n}")
 
 
 def degree_profile(S: WordsLike, N: int) -> DegreeProfile:
@@ -153,11 +169,6 @@ def degree_profile(S: WordsLike, N: int) -> DegreeProfile:
     if N < 0:
         raise ValueError("N must be >= 0")
     words = as_words(S)
-    return _profile_cached(words, N)
-
-
-@lru_cache(maxsize=64)
-def _profile_cached(words: tuple[str, ...], N: int) -> DegreeProfile:
     auto = build_automaton(words)
     ns = auto.n_states
     on_one, on_two = auto.on_one, auto.on_two
@@ -197,21 +208,23 @@ def _profile_cached(words: tuple[str, ...], N: int) -> DegreeProfile:
     return DegreeProfile(words, N, tuple(min_ones), tuple(max_ones))
 
 
-def weight_poly_dp(S: WordsLike, n: int) -> WeightPoly:
-    """Exact degree-n slice of the weight enumerator via a counting DP.
+def weight_poly_dp(S: WordsLike, N: int) -> Series:
+    """Exact slices p_0..p_N of the weight enumerator via one counting DP pass.
 
     One packed big integer per live state (a digit per ones-count) keeps the
-    whole update at two shift-adds per state per step.
+    whole update at two shift-adds per state per step; the sum over states
+    after step n is slice n.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if N < 0:
+        raise ValueError("N must be >= 0")
     auto = build_automaton(S)
-    width = n + 2
+    width = N + 2
     zero = mpz(0)
     vec = [zero] * auto.n_states
     vec[auto.start] = mpz(1)
     on_one, on_two = auto.on_one, auto.on_two
-    for _ in range(n):
+    slices = [(1,)]
+    for n in range(1, N + 1):
         new = [zero] * auto.n_states
         for q, x in enumerate(vec):
             if not x:
@@ -223,11 +236,8 @@ def weight_poly_dp(S: WordsLike, n: int) -> WeightPoly:
             if t != DEAD:
                 new[t] = new[t] + x
         vec = new
-    total = zero
-    for x in vec:
-        total = total + x
-    coeffs = unpack_signed(total, n + 1, width)
-    return WeightPoly({(a, n - a): c for a, c in enumerate(coeffs) if c})
+        slices.append(tuple(unpack_signed(sum(vec, zero), n + 1, width)))
+    return Series(tuple(slices))
 
 
 def enumerate_brute(S: WordsLike, n: int) -> WeightPoly:

@@ -128,11 +128,10 @@ def best_bound(profile: DegreeProfile) -> tuple[int, Bound]:
     """Smallest epsilon over the profile's lengths; ties broken by smallest n."""
     if profile.N < 1:
         raise ValueError("profile must cover at least length 1")
-    best_n = None
-    best: Bound | None = None
-    for n in range(1, profile.N + 1):
+    best_n = 1
+    best = bound_from_term(profile.min_ones[1], profile.max_ones[1], 1)
+    for n in range(2, profile.N + 1):
         b = bound_from_term(profile.min_ones[n], profile.max_ones[n], n)
-        if best is None or b.epsilon < best.epsilon:
+        if b.epsilon < best.epsilon:
             best_n, best = n, b
-    assert best_n is not None and best is not None
     return best_n, best

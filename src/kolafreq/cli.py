@@ -2,8 +2,8 @@
 
 Subcommands: kolakoski, avoided, gf, series, profile, bounds, quasifit,
 report, verify.  Results go to standard output, progress to standard error.
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 cost-ceiling
-refusal.
+Exit codes: 0 success, 1 verification failure, 2 usage error or malformed
+input.
 """
 
 from __future__ import annotations
@@ -24,18 +24,9 @@ from .quasipoly import fit_quasipoly, semi_rigorous_bound, successive_maxima
 from .verification import DEFAULT_TABLE_TERMS, run_checks, words_for_depth
 from .words import kolakoski_prefix
 
-# Refuse series-backend report jobs above this many (terms x words) without
-# --force; the automaton backend has no ceiling.
-GJ_COST_CEILING = 20_000
-
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
-EXIT_COST_CEILING = 3
-
-
-class CostCeilingError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -64,19 +55,6 @@ class ReportRow:
         return out
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--json", action="store_true", help="emit JSON")
-    parser.add_argument("--csv", action="store_true", help="emit CSV")
-    parser.add_argument(
-        "--threads", type=int, default=1, metavar="K",
-        help="worker budget (results are bit-identical for any value)",
-    )
-    parser.add_argument(
-        "--force", action="store_true",
-        help="run series-backend jobs above the cost ceiling",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kolafreq",
@@ -87,25 +65,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kolakoski", help="print a prefix of the Kolakoski word")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--first", type=int, choices=(1, 2), default=2)
-    _common_flags(p)
 
     p = sub.add_parser("avoided", help="print the avoided words of levels 1..d")
     p.add_argument("--d", type=int, required=True)
-    _common_flags(p)
 
     p = sub.add_parser("gf", help="closed-form weight enumerator for a word set")
     p.add_argument("--words", required=True, metavar="FILE")
-    _common_flags(p)
+    p.add_argument("--json", action="store_true", help="emit JSON")
 
     p = sub.add_parser("series", help="truncated weight series for a word set")
     p.add_argument("--words", required=True, metavar="FILE")
     p.add_argument("--terms", type=int, required=True, metavar="N")
-    _common_flags(p)
+    p.add_argument("--json", action="store_true", help="emit JSON")
 
     p = sub.add_parser("profile", help="per-length min/max ones-counts")
     p.add_argument("--words", required=True, metavar="FILE")
     p.add_argument("--terms", type=int, required=True, metavar="N")
-    _common_flags(p)
+    p.add_argument("--json", action="store_true", help="emit JSON")
+    p.add_argument("--csv", action="store_true", help="emit CSV")
 
     p = sub.add_parser("bounds", help="frequency bound for a word set")
     p.add_argument("--words", required=True, metavar="FILE")
@@ -114,13 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bound from the denominator (default)")
     group.add_argument("--profile-terms", type=int, metavar="N",
                        help="best per-term bound over a length-N profile")
-    _common_flags(p)
+    p.add_argument("--json", action="store_true", help="emit JSON")
 
     p = sub.add_parser("quasifit", help="fit a linear quasi-polynomial to a profile")
     p.add_argument("--profile", required=True, metavar="JSON",
                    help="profile file as produced by `profile --json`")
     p.add_argument("--max-modulus", type=int, default=None, metavar="M")
-    _common_flags(p)
 
     p = sub.add_parser("report", help="reproduce the per-depth results table")
     p.add_argument("--d", default="1-6", metavar="SPEC",
@@ -129,11 +105,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of N per depth (default: table values)")
     p.add_argument("--backend", choices=("automaton", "gj-series"),
                    default="automaton")
-    _common_flags(p)
+    p.add_argument("--json", action="store_true", help="emit JSON")
+    p.add_argument("--csv", action="store_true", help="emit CSV")
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
-    _common_flags(p)
 
     return parser
 
@@ -257,7 +233,9 @@ def cmd_bounds(args) -> int:
 def cmd_quasifit(args) -> int:
     with open(args.profile, encoding="utf-8") as fh:
         data = json.load(fh)
-    min_ones = data["min_ones"]
+    min_ones = data.get("min_ones") if isinstance(data, dict) else None
+    if not isinstance(min_ones, list) or not all(type(m) is int for m in min_ones):
+        raise ValueError(f"{args.profile}: expected an object with a 'min_ones' list of integers")
     fit = fit_quasipoly(min_ones, args.max_modulus)
     maxima = successive_maxima(min_ones, fit)
     bound = semi_rigorous_bound(fit, maxima)
@@ -286,20 +264,13 @@ def cmd_report(args) -> int:
     rows = []
     for d, N in zip(depths, terms):
         words = words_for_depth(d)
-        if args.backend == "gj-series" and N * len(words) > GJ_COST_CEILING and not args.force:
-            raise CostCeilingError(
-                f"d={d}: N*|S| = {N * len(words)} exceeds the ceiling "
-                f"{GJ_COST_CEILING}; pass --force to run anyway"
-            )
         try:
             if args.backend == "automaton":
                 profile = degree_profile(words, N)
             else:
                 series = weight_series(
                     words, N, progress=_progress_printer(f"series d={d}"))
-                mins = tuple(series.min_ones(n) for n in range(N + 1))
-                maxs = tuple(series.max_ones(n) for n in range(N + 1))
-                profile = DegreeProfile(words, N, mins, maxs)
+                profile = DegreeProfile.from_series(words, series)
             n, bound = best_bound(profile)
             row = ReportRow(d, len(words), N, args.backend, n, bound.epsilon)
         except ValueError as exc:
@@ -357,9 +328,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except CostCeilingError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_COST_CEILING
     except (ValueError, OSError, EmptyLanguageError, CollisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -196,13 +196,11 @@ def weight_series(
         packed[n] = acc
         if progress is not None:
             progress(n, terms)
-    slices = []
-    for n in range(terms + 1):
-        row = unpack_signed(packed[n], n + 1, width)
-        if any(c < 0 for c in row):
-            raise AssertionError(f"negative count decoded in slice {n}")
-        slices.append(tuple(row))
-    return Series(tuple(slices))
+    series = Series(tuple(
+        tuple(unpack_signed(packed[n], n + 1, width)) for n in range(terms + 1)
+    ))
+    series.validate_counting()
+    return series
 
 
 def series_from_gf(

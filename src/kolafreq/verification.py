@@ -14,13 +14,20 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .automaton import degree_profile, enumerate_brute, weight_poly_dp
+from .automaton import (
+    DegreeProfile,
+    EmptyLanguageError,
+    build_automaton,
+    degree_profile,
+    enumerate_brute,
+    weight_poly_dp,
+)
 from .avoided import avoided_set, verify_factor_free
 from .bounds import best_bound, bound_from_denominator, minratio
 from .cluster import series_from_gf, weight_gf, weight_series
 from .polynomials import Series, WeightPoly
 from .quasipoly import fit_quasipoly, semi_rigorous_bound, successive_maxima
-from .words import contains_any_factor, kolakoski_prefix
+from .words import kolakoski_prefix
 
 # -- frozen reference values --------------------------------------------------
 # Exponent keys are (ones, twos); the t-exponent is their sum.
@@ -180,11 +187,10 @@ def check_triple_oracle(max_d: int = 3, max_n: int = 18) -> tuple[bool, str]:
     for d in range(1, max_d + 1):
         words = words_for_depth(d)
         series = weight_series(words, max_n)
+        if series != weight_poly_dp(words, max_n):
+            return False, f"cluster series and counting DP disagree at d={d}"
         for n in range(max_n + 1):
-            p_series = series.poly(n)
-            p_dp = weight_poly_dp(words, n)
-            p_brute = enumerate_brute(words, n)
-            if not (p_series == p_dp and p_dp == p_brute):
+            if series.poly(n) != enumerate_brute(words, n):
                 return False, f"oracle disagreement at d={d}, n={n}"
     return True, f"three oracles agree for d <= {max_d}, n <= {max_n}"
 
@@ -204,24 +210,15 @@ def check_results_table() -> tuple[bool, str]:
 def check_results_table_gj(max_d: int = 3, N: int = 200) -> tuple[bool, str]:
     """Same table rows for small depths, but via the cluster series backend."""
     for d, _size, _N, n_ref, eps_ref in REF_RESULTS_TABLE[:max_d]:
-        series = series_for_depth(d, N)
-        mins, maxs = [], []
-        for n in range(N + 1):
-            lo, hi = series.min_ones(n), series.max_ones(n)
-            if lo is None or hi is None:
-                return False, f"d={d}: empty slice at n={n}"
-            mins.append(lo)
-            maxs.append(hi)
-        prof = profile_for_depth(d, N)
-        if tuple(mins) != prof.min_ones or tuple(maxs) != prof.max_ones:
+        try:
+            prof = DegreeProfile.from_series(words_for_depth(d), series_for_depth(d, N))
+        except EmptyLanguageError as exc:
+            return False, f"d={d}: {exc}"
+        if prof != profile_for_depth(d, N):
             return False, f"d={d}: series profile disagrees with automaton profile"
-        best_n, best_eps = None, None
-        for n in range(1, N + 1):
-            eps = max(Fraction(1, 2) - Fraction(mins[n], n), Fraction(maxs[n], n) - Fraction(1, 2))
-            if best_eps is None or eps < best_eps:
-                best_n, best_eps = n, eps
-        if (best_n, best_eps) != (n_ref, eps_ref):
-            return False, f"d={d}: got (n={best_n}, eps={best_eps}), want (n={n_ref}, eps={eps_ref})"
+        n, bound = best_bound(prof)
+        if (n, bound.epsilon) != (n_ref, eps_ref):
+            return False, f"d={d}: got (n={n}, eps={bound.epsilon}), want (n={n_ref}, eps={eps_ref})"
     return True, f"rows d <= {max_d} reproduced from the series backend"
 
 
@@ -283,22 +280,24 @@ def check_properties() -> tuple[bool, str]:
         if not ok:
             return False, f"S_{d} not factor-free: {witness}"
     prefix = long_kolakoski_prefix()
-    if contains_any_factor(prefix, words_for_depth(6)):
+    if not build_automaton(words_for_depth(6)).accepts(prefix):
         bad = [w for w in words_for_depth(6) if w in prefix]
         return False, f"avoided words found in the 10^7 prefix: {bad[:3]}"
     for d in (1, 2, 3):
         series = series_for_depth(d, 18)
-        for n in range(19):
-            row = series.slices[n]
-            if len(row) != n + 1 or any(c < 0 for c in row):
-                return False, f"d={d}, n={n}: slice shape or sign violation"
+        try:
+            series.validate_counting()
+        except AssertionError as exc:
+            return False, f"d={d}: {exc}"
+        for n, row in enumerate(series.slices):
             if row != tuple(reversed(row)):
                 return False, f"d={d}, n={n}: slice not swap-symmetric"
     for d in range(1, 7):
         prof = profile_for_depth(d, DEFAULT_TABLE_TERMS[d])
-        for n in range(prof.N):
-            if prof.min_ones[n + 1] - prof.min_ones[n] not in (0, 1):
-                return False, f"d={d}: min-ones jump at n={n}"
+        try:
+            prof.check_invariants()
+        except AssertionError as exc:
+            return False, f"d={d}: {exc}"
         for n in range(prof.N + 1):
             if prof.max_ones[n] != n - prof.min_ones[n]:
                 return False, f"d={d}: max-ones asymmetry at n={n}"

@@ -1,8 +1,11 @@
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kolafreq import (
+    DegreeProfile,
     EmptyLanguageError,
     NotFactorFreeError,
     TooLargeError,
@@ -26,7 +29,7 @@ def test_single_letter_taboo():
     assert auto.n_states == 1
     assert auto.accepts("2222")
     assert not auto.accepts("21")
-    assert weight_poly_dp(["1"], 4) == WeightPoly({(0, 4): 1})
+    assert weight_poly_dp(["1"], 4).poly(4) == WeightPoly({(0, 4): 1})
 
 
 @pytest.mark.parametrize("d,max_n", [(2, 10), (5, 12)])
@@ -62,6 +65,13 @@ def test_profile_basics():
     prof.check_invariants()
 
 
+def test_invalid_profile_fails_invariants():
+    with pytest.raises(AssertionError, match="min-ones jump"):
+        DegreeProfile(("111",), 2, (0, 0, 2), (0, 1, 2)).check_invariants()
+    with pytest.raises(AssertionError, match="out of range"):
+        DegreeProfile(("111",), 1, (0, 1), (0, 0)).check_invariants()
+
+
 def test_profile_order_zero():
     prof = degree_profile(avoided_set(2), 0)
     assert prof.min_ones == (0,) and prof.max_ones == (0,)
@@ -77,8 +87,8 @@ def test_profile_of_dead_language():
 
 
 def test_counting_dp_examples():
-    assert weight_poly_dp(avoided_set(1), 3) == WeightPoly({(2, 1): 3, (1, 2): 3})
-    assert weight_poly_dp(avoided_set(1), 0) == WeightPoly.one()
+    assert weight_poly_dp(avoided_set(1), 3).poly(3) == WeightPoly({(2, 1): 3, (1, 2): 3})
+    assert weight_poly_dp(avoided_set(1), 0).poly(0) == WeightPoly.one()
 
 
 def test_brute_force_examples():
@@ -91,7 +101,7 @@ def test_brute_force_examples():
 
 
 def test_cross_oracle_s2_n10():
-    assert weight_poly_dp(avoided_set(2), 10) == enumerate_brute(avoided_set(2), 10)
+    assert weight_poly_dp(avoided_set(2), 10).poly(10) == enumerate_brute(avoided_set(2), 10)
 
 
 def test_profile_consistent_with_series_extremes():
@@ -106,6 +116,36 @@ def test_profile_consistent_with_series_extremes():
 def test_survivor_counts_shrink_with_larger_sets():
     n = 12
     counts = [
-        sum(weight_poly_dp(avoided_set(d), n).terms.values()) for d in (1, 2, 3)
+        sum(weight_poly_dp(avoided_set(d), n).poly(n).terms.values()) for d in (1, 2, 3)
     ]
     assert counts[0] >= counts[1] >= counts[2]
+
+
+def _minimal_words(drawn: list[str]) -> tuple[str, ...]:
+    """Keep the drawn words that contain no other drawn word: a factor-free set."""
+    return tuple(sorted(
+        {w for w in drawn if not any(u != w and u in w for u in drawn)}
+    ))
+
+
+factor_free_sets = st.lists(
+    st.text(alphabet="12", min_size=2, max_size=5), min_size=1, max_size=6
+).map(_minimal_words)
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor_free_sets)
+@example(("11", "12", "22"))  # every word of length 3 contains one of these
+def test_oracles_agree_on_random_factor_free_sets(S):
+    N = 12
+    series = weight_series(S, N)
+    assert series == weight_poly_dp(S, N)
+    for n in range(11):
+        assert series.poly(n) == enumerate_brute(S, n)
+    try:
+        expected = degree_profile(S, N)
+    except EmptyLanguageError:
+        with pytest.raises(EmptyLanguageError):
+            DegreeProfile.from_series(S, series)
+    else:
+        assert DegreeProfile.from_series(S, series) == expected

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from kolafreq.cli import (
-    EXIT_COST_CEILING,
     EXIT_OK,
     EXIT_USAGE,
     main,
@@ -85,6 +84,16 @@ def test_quasifit_command(capsys, s1_file, tmp_path):
     assert data["attained"] is True
 
 
+@pytest.mark.parametrize("content", ['{"N": 3}', "[1, 2]"])
+def test_quasifit_malformed_profile_is_usage_error(capsys, tmp_path, content):
+    profile_path = tmp_path / "profile.json"
+    profile_path.write_text(content, encoding="utf-8")
+    code, _, err = run(capsys, "quasifit", "--profile", str(profile_path))
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and "min_ones" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_report_default_table(capsys):
     code, out, _ = run(capsys, "report", "--csv")
     assert code == EXIT_OK
@@ -107,12 +116,6 @@ def test_report_series_backend_small(capsys):
     assert code == EXIT_OK
     (row,) = json.loads(out)
     assert row["epsilon"] == "1/6" and row["n"] == 3
-
-
-def test_report_cost_ceiling(capsys):
-    code, _, err = run(capsys, "report", "--d", "5", "--backend", "gj-series")
-    assert code == EXIT_COST_CEILING
-    assert "--force" in err
 
 
 def test_report_zero_terms_yields_error_row(capsys):
