@@ -3,8 +3,9 @@
 The pipeline: generate sets of words the Kolakoski word avoids
 (`avoided_set`), enumerate the words avoiding them with the Goulden-Jackson
 cluster method (`weight_gf`, `weight_series`) or an avoidance automaton
-(`degree_profile` for the per-length extreme ones-counts, `weight_poly_dp`
-for the series slices 0..N in one counting pass), read a profile off a
+(`degree_profile` for the per-length extreme ones-counts, `certified_period`
+for the exact eventual period of the fewest ones, `weight_poly_dp` for the
+series slices 0..N in one counting pass), read a profile off a
 series (`DegreeProfile.from_series`), turn the results into exact rational
 bounds (`bound_from_denominator`, `best_bound`), and sharpen them by fitting
 the eventual quasi-polynomial structure (`fit_quasipoly`,
@@ -17,6 +18,7 @@ from .automaton import (
     EmptyLanguageError,
     TooLargeError,
     build_automaton,
+    certified_period,
     degree_profile,
     enumerate_brute,
     weight_poly_dp,
@@ -97,6 +99,7 @@ __all__ = [
     "bound_from_denominator",
     "bound_from_term",
     "build_automaton",
+    "certified_period",
     "contains_any_factor",
     "degree_profile",
     "enumerate_brute",

@@ -3,23 +3,39 @@
 An Aho-Corasick trie of the avoided words, with failure links compiled into
 a complete deterministic automaton over {1, 2}, recognizes exactly the words
 containing no avoided factor: live paths from the start correspond to
-surviving words.  On top of it sit three independent oracles for the weight
-series: an exact counting DP, a min/max-ones DP (fast enough for hundreds of
-thousands of steps), and plain brute-force enumeration for small lengths.
+surviving words.  On top of it sit:
+
+- an exact counting DP for the weight series slices (`weight_poly_dp`);
+- a min-plus kernel for the fewest ones per length.  Its step map T is
+  min-plus linear, T(v + c) = T(v) + c, so once the state vector normalised
+  by its minimum repeats, v_(n0+P) = v_(n0) + c, the whole tail follows:
+  m_(n+P) = m_n + c for all n >= n0 (eventual periodicity in max-plus
+  algebra; Cohen, Dubois, Quadrat & Viot 1983).  The kernel records digests
+  of the normalised vectors, confirms a hit component by component against
+  a replay from a sparse checkpoint, stops there and extends the profile
+  exactly (`certified_period`, `degree_profile`);
+- the most ones per length with no second DP: swapping the letters maps
+  the words avoiding S onto those avoiding swap(S), so the most ones at
+  length n are n minus the fewest ones avoiding swap(S);
+- brute-force enumeration for small lengths, sharing no code with the
+  automaton, as an independent oracle (`enumerate_brute`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby
+from operator import itemgetter
+from typing import Callable
 
 from .avoided import WordsLike, as_words, ensure_factor_free
 from .polynomials import Series, WeightPoly, mpz, unpack_signed
-from .words import contains_any_factor
+from .words import swap_letters
 
 DEAD = -1
 
 BRUTE_FORCE_LIMIT = 24
+_BRUTE_FORCE_CHUNK = 1 << 14
 
 
 class TooLargeError(ValueError):
@@ -164,48 +180,166 @@ class DegreeProfile:
                 raise AssertionError(f"max-ones jump at n={n}")
 
 
+# A digest hit at step n0 is confirmed by replaying at most this many steps
+# minus one from the checkpoint at or before n0.
+_CHECKPOINT_EVERY = 32
+_UNREACHABLE = float("inf")
+
+
+def _min_plus_step(auto: AvoidanceAutomaton) -> tuple[Callable[[list, list], list], list]:
+    """The min-ones step map T on relabelled states, and the vector of length 0.
+
+    Entry i of a vector is the fewest ones over the words that end in the
+    i-th state.  Unreachable states hold the one object `_UNREACHABLE`,
+    which no arithmetic touches, so it stays a distinct marker.  `step(v, u)`
+    takes v and u = v + 1 and returns T(v).  States are grouped by the
+    letters on their incoming edges, so T is, group by group, one gather per
+    incoming edge (from u after a 1, from v after a 2) and one elementwise
+    minimum, concatenated.
+    """
+    ns = auto.n_states
+    # preds[t] lists the edges into t: q for a 2 from q, ns + q for a 1 from q
+    preds: list[list[int]] = [[] for _ in range(ns)]
+    for q in range(ns):
+        if auto.on_one[q] != DEAD:
+            preds[auto.on_one[q]].append(ns + q)
+        if auto.on_two[q] != DEAD:
+            preds[auto.on_two[q]].append(q)
+
+    def letters(t: int) -> tuple[bool, ...]:
+        return tuple(e >= ns for e in preds[t])
+
+    order = sorted(range(ns), key=letters)
+    pos = [0] * ns
+    for i, t in enumerate(order):
+        pos[t] = i
+
+    def gatherer(idx: list[int]) -> Callable[[list], tuple]:
+        return itemgetter(*idx) if len(idx) > 1 else (lambda vec, i=idx[0]: (vec[i],))
+
+    no_preds = []
+    blocks = []  # per group: (reads u, gatherer) per incoming edge
+    for pattern, group in groupby(order, key=letters):
+        targets = list(group)
+        if not pattern:
+            no_preds = [_UNREACHABLE] * len(targets)
+            continue
+        blocks.append([(one, gatherer([pos[preds[t][j] % ns] for t in targets]))
+                       for j, one in enumerate(pattern)])
+
+    def step(v: list, u: list) -> list:
+        new = no_preds.copy()  # the empty pattern sorts first
+        for columns in blocks:
+            if len(columns) == 1:
+                one, get = columns[0]
+                new += get(u if one else v)
+            else:
+                new += map(min, *[get(u if one else v) for one, get in columns])
+        return new
+
+    start = [_UNREACHABLE] * ns
+    start[pos[auto.start]] = 0
+    return step, start
+
+
+def _normalised(new: list) -> tuple[list, list, float]:
+    """(v, v + 1, m) for v = new - m, where m = min(new); one pass when m is 0 or 1."""
+    m = min(new)
+    if m is _UNREACHABLE:
+        return new, new, m
+    if m == 1:
+        return [x - 1 if x is not _UNREACHABLE else x for x in new], new, m
+    if m:
+        new = [x - m if x is not _UNREACHABLE else x for x in new]
+    return new, [x + 1 if x is not _UNREACHABLE else x for x in new], m
+
+
+def _pack(v: list) -> bytes | tuple:
+    """Compact checkpoint: one byte per state when every entry fits, else a tuple."""
+    codes = [0 if x is _UNREACHABLE else x + 1 for x in v]
+    return bytes(codes) if max(codes) < 256 else tuple(v)
+
+
+def _unpack(packed: bytes | tuple) -> list:
+    if isinstance(packed, tuple):
+        return list(packed)
+    return [_UNREACHABLE if c == 0 else c - 1 for c in packed]
+
+
+def _min_ones(auto: AvoidanceAutomaton, N: int) -> tuple[list[int], tuple[int, int, int] | None]:
+    """Fewest ones per length 0..N, and the certificate (onset, period, slope).
+
+    The min-plus step T satisfies T(v + c) = T(v) + c, so once the vector
+    normalised by its minimum repeats, v_(n0+P) = v_(n0) + c, every later
+    term follows: m_(n+P) = m_n + c for all n >= n0.  Each normalised vector
+    is recorded by digest only; a digest hit is trusted after all components
+    of v_(n0), replayed from the nearest checkpoint, equal the current vector.
+    The certificate is None when no repeat occurs within N steps.
+    """
+    step, start = _min_plus_step(auto)
+    v, u, _m = _normalised(start)
+    min_ones = [0]
+    seen = {hash(tuple(v)): [0]}
+    checkpoints = [_pack(v)]
+
+    def replay(n0: int) -> list:
+        x, y, _m = _normalised(_unpack(checkpoints[n0 // _CHECKPOINT_EVERY]))
+        for _ in range(n0 % _CHECKPOINT_EVERY):
+            x, y, _m = _normalised(step(x, y))
+        return x
+
+    for n in range(1, N + 1):
+        v, u, m = _normalised(step(v, u))
+        if m is _UNREACHABLE:
+            raise EmptyLanguageError(f"no word of length {n} avoids the set")
+        min_ones.append(min_ones[-1] + m)
+        digest = hash(tuple(v))
+        for n0 in seen.get(digest, ()):
+            if replay(n0) == v:
+                period, slope = n - n0, min_ones[n] - min_ones[n0]
+                for k in range(n + 1, N + 1):
+                    min_ones.append(min_ones[k - period] + slope)
+                return min_ones, (n0, period, slope)
+        seen.setdefault(digest, []).append(n)
+        if n % _CHECKPOINT_EVERY == 0:
+            checkpoints.append(_pack(v))
+    return min_ones, None
+
+
 def degree_profile(S: WordsLike, N: int) -> DegreeProfile:
-    """Min-plus / max-plus DP over the automaton: extremal ones-counts per length."""
+    """Fewest and most ones per length 0..N over the words avoiding S.
+
+    The fewest come from the min-plus kernel on the automaton of S, which
+    stops at its certified period (see `certified_period`) and extends the
+    profile to N exactly.  The most need no second DP: swapping letters maps
+    the words avoiding S onto those avoiding swap(S), so
+    max_ones[n] = n - (fewest ones avoiding swap(S) at length n), and a
+    swap-closed S (every S_d) reuses its own run.
+    """
     if N < 0:
         raise ValueError("N must be >= 0")
     words = as_words(S)
-    auto = build_automaton(words)
-    ns = auto.n_states
-    on_one, on_two = auto.on_one, auto.on_two
-    inf = N + 2
-    cur_min = [inf] * ns
-    cur_max = [-inf] * ns
-    cur_min[auto.start] = 0
-    cur_max[auto.start] = 0
-    min_ones = [0]
-    max_ones = [0]
-    for n in range(1, N + 1):
-        new_min = [inf] * ns
-        new_max = [-inf] * ns
-        for q in range(ns):
-            lo = cur_min[q]
-            if lo == inf:
-                continue
-            hi = cur_max[q]
-            t = on_one[q]
-            if t != DEAD:
-                if lo + 1 < new_min[t]:
-                    new_min[t] = lo + 1
-                if hi + 1 > new_max[t]:
-                    new_max[t] = hi + 1
-            t = on_two[q]
-            if t != DEAD:
-                if lo < new_min[t]:
-                    new_min[t] = lo
-                if hi > new_max[t]:
-                    new_max[t] = hi
-        best = min(new_min)
-        if best == inf:
-            raise EmptyLanguageError(f"no word of length {n} avoids the set")
-        min_ones.append(best)
-        max_ones.append(max(new_max))
-        cur_min, cur_max = new_min, new_max
-    return DegreeProfile(words, N, tuple(min_ones), tuple(max_ones))
+    min_ones = _min_ones(build_automaton(words), N)[0]
+    swapped = [swap_letters(w) for w in words]
+    if set(swapped) == set(words):
+        fewest_twos = min_ones
+    else:
+        fewest_twos = _min_ones(build_automaton(swapped), N)[0]
+    max_ones = tuple(n - twos for n, twos in enumerate(fewest_twos))
+    return DegreeProfile(words, N, tuple(min_ones), max_ones)
+
+
+def certified_period(S: WordsLike, N: int) -> tuple[int, int, int] | None:
+    """(onset, period, slope) with m_(n+period) = m_n + slope for all n >= onset.
+
+    m_n is the fewest ones over the words of length n avoiding S.  The
+    certificate is exact: it is the first repeat of the normalised state
+    vector of the min-plus kernel, confirmed component by component.  None
+    if the vector does not repeat within N steps.
+    """
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    return _min_ones(build_automaton(S), N)[1]
 
 
 def weight_poly_dp(S: WordsLike, N: int) -> Series:
@@ -241,15 +375,28 @@ def weight_poly_dp(S: WordsLike, N: int) -> Series:
 
 
 def enumerate_brute(S: WordsLike, n: int) -> WeightPoly:
-    """Ground-truth oracle: scan all 2^n words and accumulate survivor weights."""
+    """Ground-truth oracle: grow the survivors one letter at a time.
+
+    A word avoids S iff none of its prefixes ends with a word of S, so the
+    survivors of length k + 1 are the one-letter extensions of the survivors
+    of length k that do not end with a word of S.  Levels longer than
+    `_BRUTE_FORCE_CHUNK` words are split and grown depth first, which keeps
+    memory at O(n * chunk) strings however many words survive.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > BRUTE_FORCE_LIMIT:
         raise TooLargeError(f"brute force capped at n <= {BRUTE_FORCE_LIMIT}")
     words = as_words(S)
     counts = [0] * (n + 1)
-    for letters in product("12", repeat=n):
-        w = "".join(letters)
-        if not contains_any_factor(w, words):
+    pending = [[""]]
+    while pending:
+        level = pending.pop()
+        while level and len(level[0]) < n:
+            if len(level) > _BRUTE_FORCE_CHUNK:
+                pending.append(level[_BRUTE_FORCE_CHUNK:])
+                level = level[:_BRUTE_FORCE_CHUNK]
+            level = [x for w in level for x in (w + "1", w + "2") if not x.endswith(words)]
+        for w in level:
             counts[w.count("1")] += 1
     return WeightPoly({(a, n - a): c for a, c in enumerate(counts) if c})

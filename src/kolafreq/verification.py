@@ -27,7 +27,7 @@ from .bounds import best_bound, bound_from_denominator, minratio
 from .cluster import series_from_gf, weight_gf, weight_series
 from .polynomials import Series, WeightPoly
 from .quasipoly import fit_quasipoly, semi_rigorous_bound, successive_maxima
-from .words import kolakoski_prefix
+from .words import kolakoski_prefix, swap_letters
 
 # -- frozen reference values --------------------------------------------------
 # Exponent keys are (ones, twos); the t-exponent is their sum.
@@ -271,7 +271,11 @@ def check_d6_anomaly() -> tuple[bool, str]:
 
 
 def check_properties() -> tuple[bool, str]:
-    """Structural invariants: symmetry, counts, factor-freeness, avoidance."""
+    """Structural invariants: symmetry, counts, factor-freeness, avoidance.
+
+    Swap-closure of S_d is the premise under which `degree_profile` reads
+    max-ones off min-ones: max_ones[n] = n - min_ones[n].
+    """
     for d in range(1, 9):
         words = words_for_depth(d)
         if len(words) != 2 ** (d + 1) - 2:
@@ -279,6 +283,8 @@ def check_properties() -> tuple[bool, str]:
         ok, witness = verify_factor_free(words)
         if not ok:
             return False, f"S_{d} not factor-free: {witness}"
+        if {swap_letters(w) for w in words} != set(words):
+            return False, f"S_{d} is not closed under swapping the letters"
     prefix = long_kolakoski_prefix()
     if not build_automaton(words_for_depth(6)).accepts(prefix):
         bad = [w for w in words_for_depth(6) if w in prefix]
@@ -298,9 +304,6 @@ def check_properties() -> tuple[bool, str]:
             prof.check_invariants()
         except AssertionError as exc:
             return False, f"d={d}: {exc}"
-        for n in range(prof.N + 1):
-            if prof.max_ones[n] != n - prof.min_ones[n]:
-                return False, f"d={d}: max-ones asymmetry at n={n}"
     return True, "counts, factor-freeness, avoidance, symmetry, and steps all hold"
 
 

@@ -1,9 +1,11 @@
+from collections import Counter
 from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kolafreq import automaton
 from kolafreq import (
     DegreeProfile,
     EmptyLanguageError,
@@ -12,12 +14,14 @@ from kolafreq import (
     WeightPoly,
     avoided_set,
     build_automaton,
+    certified_period,
     contains_any_factor,
     degree_profile,
     enumerate_brute,
     weight_poly_dp,
     weight_series,
 )
+from kolafreq.verification import REF_QUASIPOLY
 
 
 def test_s1_automaton_has_five_live_states():
@@ -86,6 +90,58 @@ def test_profile_of_dead_language():
         degree_profile(["1", "2"], 1)
 
 
+@pytest.mark.parametrize("d,certificate", [
+    (1, (2, 3, 1)),
+    (2, (5, 3, 1)),
+    (3, (9, 9, 4)),
+    (4, (38, 15, 7)),
+    (5, (79, 69, 33)),
+    (6, (160, 69, 33)),
+    (7, (187, 123, 59)),
+    (8, (290, 123, 59)),
+])
+def test_certified_period_of_avoided_sets(d, certificate):
+    assert certified_period(avoided_set(d), 1000) == certificate
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_certificate_matches_quasipoly_fit(d):
+    _onset, period, slope = certified_period(avoided_set(d), 1000)
+    modulus, fit_slope, _constants = REF_QUASIPOLY[d]
+    assert (period, slope) == (modulus, fit_slope)
+
+
+def test_certified_period_needs_enough_steps():
+    assert certified_period(avoided_set(5), 147) is None
+    assert certified_period(avoided_set(5), 148) == (79, 69, 33)
+    with pytest.raises(ValueError):
+        certified_period(avoided_set(5), -1)
+
+
+def test_certificate_survives_digest_collisions(monkeypatch):
+    # Every normalised vector gets the same digest, so every step is a hit
+    # that only the component-wise comparison can reject.
+    expected = degree_profile(avoided_set(4), 60)
+    monkeypatch.setattr(automaton, "hash", lambda vector: 0, raising=False)
+    assert certified_period(avoided_set(4), 60) == (38, 15, 7)
+    assert degree_profile(avoided_set(4), 60) == expected
+
+
+def test_certificate_holds_on_the_counting_dp_profile():
+    S = avoided_set(4).words
+    onset, period, slope = certified_period(S, 200)
+    prof = DegreeProfile.from_series(S, weight_poly_dp(S, 200))
+    for n in range(onset, 201 - period):
+        assert prof.min_ones[n + period] == prof.min_ones[n] + slope
+
+
+def test_profile_of_non_swap_closed_set():
+    S = ("111", "22")
+    prof = degree_profile(S, 30)
+    assert prof == DegreeProfile.from_series(S, weight_poly_dp(S, 30))
+    assert any(prof.max_ones[n] != n - prof.min_ones[n] for n in range(31))
+
+
 def test_counting_dp_examples():
     assert weight_poly_dp(avoided_set(1), 3).poly(3) == WeightPoly({(2, 1): 3, (1, 2): 3})
     assert weight_poly_dp(avoided_set(1), 0).poly(0) == WeightPoly.one()
@@ -98,6 +154,28 @@ def test_brute_force_examples():
     assert enumerate_brute([], 4) == WeightPoly.letter_sum() ** 4
     with pytest.raises(TooLargeError):
         enumerate_brute(avoided_set(1), 25)
+
+
+@pytest.mark.parametrize("S", [
+    (),
+    ("1",),
+    ("12", "21"),
+    ("111", "222"),
+    ("11", "222", "1212"),
+    tuple(avoided_set(3).words),
+])
+def test_brute_force_matches_literal_enumeration(S):
+    for n in range(11):
+        counts = Counter(
+            w.count("1") for w in map("".join, product("12", repeat=n))
+            if not contains_any_factor(w, S)
+        )
+        assert enumerate_brute(S, n) == WeightPoly({(a, n - a): c for a, c in counts.items()})
+
+
+def test_brute_force_splits_large_levels():
+    # Length 15 has 2^15 survivors, more than one chunk of the level.
+    assert enumerate_brute([], 16) == WeightPoly.letter_sum() ** 16
 
 
 def test_cross_oracle_s2_n10():
@@ -149,3 +227,19 @@ def test_oracles_agree_on_random_factor_free_sets(S):
             DegreeProfile.from_series(S, series)
     else:
         assert DegreeProfile.from_series(S, series) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor_free_sets)
+@example(("111", "22"))
+@example(("11", "12", "22"))
+def test_profile_past_the_period_matches_counting_dp(S):
+    N = 80
+    series = weight_poly_dp(S, N)
+    try:
+        expected = DegreeProfile.from_series(S, series)
+    except EmptyLanguageError:
+        with pytest.raises(EmptyLanguageError):
+            degree_profile(S, N)
+    else:
+        assert degree_profile(S, N) == expected

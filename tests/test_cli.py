@@ -84,7 +84,11 @@ def test_quasifit_command(capsys, s1_file, tmp_path):
     assert data["attained"] is True
 
 
-@pytest.mark.parametrize("content", ['{"N": 3}', "[1, 2]"])
+@pytest.mark.parametrize("content", [
+    '{"N": 3}',
+    "[1, 2]",
+    json.dumps({"min_ones": [0, 9] * 8}),  # m_1 = 9 > 1 and steps of +-9
+])
 def test_quasifit_malformed_profile_is_usage_error(capsys, tmp_path, content):
     profile_path = tmp_path / "profile.json"
     profile_path.write_text(content, encoding="utf-8")
