@@ -12,8 +12,10 @@ length-L prefix of v, and the full enumerator is
     weight(W) = 1 / (1 - (x1 + x2) t - sum_v C_v).
 
 Two evaluation strategies are provided: solving the linear system exactly
-over polynomials (rational closed form, small S) and iterating the same
-equations degree by degree (truncated series, scales to large S).
+over polynomials (rational closed form, small S), and the same equations
+multiplied through by the enumerator, iterated degree by degree with
+packed slices so that every step is shifts and additions only (truncated
+series, scales to large S and N).
 """
 
 from __future__ import annotations
@@ -125,10 +127,11 @@ def _bareiss_solve(
 # -- truncated series ---------------------------------------------------------
 #
 # Degree-n slices are dense coefficient vectors packed into single big
-# integers (one signed digit per x1-exponent), so a slice convolution is one
-# integer multiplication.  Packing is a ring homomorphism; only the final
-# word-counting slices are decoded, and their coefficients are at most 2^n,
-# so a digit width of N + 2 bits is always sufficient.
+# integers (one signed digit per x1-exponent).  Packing is evaluation at
+# x1 = 2^width, a ring homomorphism, so multiplying a slice by a monomial
+# x1^a x2^b is a left shift by width * a (x2 is implied by the degree).
+# Only the language slices p_n are decoded, and their coefficients are at
+# most 2^n, so a digit width of N + 2 bits is always sufficient.
 
 
 def weight_series(
@@ -140,60 +143,64 @@ def weight_series(
 ) -> Series:
     """First slices p_0..p_terms of the weight enumerator of words avoiding S.
 
-    Iterates the cluster equations degree by degree: every tail monomial has
-    positive degree, so each degree-n cluster slice depends only on strictly
-    smaller degrees, and the language slices follow from
-    p_n = (x1 + x2) p_(n-1) + sum_k C_k p_(n-k).
+    The cluster equations are multiplied through by the language series p
+    (Noonan and Zeilberger): with Q_v = p C_v,
+
+        Q_v = -weight(v) p - sum_L weight(v[L:]) R_(v[:L]),
+        p   = 1 + (x1 + x2) p + sum_v Q_v,
+
+    where R_x is the sum of Q_u over the words u of S longer than x that end
+    with x, and L runs over the overlap lengths of v.  Every tail v[L:] has
+    positive degree, so degree-n slices depend only on smaller degrees, and
+    every product is a monomial times a slice: one step is a shift-add per
+    word, per overlap length and per (prefix, word) membership, and no
+    multiplication.
     """
     if terms < 0:
         raise ValueError("terms must be >= 0")
     words = _checked_words(S)
     width = terms + 2
+    # The overlap prefixes x = v[:L], each with the words u it sums into R_x.
+    members: dict[str, set[int]] = {}
+    for v in words:
+        for iu, u in enumerate(words):
+            for L in overlap_suffix_lengths(u, v):
+                members.setdefault(v[:L], set()).add(iu)
+    prefix_index = {x: i for i, x in enumerate(members)}
+    equations = []
+    for v in words:
+        tails = [
+            (prefix_index[v[:L]], len(v) - L, width * v[L:].count("1"))
+            for L in range(1, len(v))
+            if v[:L] in prefix_index
+        ]
+        equations.append((len(v), width * v.count("1"), tails))
+    sums = [sorted(m) for m in members.values()]
+    # R_x is read back at most max|v| - 1 degrees later, and every read of a
+    # step comes before its write: a ring of max|v| - 1 slices per prefix,
+    # where slots of degrees <= 0 hold zero.
+    ring = max([1] + [len(w) - 1 for w in words])
     zero = mpz(0)
-    packed = [zero] * (terms + 1)
-    packed[0] = mpz(1)
-    if not words:
-        equations: list[tuple[int, int, list[tuple[int, int, int]]]] = []
-        min_len = terms + 1
-    else:
-        equations = []
-        for v in words:
-            tails = []
-            for iu, u in enumerate(words):
-                for L in overlap_suffix_lengths(u, v):
-                    tail = v[L:]
-                    tails.append((iu, len(tail), tail.count("1")))
-            equations.append((len(v), v.count("1"), tails))
-        min_len = min(len(w) for w in words)
-    max_lookback = max((len(w) - 1 for w in words), default=0)
-    cluster_total = [zero] * (terms + 1)
-    history: list[dict[int, object]] = [{} for _ in words]
+    history = [[zero] * ring for _ in sums]
+    q = [zero] * len(words)
+    packed = [mpz(1)]
     for n in range(1, terms + 1):
         if should_cancel is not None and should_cancel():
             raise ComputationCancelled(f"cancelled at degree {n} of {terms}")
-        for iv, (length, ones, tails) in enumerate(equations):
+        prev = packed[n - 1]
+        acc = prev + (prev << width)
+        for iv, (length, shift, tails) in enumerate(equations):
             if n < length:
                 continue
-            acc = zero
-            if n == length:
-                acc = acc - (mpz(1) << (width * ones))
-            for iu, tail_deg, tail_ones in tails:
-                prior = history[iu].get(n - tail_deg)
-                if prior is not None:
-                    acc = acc - (prior << (width * tail_ones))
-            if acc:
-                history[iv][n] = acc
-                cluster_total[n] = cluster_total[n] + acc
-        stale = n - max_lookback
-        if stale >= 0:
-            for h in history:
-                h.pop(stale, None)
-        acc = packed[n - 1] + (packed[n - 1] << width)
-        for k in range(min_len, n + 1):
-            ck = cluster_total[k]
-            if ck:
-                acc = acc + ck * packed[n - k]
-        packed[n] = acc
+            qv = -(packed[n - length] << shift)
+            for ix, tail_len, tail_shift in tails:
+                qv -= history[ix][(n - tail_len) % ring] << tail_shift
+            q[iv] = qv
+            acc += qv
+        slot = n % ring
+        for ix, us in enumerate(sums):
+            history[ix][slot] = sum(q[iu] for iu in us)
+        packed.append(acc)
         if progress is not None:
             progress(n, terms)
     series = Series(tuple(

@@ -195,10 +195,22 @@ class WeightPoly:
         da, db = d_lead
         rem = dict(self.terms)
         quo: dict[Key, int] = {}
+        # Graded-lex is a monomial order, so every term a step adds to the
+        # remainder lies below the lead it removes: a max-heap of the keys,
+        # pushed on insertion, yields the leads in order.  A popped key that
+        # has since cancelled is skipped.  heapq is imported here, not at
+        # the top, so that commands that never divide do not load it.
+        import heapq
+
+        heap = [(-(a + b), -a, b) for a, b in rem]
+        heapq.heapify(heap)
         while rem:
-            lead = max(rem, key=_grlex)
-            la, lb = lead
-            lc = rem[lead]
+            _, neg_a, lb = heapq.heappop(heap)
+            la = -neg_a
+            lead = (la, lb)
+            lc = rem.get(lead)
+            if lc is None:
+                continue
             if la < da or lb < db or lc % d_lc:
                 raise InexactDivisionError(f"{lead} not divisible by {d_lead}")
             qk = (la - da, lb - db)
@@ -206,10 +218,13 @@ class WeightPoly:
             quo[qk] = qc
             for (a, b), c in divisor.terms.items():
                 k = (a + qk[0], b + qk[1])
-                v = rem.get(k, 0) - qc * c
+                prior = rem.get(k)
+                v = (prior or 0) - qc * c
                 if v:
                     rem[k] = v
-                elif k in rem:
+                    if prior is None:
+                        heapq.heappush(heap, (-(k[0] + k[1]), -k[0], k[1]))
+                elif prior is not None:
                     del rem[k]
         return WeightPoly(quo)
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, product
 from typing import Iterable
 
 _SWAP = str.maketrans("12", "21")
@@ -46,35 +46,60 @@ def prefix_stats(word: str) -> PrefixStats:
 def kolakoski_prefix(n: int, first_letter: int | str = 2) -> str:
     """First n letters of the self-run-length word starting with `first_letter`.
 
-    Self-reading two-pointer construction: each new run's length is dictated
-    by the already-generated sequence, so the whole prefix is built in one
-    O(n) pass.  Starting with 2 gives the classical word; starting with 1
-    gives the variant whose tail agrees with it.
+    Starting with 2 gives the classical word; starting with 1 gives the
+    variant "1" followed by the classical word, whose tail agrees with it.
     """
     first = str(first_letter)
     if first not in ("1", "2"):
         raise ValueError("first_letter must be 1 or 2")
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return ""
-    # Seeds cover the initial self-referential runs; from there the read
-    # pointer always trails the write position.
-    if first == "2":
-        seq = [2, 2]
-        read = 1
-    else:
-        seq = [1, 2, 2]
-        read = 2
-    append = seq.append
-    while len(seq) < n:
+    if first == "1":
+        return "1" + _classical_prefix(n - 1) if n else ""
+    return _classical_prefix(n)
+
+
+_SEED = 64
+_CHUNK = 8  # even, so every chunk of runs starts with a run of 2s
+
+
+def _classical_prefix(n: int) -> str:
+    """First n letters of the classical word, which is its own run-length
+    sequence: the letters already built are read as the lengths of the runs
+    that follow, _CHUNK runs per lookup in a table of all 2^_CHUNK chunks."""
+    # Seed: self-reading two-pointer construction, the read pointer trailing
+    # the write position.
+    seq = [2, 2]
+    read = 1
+    while len(seq) < min(n, _SEED):
         letter = 3 - seq[-1]
-        run = seq[read]
-        append(letter)
-        if run == 2:
-            append(letter)
+        seq.append(letter)
+        if seq[read] == 2:
+            seq.append(letter)
         read += 1
-    return bytes(seq[:n]).translate(_DIGITS).decode("ascii")
+    word = bytes(seq[:n]).translate(_DIGITS).decode("ascii")
+    if n <= _SEED:
+        return word
+    table = {
+        "".join(lengths): "".join(
+            letter * int(r) for letter, r in zip("21" * (_CHUNK // 2), lengths)
+        )
+        for lengths in product("12", repeat=_CHUNK)
+    }
+    pieces: list[str] = []
+    done = total = 0  # runs expanded so far and the letters they gave
+    while total < n:
+        if total > len(word):
+            word = "".join(pieces)
+        # A run has one or two letters, about 3/2 on average, so this stop
+        # rarely overshoots n by more than a chunk; a shortfall loops again.
+        wanted = done + _CHUNK * -(-2 * (n - total) // (3 * _CHUNK))
+        stop = min(len(word) - len(word) % _CHUNK, wanted)
+        new = [table[word[i:i + _CHUNK]] for i in range(done, stop, _CHUNK)]
+        total += sum(map(len, new))
+        pieces += new
+        done = stop
+    return "".join(pieces)[:n]
 
 
 def run_lengths(word: str) -> list[int]:

@@ -18,6 +18,8 @@ from kolafreq import (
     contains_any_factor,
     degree_profile,
     enumerate_brute,
+    series_from_gf,
+    weight_gf,
     weight_poly_dp,
     weight_series,
 )
@@ -214,10 +216,14 @@ factor_free_sets = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(factor_free_sets)
 @example(("11", "12", "22"))  # every word of length 3 contains one of these
+@example(("1",))  # no overlaps at all
+@example(("2", "1111"))
+@example(("121", "2112", "22222"))  # an overlap prefix shared by two words
 def test_oracles_agree_on_random_factor_free_sets(S):
     N = 12
     series = weight_series(S, N)
     assert series == weight_poly_dp(S, N)
+    assert series_from_gf(weight_gf(S), N) == series
     for n in range(11):
         assert series.poly(n) == enumerate_brute(S, n)
     try:

@@ -14,6 +14,7 @@ from kolafreq import (
     overlap_suffix_lengths,
     series_from_gf,
     weight_gf,
+    weight_poly_dp,
     weight_series,
 )
 
@@ -107,6 +108,11 @@ def test_series_agrees_with_brute_force(d):
     series = weight_series(avoided_set(d), 12)
     for n in range(13):
         assert series.poly(n) == enumerate_brute(avoided_set(d), n), f"n={n}"
+
+
+def test_series_matches_counting_dp_at_depth_4():
+    S = avoided_set(4)
+    assert weight_series(S, 300) == weight_poly_dp(S, 300)
 
 
 def test_series_validates_counting_invariants():

@@ -61,6 +61,20 @@ def test_exact_division_roundtrip(f, g):
     assert (f * g).exact_div(g) == f
 
 
+wide_polys = st.dictionaries(
+    st.tuples(st.integers(0, 9), st.integers(0, 9)), st.integers(-99, 99), max_size=20
+).map(WeightPoly)
+non_constant_polys = wide_polys.filter(lambda p: p.t_degree() > 0)
+
+
+@given(wide_polys, non_constant_polys, st.integers(-9, 9).filter(bool))
+def test_exact_division_of_wide_products(f, g, c):
+    assert (f * g).exact_div(g) == f
+    # g divides f*g + c only if it divides the constant c, and g is not constant.
+    with pytest.raises(InexactDivisionError):
+        (f * g + c).exact_div(g)
+
+
 def test_inexact_division_raises():
     x1 = WeightPoly.monomial(1, 0)
     x2 = WeightPoly.monomial(0, 1)

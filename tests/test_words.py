@@ -48,6 +48,32 @@ def test_prefix_consistency(m, n, first):
     assert kolakoski_prefix(n, first)[:m] == kolakoski_prefix(m, first)
 
 
+def _two_pointer_prefix(n: int, first: int) -> str:
+    """Reference: the self-reading loop, one run per step."""
+    if n == 0:
+        return ""
+    seq, read = ([2, 2], 1) if first == 2 else ([1, 2, 2], 2)
+    while len(seq) < n:
+        letter = 3 - seq[-1]
+        seq.append(letter)
+        if seq[read] == 2:
+            seq.append(letter)
+        read += 1
+    return "".join(map(str, seq[:n]))
+
+
+@pytest.mark.parametrize("first", [1, 2])
+def test_prefix_matches_two_pointer_loop(first):
+    reference = _two_pointer_prefix(200_001, first)
+    small = range(301)
+    # Lengths around multiples of the 8-run chunk and around each growth
+    # round (the expansion grows by about 3/2 per round from 64 letters).
+    rounds = {int(64 * 1.5**k) for k in range(17)}
+    near = {m + j for m in rounds | {8 * 7919, 8 * 25_000} for j in range(-9, 10)}
+    for n in sorted(set(small) | {n for n in near if 0 <= n <= 200_001}):
+        assert kolakoski_prefix(n, first) == reference[:n], n
+
+
 def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
         kolakoski_prefix(-1, 2)
