@@ -35,7 +35,6 @@ from .avoided import (
 from .bounds import (
     Bound,
     DegenerateDenominatorError,
-    MonomialList,
     best_bound,
     bound_from_denominator,
     bound_from_term,
@@ -64,10 +63,8 @@ from .quasipoly import (
     successive_maxima,
 )
 from .words import (
-    PrefixStats,
     contains_any_factor,
     kolakoski_prefix,
-    prefix_stats,
     run_lengths,
     swap_letters,
 )
@@ -85,10 +82,8 @@ __all__ = [
     "EmptyLanguageError",
     "InexactDivisionError",
     "MaximaReport",
-    "MonomialList",
     "NoFitFoundError",
     "NotFactorFreeError",
-    "PrefixStats",
     "QuasiPolyFit",
     "RationalGF",
     "Series",
@@ -109,7 +104,6 @@ __all__ = [
     "maxratio",
     "minratio",
     "overlap_suffix_lengths",
-    "prefix_stats",
     "read_word_file",
     "run_lengths",
     "semi_rigorous_bound",

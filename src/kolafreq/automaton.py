@@ -28,7 +28,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Callable
 
-from .avoided import WordsLike, as_words, ensure_factor_free
+from .avoided import WordsLike, as_words, checked_words
 from .polynomials import Series, WeightPoly, mpz, unpack_signed
 from .words import swap_letters
 
@@ -70,14 +70,12 @@ class AvoidanceAutomaton:
 
 
 def build_automaton(S: WordsLike) -> AvoidanceAutomaton:
-    """Aho-Corasick construction, dead states pruned, live states BFS-numbered."""
-    words = as_words(S)
-    if not words:
-        raise ValueError("need at least one avoided word")
-    if "" in words:
-        raise ValueError("the empty word cannot be avoided")
-    ensure_factor_free(words)
+    """Aho-Corasick construction, dead states pruned, live states BFS-numbered.
 
+    S passes `checked_words`, so the root is never terminal and stays live;
+    the empty set gives one state with a loop on each letter.
+    """
+    words = checked_words(S)
     children: list[dict[str, int]] = [{}]
     terminal = [False]
     for w in words:
@@ -122,8 +120,6 @@ def build_automaton(S: WordsLike) -> AvoidanceAutomaton:
                     dead[child] = True
                 order.append(child)
 
-    if dead[0]:
-        raise ValueError("start state is dead; the language is empty")
     renumber = {0: 0}
     live_order = [0]
     head = 0
@@ -387,7 +383,7 @@ def enumerate_brute(S: WordsLike, n: int) -> WeightPoly:
         raise ValueError("n must be >= 0")
     if n > BRUTE_FORCE_LIMIT:
         raise TooLargeError(f"brute force capped at n <= {BRUTE_FORCE_LIMIT}")
-    words = as_words(S)
+    words = checked_words(S)
     counts = [0] * (n + 1)
     pending = [[""]]
     while pending:

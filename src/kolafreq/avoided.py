@@ -141,6 +141,16 @@ def ensure_factor_free(words: Sequence[str]) -> None:
         raise NotFactorFreeError(*witness)
 
 
+def checked_words(S: WordsLike) -> tuple[str, ...]:
+    """The word-set rule of every enumeration route: `as_words`, no empty
+    word, and no word a factor of another.  The empty set passes."""
+    words = as_words(S)
+    if "" in words:
+        raise ValueError("the empty word cannot be avoided")
+    ensure_factor_free(words)
+    return words
+
+
 def read_word_file(path: str | os.PathLike) -> tuple[str, ...]:
     """Parse a word-set file: one word per line, '#' starts a comment line."""
     words = []

@@ -2,8 +2,11 @@
 
 Every bound has the two-sided form |freq - 1/2| <= epsilon and is valid
 conditional on the limiting frequency existing; that caveat travels with
-every rendered bound.  All arithmetic is exact (fractions of integers);
-decimal renderings are display-only.
+every rendered bound.  A bound comes from one series term
+(`bound_from_term`, searched by `best_bound`) or from the denominator 1 - D
+of a closed form, whose monomials' extreme ones-ratios `minratio` and
+`maxratio` read straight off D.  All arithmetic is exact (fractions of
+integers); decimal renderings are display-only.
 """
 
 from __future__ import annotations
@@ -23,47 +26,23 @@ class DegenerateDenominatorError(ValueError):
     """The denominator carries no monomials to bound with (D = 0)."""
 
 
-@dataclass(frozen=True)
-class MonomialList:
-    """Monomials (coefficient, ones, length) with every length >= 1."""
-
-    entries: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self) -> None:
-        for c, o, n in self.entries:
-            if n < 1:
-                raise ValueError(f"length must be >= 1, got {n}")
-            if not 0 <= o <= n:
-                raise ValueError(f"need 0 <= ones <= length, got {o}, {n}")
-
-    @classmethod
-    def from_poly(cls, poly: WeightPoly) -> "MonomialList":
-        """Collect the non-constant monomials of a weight polynomial."""
-        entries = tuple(
-            (c, a, a + b) for (a, b), c in poly.sorted_terms() if a + b >= 1
-        )
-        return cls(entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
+def _ratios(poly: WeightPoly) -> list[Fraction]:
+    ratios = [Fraction(a, a + b) for a, b in poly.terms if a + b]
+    if not ratios:
+        raise ValueError("no non-constant monomial")
+    return ratios
 
 
-def _entries(m: MonomialList | WeightPoly) -> tuple[tuple[int, int, int], ...]:
-    if isinstance(m, WeightPoly):
-        m = MonomialList.from_poly(m)
-    if not m.entries:
-        raise ValueError("empty monomial list")
-    return m.entries
+def minratio(poly: WeightPoly) -> Fraction:
+    """Minimum of ones/length over the non-constant monomials; coefficients
+    are ignored."""
+    return min(_ratios(poly))
 
 
-def minratio(m: MonomialList | WeightPoly) -> Fraction:
-    """Minimum of ones/length over the monomials; coefficients are ignored."""
-    return min(Fraction(o, n) for _, o, n in _entries(m))
-
-
-def maxratio(m: MonomialList | WeightPoly) -> Fraction:
-    """Maximum of ones/length over the monomials; coefficients are ignored."""
-    return max(Fraction(o, n) for _, o, n in _entries(m))
+def maxratio(poly: WeightPoly) -> Fraction:
+    """Maximum of ones/length over the non-constant monomials; coefficients
+    are ignored."""
+    return max(_ratios(poly))
 
 
 @dataclass(frozen=True)
@@ -119,8 +98,7 @@ def bound_from_denominator(gf: RationalGF) -> Bound:
     d = gf.d_poly()
     if d.is_zero():
         raise DegenerateDenominatorError("denominator is 1; no monomials to bound with")
-    monomials = MonomialList.from_poly(d)
-    eps = max(HALF - minratio(monomials), maxratio(monomials) - HALF)
+    eps = max(HALF - minratio(d), maxratio(d) - HALF)
     return Bound(eps, provenance="denominator")
 
 

@@ -15,20 +15,22 @@ Two evaluation strategies are provided: solving the linear system exactly
 over polynomials (rational closed form, small S), and the same equations
 multiplied through by the enumerator, iterated degree by degree with
 packed slices so that every step is shifts and additions only (truncated
-series, scales to large S and N).
+series, scales to large S and N).  `series_from_gf` expands a closed form
+slice by slice in plain integers, so it checks the packed series without
+sharing its encoding.  Both routes take any set that passes
+`avoided.checked_words`, the empty set included.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .avoided import WordsLike, as_words, ensure_factor_free
+from .avoided import WordsLike, checked_words
 from .polynomials import (
     RationalGF,
     Series,
     WeightPoly,
     mpz,
-    pack_coefficients,
     unpack_signed,
 )
 
@@ -48,14 +50,6 @@ def overlap_suffix_lengths(u: str, v: str) -> set[int]:
     return {L for L in range(1, min(len(u), len(v))) if u[-L:] == v[:L]}
 
 
-def _checked_words(S: WordsLike) -> tuple[str, ...]:
-    words = as_words(S)
-    if "" in words:
-        raise ValueError("the empty word cannot be avoided")
-    ensure_factor_free(words)
-    return words
-
-
 # -- rational closed form -----------------------------------------------------
 
 
@@ -66,7 +60,7 @@ def weight_gf(S: WordsLike) -> RationalGF:
     the integer polynomial ring; no pivoting is needed because every leading
     principal minor has constant term 1.
     """
-    words = _checked_words(S)
+    words = checked_words(S)
     one = WeightPoly.one()
     letters = WeightPoly.letter_sum()
     if not words:
@@ -158,7 +152,7 @@ def weight_series(
     """
     if terms < 0:
         raise ValueError("terms must be >= 0")
-    words = _checked_words(S)
+    words = checked_words(S)
     width = terms + 2
     # The overlap prefixes x = v[:L], each with the words u it sums into R_x.
     members: dict[str, set[int]] = {}
@@ -219,42 +213,31 @@ def series_from_gf(
 ) -> Series:
     """Expand numerator/denominator to the given order via the induced recurrence.
 
-    Works for any well-formed rational function; a scalar bound pre-pass
-    picks a packing width certified to hold every decoded coefficient.
+    With den = 1 + sum_k den_k, slice n is num_n - sum_k den_k * slice_(n-k),
+    products of homogeneous slices taken coefficient by coefficient in plain
+    integers.  Works for any well-formed rational function, and shares no
+    encoding with the packed series routes that it checks.
     """
     if terms < 0:
         raise ValueError("terms must be >= 0")
     if gf.denominator.constant_term != 1:
         raise ValueError("denominator constant term must be 1")
-    num_slices = {n: row for n, row in gf.numerator.slices().items() if n <= terms}
-    den_slices = {
-        n: row for n, row in gf.denominator.slices().items() if 0 < n <= terms
-    }
-    num_abs = {n: sum(abs(c) for c in row) for n, row in num_slices.items()}
-    den_abs = {n: sum(abs(c) for c in row) for n, row in den_slices.items()}
-    bound = [0] * (terms + 1)
-    for n in range(terms + 1):
-        b = num_abs.get(n, 0)
-        for k, dk in den_abs.items():
-            if k <= n:
-                b += dk * bound[n - k]
-        bound[n] = b
-    width = max(max((b.bit_length() for b in bound), default=1), 1) + 2
-    num_packed = {n: pack_coefficients(row, width) for n, row in num_slices.items()}
-    den_packed = {n: pack_coefficients(row, width) for n, row in den_slices.items()}
-    zero = mpz(0)
-    packed = [zero] * (terms + 1)
+    num = gf.numerator.slices()
+    den = sorted((k, row) for k, row in gf.denominator.slices().items() if 0 < k <= terms)
+    slices: list[tuple[int, ...]] = []
     for n in range(terms + 1):
         if should_cancel is not None and should_cancel():
             raise ComputationCancelled(f"cancelled at degree {n} of {terms}")
-        acc = num_packed.get(n, zero)
-        for k, dk in den_packed.items():
-            if k <= n and packed[n - k]:
-                acc = acc - dk * packed[n - k]
-        packed[n] = acc
+        acc = num.get(n, [0] * (n + 1))
+        for k, dk in den:
+            if k > n:
+                break
+            prev = slices[n - k]
+            for i, c in enumerate(dk):
+                if c:
+                    for j, p in enumerate(prev):
+                        acc[i + j] -= c * p
+        slices.append(tuple(acc))
         if progress is not None:
             progress(n, terms)
-    slices = tuple(
-        tuple(unpack_signed(packed[n], n + 1, width)) for n in range(terms + 1)
-    )
-    return Series(slices)
+    return Series(tuple(slices))

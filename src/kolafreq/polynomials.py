@@ -115,9 +115,6 @@ class WeightPoly:
             out[n][a] = c
         return out
 
-    def evaluate(self, x1_value: int, x2_value: int) -> int:
-        return sum(c * x1_value**a * x2_value**b for (a, b), c in self.terms.items())
-
     # -- arithmetic --------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -384,23 +381,45 @@ class RationalGF:
         return f"({self.numerator}) / ({self.denominator})"
 
 
-_PROBE_POINTS = ((2**64 + 3, 2**64 - 5), (2**96 + 9, 2**96 - 17))
+_P = 2**61 - 1  # a Mersenne prime
+
+
+def _on_line(f: WeightPoly) -> list[int]:
+    """Coefficients of f(x, 3x) mod _P, indexed by the degree in x."""
+    out = [0] * (f.t_degree() + 1)
+    for (a, b), c in f.terms.items():
+        out[a + b] = (out[a + b] + c * pow(3, b, _P)) % _P
+    return out
+
+
+def _coprime_on_line(f: WeightPoly, g: WeightPoly) -> bool:
+    """True only if f and g provably share no nonconstant factor.
+
+    Restriction to the line x2 = 3 x1 modulo _P is a ring homomorphism that
+    cannot raise degrees.  If f = h f' and f(x, 3x) keeps the full degree of
+    f, then h(x, 3x) keeps the degree of h, so a nonconstant common factor h
+    would leave a nonconstant common factor of the restrictions.  Hence full
+    degrees and a constant gcd over GF(_P) prove f and g coprime.
+    """
+    a, b = _on_line(f), _on_line(g)
+    if not (a[-1] and b[-1]):
+        return False
+    while b:  # Euclid over GF(_P), leading coefficients last
+        inv = pow(b[-1], -1, _P)
+        while len(a) >= len(b):
+            q, shift = a[-1] * inv % _P, len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - q * c) % _P
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
 
 
 def _poly_gcd(f: WeightPoly, g: WeightPoly) -> WeightPoly:
-    """Gcd of two polynomials; fast integer-point probe with a symbolic fallback.
-
-    A nontrivial common factor divides both values at any integer point, so a
-    coprime evaluation pair certifies gcd 1 unless the factor evaluates to +-1
-    there; two independent large points make that practically impossible, and
-    the canonical-form consumers cross-check their results against independent
-    series oracles anyway.
-    """
-    if f.is_zero() or g.is_zero():
+    """Gcd of two polynomials: 1 when `_coprime_on_line` proves it, else symbolic."""
+    if f.is_zero() or g.is_zero() or _coprime_on_line(f, g):
         return WeightPoly.one()
-    for x1v, x2v in _PROBE_POINTS:
-        if gcd(f.evaluate(x1v, x2v), g.evaluate(x1v, x2v)) == 1:
-            return WeightPoly.one()
     return _sympy_gcd(f, g)
 
 

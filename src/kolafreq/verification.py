@@ -23,9 +23,9 @@ from .automaton import (
     weight_poly_dp,
 )
 from .avoided import avoided_set, verify_factor_free
-from .bounds import best_bound, bound_from_denominator, minratio
+from .bounds import HALF, best_bound, bound_from_denominator, minratio
 from .cluster import series_from_gf, weight_gf, weight_series
-from .polynomials import Series, WeightPoly
+from .polynomials import WeightPoly
 from .quasipoly import fit_quasipoly, semi_rigorous_bound, successive_maxima
 from .words import kolakoski_prefix, swap_letters
 
@@ -121,16 +121,6 @@ def profile_for_depth(d: int, N: int):
     return degree_profile(words_for_depth(d), N)
 
 
-@lru_cache(maxsize=8)
-def series_for_depth(d: int, N: int) -> Series:
-    return weight_series(words_for_depth(d), N)
-
-
-@lru_cache(maxsize=2)
-def long_kolakoski_prefix(n: int = 10**7) -> str:
-    return kolakoski_prefix(n, 2)
-
-
 # -- checks --------------------------------------------------------------------
 
 CheckFn = Callable[[], tuple[bool, str]]
@@ -210,8 +200,9 @@ def check_results_table() -> tuple[bool, str]:
 def check_results_table_gj(max_d: int = 3, N: int = 200) -> tuple[bool, str]:
     """Same table rows for small depths, but via the cluster series backend."""
     for d, _size, _N, n_ref, eps_ref in REF_RESULTS_TABLE[:max_d]:
+        words = words_for_depth(d)
         try:
-            prof = DegreeProfile.from_series(words_for_depth(d), series_for_depth(d, N))
+            prof = DegreeProfile.from_series(words, weight_series(words, N))
         except EmptyLanguageError as exc:
             return False, f"d={d}: {exc}"
         if prof != profile_for_depth(d, N):
@@ -236,7 +227,8 @@ def check_quasipoly_fits() -> tuple[bool, str]:
 
 
 def check_limits_and_maxima() -> tuple[bool, str]:
-    """Limit ratios, epsilon values, and successive-maxima formulas."""
+    """Limit ratios, epsilon values, successive-maxima formulas, and the d = 5
+    record at m = 11 (n = 762), whose ratio 364/762 gives epsilon 17/762."""
     for d, limit_ref in REF_LIMITS.items():
         N = DEFAULT_TABLE_TERMS[d]
         profile = profile_for_depth(d, N)
@@ -254,9 +246,9 @@ def check_limits_and_maxima() -> tuple[bool, str]:
                 return False, f"d={d}: maxima {got}, attained={maxima.attained}"
         elif not maxima.attained:
             return False, f"d={d}: limit should be attained"
-    m11 = Fraction(33 * 11 + 1, 69 * 11 + 3)
-    if Fraction(1, 2) - m11 != Fraction(17, 762):
-        return False, "m = 11 does not reproduce 17/762"
+        if d == 5 and (HALF - maxima.value(11) != Fraction(17, 762)
+                       or (762, Fraction(364, 762)) not in maxima.records):
+            return False, "m = 11 does not reproduce 17/762"
     return True, "limits 1/3, 4/9, 7/15, 33/69; epsilons 1/6, 1/18, 1/30, 1/46"
 
 
@@ -285,12 +277,12 @@ def check_properties() -> tuple[bool, str]:
             return False, f"S_{d} not factor-free: {witness}"
         if {swap_letters(w) for w in words} != set(words):
             return False, f"S_{d} is not closed under swapping the letters"
-    prefix = long_kolakoski_prefix()
+    prefix = kolakoski_prefix(10**7, 2)
     if not build_automaton(words_for_depth(6)).accepts(prefix):
         bad = [w for w in words_for_depth(6) if w in prefix]
         return False, f"avoided words found in the 10^7 prefix: {bad[:3]}"
     for d in (1, 2, 3):
-        series = series_for_depth(d, 18)
+        series = weight_series(words_for_depth(d), 18)
         try:
             series.validate_counting()
         except AssertionError as exc:

@@ -6,8 +6,6 @@ keeps factor search (`in`) at C speed even for multi-megabyte prefixes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import groupby, product
 from typing import Iterable
 
@@ -18,29 +16,6 @@ _DIGITS = bytes.maketrans(bytes([1, 2]), b"12")
 def swap_letters(word: str) -> str:
     """Interchange the letters 1 and 2."""
     return word.translate(_SWAP)
-
-
-@dataclass(frozen=True)
-class PrefixStats:
-    """Census of the letter 1 in a length-n prefix."""
-
-    n: int
-    ones: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.ones <= self.n:
-            raise ValueError(f"need 0 <= ones <= n, got ones={self.ones}, n={self.n}")
-
-    @property
-    def ratio(self) -> Fraction:
-        """Empirical frequency of 1 over the prefix."""
-        if self.n == 0:
-            raise ValueError("ratio undefined for the empty prefix")
-        return Fraction(self.ones, self.n)
-
-
-def prefix_stats(word: str) -> PrefixStats:
-    return PrefixStats(len(word), word.count("1"))
 
 
 def kolakoski_prefix(n: int, first_letter: int | str = 2) -> str:

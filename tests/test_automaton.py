@@ -50,7 +50,7 @@ def test_automaton_agrees_with_direct_scan(d, max_n):
 
 def test_automaton_rejects_bad_sets():
     with pytest.raises(ValueError):
-        build_automaton([])
+        build_automaton([""])
     with pytest.raises(NotFactorFreeError):
         build_automaton(["12", "121"])
 
@@ -215,6 +215,7 @@ factor_free_sets = st.lists(
 
 @settings(max_examples=60, deadline=None)
 @given(factor_free_sets)
+@example(())  # every word survives
 @example(("11", "12", "22"))  # every word of length 3 contains one of these
 @example(("1",))  # no overlaps at all
 @example(("2", "1111"))

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from kolafreq import (
     DegenerateDenominatorError,
-    MonomialList,
     RationalGF,
     WeightPoly,
     avoided_set,
@@ -21,10 +20,12 @@ from kolafreq import (
 from kolafreq.bounds import decimal
 from kolafreq.verification import REF_S3_DEN
 
-entry = st.tuples(st.integers(0, 10), st.integers(1, 10)).map(
-    lambda on: (1, min(on), max(on[0], on[1]))
+# Non-constant monomials (ones, twos) with positive coefficients, so that
+# products cancel no term.
+monomial_keys = st.tuples(st.integers(0, 10), st.integers(0, 10)).filter(lambda k: sum(k) > 0)
+positive_polys = st.dictionaries(monomial_keys, st.integers(1, 9), min_size=1, max_size=8).map(
+    WeightPoly
 )
-entry_lists = st.lists(entry, min_size=1, max_size=8)
 
 
 def test_minratio_of_s1_denominator():
@@ -40,19 +41,18 @@ def test_minratio_of_s3_reference_denominator():
 
 
 def test_minratio_single_entry():
-    m = MonomialList(((5, 2, 3),))
+    m = WeightPoly.monomial(2, 1, 5)
     assert minratio(m) == Fraction(2, 3)
     assert maxratio(m) == Fraction(2, 3)
 
 
-def test_monomial_list_validation():
+def test_ratios_range_over_non_constant_terms():
     with pytest.raises(ValueError):
-        MonomialList(((1, 0, 0),))
+        minratio(WeightPoly.zero())
     with pytest.raises(ValueError):
-        MonomialList(((1, 4, 3),))
-    with pytest.raises(ValueError):
-        minratio(MonomialList(()))
-    assert len(MonomialList.from_poly(WeightPoly({(0, 0): 7, (1, 1): 1}))) == 1
+        maxratio(WeightPoly.constant(7))
+    assert minratio(WeightPoly({(0, 0): 7, (1, 1): 1})) == Fraction(1, 2)
+    assert maxratio(WeightPoly({(0, 0): 7, (1, 1): 1, (0, 3): -2})) == Fraction(1, 2)
 
 
 def test_bound_from_term_examples():
@@ -122,11 +122,8 @@ def test_minratio_with_numerator_converges_from_below():
     assert all(v <= Fraction(1, 3) for v in values)
 
 
-@given(entry_lists, entry_lists)
+@given(positive_polys, positive_polys)
 def test_minratio_mediant_property(left, right):
-    products = tuple(
-        (1, o1 + o2, n1 + n2) for _, o1, n1 in left for _, o2, n2 in right
-    )
-    combined = minratio(MonomialList(products))
-    floor = min(minratio(MonomialList(tuple(left))), minratio(MonomialList(tuple(right))))
-    assert combined >= floor
+    # A product's ratio (o1 + o2)/(n1 + n2) is a mediant of its factors' ratios.
+    assert minratio(left * right) >= min(minratio(left), minratio(right))
+    assert maxratio(left * right) <= max(maxratio(left), maxratio(right))

@@ -157,3 +157,20 @@ def test_verify_names_failing_check(capsys):
     ok, detail = check_gf_s1(gf=perturbed)
     assert not ok
     assert "denominator mismatch" in detail
+
+
+def test_limits_and_maxima_needs_the_m11_record(monkeypatch):
+    from dataclasses import replace
+
+    from kolafreq import verification
+
+    real = verification.successive_maxima
+
+    def without_762(m, fit):
+        report = real(m, fit)
+        return replace(report, records=tuple(r for r in report.records if r[0] != 762))
+
+    monkeypatch.setattr(verification, "successive_maxima", without_762)
+    ok, detail = verification.check_limits_and_maxima()
+    assert not ok
+    assert "17/762" in detail

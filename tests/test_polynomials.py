@@ -2,8 +2,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kolafreq import InexactDivisionError, RationalGF, Series, WeightPoly
+from kolafreq import (
+    InexactDivisionError,
+    RationalGF,
+    Series,
+    WeightPoly,
+    avoided_set,
+    weight_gf,
+)
+from kolafreq import polynomials
 from kolafreq.polynomials import (
+    _coprime_on_line,
     format_terms,
     pack_coefficients,
     unpack_signed,
@@ -134,6 +143,31 @@ def test_rational_gf_canonicalization():
     gf = RationalGF.canonical(one_plus_x1 * one_plus_x2, one_plus_x1 * one_minus_x2)
     assert gf.numerator == one_plus_x2
     assert gf.denominator == one_minus_x2
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_closed_forms_of_avoided_sets_need_no_symbolic_gcd(monkeypatch, d):
+    def refuse(f, g):
+        raise AssertionError("symbolic gcd reached")
+
+    monkeypatch.setattr(polynomials, "_sympy_gcd", refuse)
+    assert weight_gf(avoided_set(d)).denominator.constant_term == 1
+
+
+def test_real_common_factor_still_reduces():
+    # Both sides of the unreduced enumerator of {112, 22121} carry 1 - x1 x2 t^2.
+    gf = weight_gf(["112", "22121"])
+    assert gf.numerator == WeightPoly({(0, 0): 1, (1, 1): 1, (2, 2): 1})
+    assert gf.denominator == WeightPoly(
+        {(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1, (1, 2): -1, (2, 2): 1}
+    )
+    factor = WeightPoly({(0, 0): 1, (1, 1): -1})
+    assert not _coprime_on_line(gf.numerator * factor, gf.denominator * factor)
+
+
+@given(nonzero_polys, nonzero_polys, polys.filter(lambda p: p.t_degree() > 0))
+def test_line_restriction_never_hides_a_shared_factor(f, g, h):
+    assert not _coprime_on_line(f * h, g * h)
 
 
 def test_rational_gf_sign_and_content_normalization():

@@ -3,10 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kolafreq import (
-    PrefixStats,
     contains_any_factor,
     kolakoski_prefix,
-    prefix_stats,
     run_lengths,
     swap_letters,
 )
@@ -99,16 +97,7 @@ def test_ones_count_monotone_steps():
 
 
 def test_empirical_ratio_near_half(kprefix_1m):
-    stats = prefix_stats(kprefix_1m)
-    assert abs(stats.ratio - 0.5) < 0.01
-
-
-def test_prefix_stats_validation():
-    assert prefix_stats("212") == PrefixStats(n=3, ones=1)
-    with pytest.raises(ValueError):
-        PrefixStats(n=1, ones=2)
-    with pytest.raises(ValueError):
-        PrefixStats(n=0, ones=0).ratio
+    assert abs(kprefix_1m.count("1") / len(kprefix_1m) - 0.5) < 0.01
 
 
 def test_contains_any_factor_basics():
