@@ -13,7 +13,11 @@ surviving words.  On top of it sit:
   algebra; Cohen, Dubois, Quadrat & Viot 1983).  The kernel records digests
   of the normalised vectors, confirms a hit component by component against
   a replay from a sparse checkpoint, stops there and extends the profile
-  exactly (`certified_period`, `degree_profile`);
+  exactly (`certified_period`, `degree_profile`).  A vector is a `bytes`
+  of one lane per state, so a step is C-level gathers, translations and
+  searches; once the states that no cycle reaches are dead for good, only
+  the live states are stepped.  A run whose lanes outgrow a byte restarts
+  on the same kernel over lists of unbounded entries;
 - the most ones per length with no second DP: swapping the letters maps
   the words avoiding S onto those avoiding swap(S), so the most ones at
   length n are n minus the fewest ones avoiding swap(S);
@@ -24,9 +28,10 @@ surviving words.  On top of it sit:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import groupby
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Iterable
 
 from .avoided import WordsLike, as_words, checked_words
 from .polynomials import Series, WeightPoly, mpz, unpack_signed
@@ -180,10 +185,55 @@ class DegreeProfile:
 # minus one from the checkpoint at or before n0.
 _CHECKPOINT_EVERY = 32
 _UNREACHABLE = float("inf")
+# Byte lanes: entry i of a vector is one byte, and _FAR marks an unreachable
+# state.  A normalised entry of _OVERFLOW could reach _FAR within one step.
+_FAR = 255
+_OVERFLOW = b"\xfe"
 
 
-def _min_plus_step(auto: AvoidanceAutomaton) -> tuple[Callable[[list, list], list], list]:
-    """The min-ones step map T on relabelled states, and the vector of length 0.
+def _predecessors(auto: AvoidanceAutomaton) -> list[list[int]]:
+    """preds[t] lists the edges into t: q for a 2 from q, ns + q for a 1 from q."""
+    ns = auto.n_states
+    preds: list[list[int]] = [[] for _ in range(ns)]
+    for q in range(ns):
+        if auto.on_one[q] != DEAD:
+            preds[auto.on_one[q]].append(ns + q)
+        if auto.on_two[q] != DEAD:
+            preds[auto.on_two[q]].append(q)
+    return preds
+
+
+def _gatherer(idx: list[int]) -> Callable:
+    """Items idx of a sequence, as a tuple even when idx has one index."""
+    return itemgetter(*idx) if len(idx) > 1 else (lambda vec, i=idx[0]: (vec[i],))
+
+
+def _live_states(auto: AvoidanceAutomaton, preds: list[list[int]]) -> tuple[list[int], int]:
+    """The states some cycle reaches, and the longest path to any other state.
+
+    A Kahn pass peels the states whose every predecessor is peeled; the rest
+    are reached from a cycle, so words of every large length can end there.
+    A peeled state is reachable at no length past the longest path L* from
+    the start among the peeled states, and some peeled state is reachable at
+    every length up to L*.  Returns (live states, L*), with L* = -1 when
+    nothing is peeled.
+    """
+    indegree = [len(p) for p in preds]
+    longest = [0] * auto.n_states
+    peeled = [q for q in range(auto.n_states) if not indegree[q]]
+    for q in peeled:  # grows while it is walked
+        for t in (auto.on_one[q], auto.on_two[q]):
+            if t != DEAD:
+                longest[t] = max(longest[t], longest[q] + 1)
+                indegree[t] -= 1
+                if not indegree[t]:
+                    peeled.append(t)
+    live = [q for q in range(auto.n_states) if indegree[q]]
+    return live, max((longest[q] for q in peeled), default=-1)
+
+
+def _list_step(auto: AvoidanceAutomaton) -> tuple[Callable[[list, list], list], list]:
+    """The step map T on lists over relabelled states, and the vector of length 0.
 
     Entry i of a vector is the fewest ones over the words that end in the
     i-th state.  Unreachable states hold the one object `_UNREACHABLE`,
@@ -194,13 +244,7 @@ def _min_plus_step(auto: AvoidanceAutomaton) -> tuple[Callable[[list, list], lis
     minimum, concatenated.
     """
     ns = auto.n_states
-    # preds[t] lists the edges into t: q for a 2 from q, ns + q for a 1 from q
-    preds: list[list[int]] = [[] for _ in range(ns)]
-    for q in range(ns):
-        if auto.on_one[q] != DEAD:
-            preds[auto.on_one[q]].append(ns + q)
-        if auto.on_two[q] != DEAD:
-            preds[auto.on_two[q]].append(q)
+    preds = _predecessors(auto)
 
     def letters(t: int) -> tuple[bool, ...]:
         return tuple(e >= ns for e in preds[t])
@@ -210,9 +254,6 @@ def _min_plus_step(auto: AvoidanceAutomaton) -> tuple[Callable[[list, list], lis
     for i, t in enumerate(order):
         pos[t] = i
 
-    def gatherer(idx: list[int]) -> Callable[[list], tuple]:
-        return itemgetter(*idx) if len(idx) > 1 else (lambda vec, i=idx[0]: (vec[i],))
-
     no_preds = []
     blocks = []  # per group: (reads u, gatherer) per incoming edge
     for pattern, group in groupby(order, key=letters):
@@ -220,7 +261,7 @@ def _min_plus_step(auto: AvoidanceAutomaton) -> tuple[Callable[[list, list], lis
         if not pattern:
             no_preds = [_UNREACHABLE] * len(targets)
             continue
-        blocks.append([(one, gatherer([pos[preds[t][j] % ns] for t in targets]))
+        blocks.append([(one, _gatherer([pos[preds[t][j] % ns] for t in targets]))
                        for j, one in enumerate(pattern)])
 
     def step(v: list, u: list) -> list:
@@ -262,17 +303,14 @@ def _unpack(packed: bytes | tuple) -> list:
     return [_UNREACHABLE if c == 0 else c - 1 for c in packed]
 
 
-def _min_ones(auto: AvoidanceAutomaton, N: int) -> tuple[list[int], tuple[int, int, int] | None]:
-    """Fewest ones per length 0..N, and the certificate (onset, period, slope).
+def _min_ones_lists(auto: AvoidanceAutomaton,
+                    N: int) -> tuple[list[int], tuple[int, int, int] | None]:
+    """`_min_ones` on lists of unbounded entries over every state.
 
-    The min-plus step T satisfies T(v + c) = T(v) + c, so once the vector
-    normalised by its minimum repeats, v_(n0+P) = v_(n0) + c, every later
-    term follows: m_(n+P) = m_n + c for all n >= n0.  Each normalised vector
-    is recorded by digest only; a digest hit is trusted after all components
-    of v_(n0), replayed from the nearest checkpoint, equal the current vector.
-    The certificate is None when no repeat occurs within N steps.
+    The only route when a normalised entry outgrows a byte lane, and the
+    oracle the byte-lane kernel is tested against.
     """
-    step, start = _min_plus_step(auto)
+    step, start = _list_step(auto)
     v, u, _m = _normalised(start)
     min_ones = [0]
     seen = {hash(tuple(v)): [0]}
@@ -299,6 +337,127 @@ def _min_ones(auto: AvoidanceAutomaton, N: int) -> tuple[list[int], tuple[int, i
         seen.setdefault(digest, []).append(n)
         if n % _CHECKPOINT_EVERY == 0:
             checkpoints.append(_pack(v))
+    return min_ones, None
+
+
+def _min_plus_step(auto: AvoidanceAutomaton, preds: list[list[int]],
+                   states: Iterable[int]) -> tuple[list[int], Callable[[bytes, bytes], bytes]]:
+    """The min-ones step map T on the byte lanes of `states`, and their order.
+
+    Lane i of a vector holds the fewest ones over the words that end in the
+    i-th state of the order, or _FAR when no word does.  `step(v, u)` takes
+    v and u = v + 1 and returns T(v): each lane is the minimum over the
+    edges into its state from `states`, read from u after a 1 and from v
+    after a 2.  Lanes are ordered by falling in-degree, so each run of
+    lanes with k incoming edges is k C-level gathers out of the bytes v + u
+    (and, for k >= 2, one elementwise minimum); the lanes with no incoming
+    edge hold _FAR.  Only a few percent of the states of an S_d automaton
+    have k >= 2.
+    """
+    ns = auto.n_states
+    inside = bytearray(ns)
+    for q in states:
+        inside[q] = 1
+    edges = {t: [e for e in preds[t] if inside[e % ns]] for t in range(ns) if inside[t]}
+    order = sorted(edges, key=lambda t: -len(edges[t]))
+    width = len(order)
+    lane = {t: i for i, t in enumerate(order)}
+
+    def source(e: int) -> int:  # the byte of v + u that edge e reads
+        return lane[e % ns] + (width if e >= ns else 0)
+
+    groups = []  # per run of equal in-degree k >= 1: k gatherers out of v + u
+    far = b""
+    for k, run in groupby(order, key=lambda t: len(edges[t])):
+        targets = list(run)
+        if not k:
+            far = bytes([_FAR]) * len(targets)
+            continue
+        groups.append([_gatherer([source(edges[t][j]) for t in targets]) for j in range(k)])
+
+    def step(v: bytes, u: bytes) -> bytes:
+        w = v + u
+        return b"".join([bytes(gets[0](w)) if len(gets) == 1
+                         else bytes(map(min, *[get(w) for get in gets]))
+                         for gets in groups]) + far
+
+    return order, step
+
+
+@cache
+def _shift_table(c: int) -> bytes:
+    """`bytes.translate` table adding c to every lane except _FAR."""
+    return bytes(x if x == _FAR else max(x + c, 0) for x in range(256))
+
+
+def _normalised_lanes(new: bytes) -> tuple[bytes, bytes, int]:
+    """(v, v + 1, m) for v = new - m, where m = min(new) (_FAR if no lane is reachable)."""
+    m = 0 if b"\0" in new else 1 if b"\1" in new else min(new)
+    if m == _FAR:
+        return new, new, m
+    v = new.translate(_shift_table(-m)) if m else new
+    return v, new if m == 1 else v.translate(_shift_table(1)), m
+
+
+def _min_ones(auto: AvoidanceAutomaton, N: int) -> tuple[list[int], tuple[int, int, int] | None]:
+    """Fewest ones per length 0..N, and the certificate (onset, period, slope).
+
+    The min-plus step T satisfies T(v + c) = T(v) + c, so once the vector
+    normalised by its minimum repeats, v_(n0+P) = v_(n0) + c, every later
+    term follows: m_(n+P) = m_n + c for all n >= n0.  Each normalised vector
+    is a `bytes` of one lane per state (`_min_plus_step`), recorded by
+    digest only; a digest hit is trusted after all lanes of v_(n0), replayed
+    from the nearest checkpoint, equal the current vector.  The certificate
+    is None when no repeat occurs within N steps.
+
+    Up to step L* (see `_live_states`) every state is stepped; from step
+    L* + 1 on, only the live states are.  That leaves the certificate as it
+    was: at every step up to L* some peeled lane is reachable and past it
+    none is, so no repeat pairs a step up to L* with a later one, and past
+    L* the peeled lanes all hold _FAR.  If a normalised lane reaches 254,
+    it could collide with _FAR, so the whole run restarts on the list
+    kernel `_min_ones_lists`, whose entries are unbounded.
+    """
+    preds = _predecessors(auto)
+    live, last_transient = _live_states(auto, preds)
+    order, step = _min_plus_step(auto, preds, range(auto.n_states))
+    start = bytearray([_FAR]) * len(order)
+    start[order.index(auto.start)] = 0
+    v, u, _m = _normalised_lanes(bytes(start))
+    min_ones = [0]
+    base = 0  # the step of checkpoints[0]
+    seen = {hash(v): [0]}
+    checkpoints = [v]
+
+    def replay(n0: int) -> bytes:
+        k, r = divmod(n0 - base, _CHECKPOINT_EVERY)
+        x, y, _m = _normalised_lanes(checkpoints[k])
+        for _ in range(r):
+            x, y, _m = _normalised_lanes(step(x, y))
+        return x
+
+    for n in range(1, N + 1):
+        v, u, m = _normalised_lanes(step(v, u))
+        if m == _FAR:
+            raise EmptyLanguageError(f"no word of length {n} avoids the set")
+        if _OVERFLOW in v:
+            return _min_ones_lists(auto, N)
+        min_ones.append(min_ones[-1] + m)
+        if n == last_transient + 1 and live:
+            lanes = {t: i for i, t in enumerate(order)}
+            order, step = _min_plus_step(auto, preds, live)
+            v, u, _m = _normalised_lanes(bytes(_gatherer([lanes[t] for t in order])(v)))
+            base, seen, checkpoints = n, {}, []
+        digest = hash(v)
+        for n0 in seen.get(digest, ()):
+            if replay(n0) == v:
+                period, slope = n - n0, min_ones[n] - min_ones[n0]
+                for k in range(n + 1, N + 1):
+                    min_ones.append(min_ones[k - period] + slope)
+                return min_ones, (n0, period, slope)
+        seen.setdefault(digest, []).append(n)
+        if (n - base) % _CHECKPOINT_EVERY == 0:
+            checkpoints.append(v)
     return min_ones, None
 
 

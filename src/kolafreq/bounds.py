@@ -103,13 +103,17 @@ def bound_from_denominator(gf: RationalGF) -> Bound:
 
 
 def best_bound(profile: DegreeProfile) -> tuple[int, Bound]:
-    """Smallest epsilon over the profile's lengths; ties broken by smallest n."""
+    """Smallest epsilon over the profile's lengths; ties broken by smallest n.
+
+    epsilon_n = max(n - 2 min_n, 2 max_n - n) / (2n) is compared across
+    lengths by cross-multiplying integers, so only the winning term becomes
+    a `Bound`.
+    """
     if profile.N < 1:
         raise ValueError("profile must cover at least length 1")
-    best_n = 1
-    best = bound_from_term(profile.min_ones[1], profile.max_ones[1], 1)
+    best_n, best = 1, max(1 - 2 * profile.min_ones[1], 2 * profile.max_ones[1] - 1)
     for n in range(2, profile.N + 1):
-        b = bound_from_term(profile.min_ones[n], profile.max_ones[n], n)
-        if b.epsilon < best.epsilon:
-            best_n, best = n, b
-    return best_n, best
+        excess = max(n - 2 * profile.min_ones[n], 2 * profile.max_ones[n] - n)
+        if excess * best_n < best * n:
+            best_n, best = n, excess
+    return best_n, bound_from_term(profile.min_ones[best_n], profile.max_ones[best_n], best_n)

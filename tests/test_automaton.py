@@ -1,5 +1,6 @@
 from collections import Counter
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -101,9 +102,10 @@ def test_profile_of_dead_language():
     (6, (160, 69, 33)),
     (7, (187, 123, 59)),
     (8, (290, 123, 59)),
+    (9, (964, 561, 275)),
 ])
 def test_certified_period_of_avoided_sets(d, certificate):
-    assert certified_period(avoided_set(d), 1000) == certificate
+    assert certified_period(avoided_set(d), 1600) == certificate
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
@@ -250,3 +252,39 @@ def test_profile_past_the_period_matches_counting_dp(S):
             degree_profile(S, N)
     else:
         assert degree_profile(S, N) == expected
+
+
+def _kernel_outcome(kernel, auto, N):
+    try:
+        return kernel(auto, N)
+    except EmptyLanguageError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor_free_sets, st.just(80))
+@example((), 80)
+@example(("1", "2"), 80)  # no word of length 1
+@example(("111", "22"), 80)  # not swap-closed
+@example(("1" * 300,), 400)  # a normalised lane reaches 254 at n = 254
+def test_byte_lane_kernel_matches_the_list_kernel(S, N):
+    auto = build_automaton(S)
+    expected = _kernel_outcome(automaton._min_ones_lists, auto, N)
+    with mock.patch.object(automaton, "_min_ones_lists",
+                           wraps=automaton._min_ones_lists) as fallback:
+        assert _kernel_outcome(automaton._min_ones, auto, N) == expected
+    # A normalised lane is at most its length n, so only N > 253 can overflow.
+    assert fallback.called == (N > 253)
+
+
+@pytest.mark.parametrize("d,live,last_transient", [
+    (4, 108, 10),
+    (5, 324, 17),
+    (6, 972, 28),
+    (7, 2916, 45),
+    (8, 8748, 70),
+])
+def test_live_states_of_avoided_sets(d, live, last_transient):
+    auto = build_automaton(avoided_set(d))
+    states, longest = automaton._live_states(auto, automaton._predecessors(auto))
+    assert (len(states), longest) == (live, last_transient)

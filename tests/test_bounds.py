@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kolafreq import (
     DegenerateDenominatorError,
+    DegreeProfile,
     RationalGF,
     WeightPoly,
     avoided_set,
@@ -97,6 +98,37 @@ def test_best_bound_s1():
     assert (n, b.epsilon) == (3, Fraction(1, 6))
     with pytest.raises(ValueError):
         best_bound(degree_profile(avoided_set(1), 0))
+
+
+def _profile(entries: list[tuple[int, int]]) -> DegreeProfile:
+    """A profile whose length-n extremes satisfy 0 <= min <= max <= n."""
+    mins, maxs = [0], [0]
+    for n, (a, b) in enumerate(entries, start=1):
+        lo = a % (n + 1)
+        mins.append(lo)
+        maxs.append(lo + b % (n + 1 - lo))
+    return DegreeProfile((), len(entries), tuple(mins), tuple(maxs))
+
+
+def _fraction_best(profile: DegreeProfile) -> tuple[int, Fraction]:
+    best = None
+    for n in range(1, profile.N + 1):
+        eps = max(Fraction(1, 2) - Fraction(profile.min_ones[n], n),
+                  Fraction(profile.max_ones[n], n) - Fraction(1, 2))
+        if best is None or eps < best[1]:
+            best = (n, eps)
+    return best
+
+
+@given(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)),
+                min_size=1, max_size=40).map(_profile))
+@example(DegreeProfile((), 4, (0, 0, 1, 1, 2), (0, 1, 1, 2, 2)))  # epsilon 0 at n = 2 and 4
+@example(DegreeProfile((), 6, (0, 0, 0, 1, 1, 1, 2), (0, 1, 2, 2, 3, 4, 4)))  # 1/6 at n = 3, 6
+@example(DegreeProfile((), 2, (0, 0, 1), (0, 1, 2)))  # 1/2 everywhere
+def test_best_bound_matches_a_fraction_search(profile):
+    n, bound = best_bound(profile)
+    assert (n, bound.epsilon) == _fraction_best(profile)
+    assert bound == bound_from_term(profile.min_ones[n], profile.max_ones[n], n)
 
 
 def test_best_bound_matches_denominator_bound_for_small_depths():
