@@ -14,10 +14,14 @@ surviving words.  On top of it sit:
   of the normalised vectors, confirms a hit component by component against
   a replay from a sparse checkpoint, stops there and extends the profile
   exactly (`certified_period`, `degree_profile`).  A vector is a `bytes`
-  of one lane per state, so a step is C-level gathers, translations and
-  searches; once the states that no cycle reaches are dead for good, only
-  the live states are stepped.  A run whose lanes outgrow a byte restarts
-  on the same kernel over lists of unbounded entries;
+  of one lane per state laid out as delay lines: the 97-99% of states with
+  one incoming edge hang in chains below a few merge states, and a lane
+  holding v - phi (phi the ones along its chain) is a plain copy of the
+  lane above it.  So a step copies a few byte slices and computes only the
+  merge lanes, as an elementwise minimum on big-integer lanes; once the
+  states that no cycle reaches are dead for good, only the live states are
+  stepped.  A run whose lanes outgrow a byte restarts on the same kernel
+  over lists of unbounded entries;
 - the most ones per length with no second DP: swapping the letters maps
   the words avoiding S onto those avoiding swap(S), so the most ones at
   length n are n minus the fewest ones avoiding swap(S);
@@ -29,9 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import groupby
-from operator import itemgetter
-from typing import Callable, Iterable
+from itertools import groupby, zip_longest
+from operator import itemgetter, sub
+from typing import Callable, Sequence
 
 from .avoided import WordsLike, as_words, checked_words
 from .polynomials import Series, WeightPoly, mpz, unpack_signed
@@ -40,6 +44,7 @@ from .words import swap_letters
 DEAD = -1
 
 BRUTE_FORCE_LIMIT = 24
+_ACCEPT_CHUNK = 32
 _BRUTE_FORCE_CHUNK = 1 << 14
 
 
@@ -65,13 +70,31 @@ class AvoidanceAutomaton:
         return len(self.on_one)
 
     def accepts(self, word: str) -> bool:
-        """True iff the word contains none of the tracked factors."""
+        """True iff the word contains none of the tracked factors.
+
+        The word is walked in chunks of `_ACCEPT_CHUNK` letters through a
+        memo of (state, chunk) -> state kept for this call: a long word
+        repeats few such pairs (4 909 for the 10^7-letter Kolakoski prefix
+        through S_6), so most chunks cost one lookup.
+        """
+        memo: dict[tuple[int, str], int] = {}
         state = self.start
-        for ch in word:
-            state = (self.on_one if ch == "1" else self.on_two)[state]
+        for i in range(0, len(word), _ACCEPT_CHUNK):
+            key = (state, word[i:i + _ACCEPT_CHUNK])
+            state = memo.get(key)
+            if state is None:
+                state = memo[key] = self._walk(*key)
             if state == DEAD:
                 return False
         return True
+
+    def _walk(self, state: int, letters: str) -> int:
+        """The state after reading the letters from `state`, DEAD once one dies."""
+        for ch in letters:
+            state = (self.on_one if ch == "1" else self.on_two)[state]
+            if state == DEAD:
+                break
+        return state
 
 
 def build_automaton(S: WordsLike) -> AvoidanceAutomaton:
@@ -186,9 +209,8 @@ class DegreeProfile:
 _CHECKPOINT_EVERY = 32
 _UNREACHABLE = float("inf")
 # Byte lanes: entry i of a vector is one byte, and _FAR marks an unreachable
-# state.  A normalised entry of _OVERFLOW could reach _FAR within one step.
+# state.
 _FAR = 255
-_OVERFLOW = b"\xfe"
 
 
 def _predecessors(auto: AvoidanceAutomaton) -> list[list[int]]:
@@ -307,8 +329,8 @@ def _min_ones_lists(auto: AvoidanceAutomaton,
                     N: int) -> tuple[list[int], tuple[int, int, int] | None]:
     """`_min_ones` on lists of unbounded entries over every state.
 
-    The only route when a normalised entry outgrows a byte lane, and the
-    oracle the byte-lane kernel is tested against.
+    The only route when a lane of the delay-line kernel outgrows its byte,
+    and the oracle that kernel is tested against.
     """
     step, start = _list_step(auto)
     v, u, _m = _normalised(start)
@@ -340,48 +362,181 @@ def _min_ones_lists(auto: AvoidanceAutomaton,
     return min_ones, None
 
 
-def _min_plus_step(auto: AvoidanceAutomaton, preds: list[list[int]],
-                   states: Iterable[int]) -> tuple[list[int], Callable[[bytes, bytes], bytes]]:
-    """The min-ones step map T on the byte lanes of `states`, and their order.
+class _DelayLine:
+    """The min-ones step map T on byte lanes laid out as delay lines.
 
-    Lane i of a vector holds the fewest ones over the words that end in the
-    i-th state of the order, or _FAR when no word does.  `step(v, u)` takes
-    v and u = v + 1 and returns T(v): each lane is the minimum over the
-    edges into its state from `states`, read from u after a 1 and from v
-    after a 2.  Lanes are ordered by falling in-degree, so each run of
-    lanes with k incoming edges is k C-level gathers out of the bytes v + u
-    (and, for k >= 2, one elementwise minimum); the lanes with no incoming
-    edge hold _FAR.  Only a few percent of the states of an S_d automaton
-    have k >= 2.
+    A state with one incoming edge (from the stepped `states`) only copies
+    its predecessor's lane, plus one after a 1.  Such states hang in chains
+    below the merge states: those whose in-degree is not 1, the second
+    successor of a state with two in-degree-1 successors, and one state on
+    each cycle of in-degree-1 states.  Lane i holds v - phi + K for the i-th
+    state of `order`, where v is the fewest ones over the words that end
+    there, phi counts the ones on its chain from the merge state and K is
+    the largest phi; _FAR marks an unreachable state.  Then a chain lane is
+    a plain copy of the lane above it.  The lanes run depth by depth, merge
+    states first, with the chains ordered by falling in-degree of their
+    merge state and then by falling length, so a step copies a few byte
+    slices of the old vector and computes only the merge lanes: an
+    elementwise minimum over their incoming edges, each a gather shifted by
+    the phi of its source plus its letter, on 16-bit lanes of big integers.
+    When K exceeds 253 the bytes cannot hold the lanes, and only `fits` is
+    set, to False.
     """
-    ns = auto.n_states
-    inside = bytearray(ns)
-    for q in states:
-        inside[q] = 1
-    edges = {t: [e for e in preds[t] if inside[e % ns]] for t in range(ns) if inside[t]}
-    order = sorted(edges, key=lambda t: -len(edges[t]))
-    width = len(order)
-    lane = {t: i for i, t in enumerate(order)}
 
-    def source(e: int) -> int:  # the byte of v + u that edge e reads
-        return lane[e % ns] + (width if e >= ns else 0)
+    def __init__(self, auto: AvoidanceAutomaton, preds: list[list[int]],
+                 states: Sequence[int]):
+        ns = auto.n_states
+        edges = preds
+        inside = None
+        if len(states) < ns:
+            edges = list(preds)
+            inside = bytearray(ns)
+            for q in states:
+                inside[q] = 1
+        below = [DEAD] * ns  # the chain successor of each state
+        one = bytearray(ns)  # 1 where a chain state is entered by a 1
+        merges = []
+        for t in states:
+            es = edges[t]
+            if len(es) > 1 and inside:  # a predecessor of a one-edge state is inside
+                es = edges[t] = [e for e in es if inside[e % ns]]
+            if len(es) != 1 or below[es[0] % ns] != DEAD:
+                merges.append(t)
+            else:
+                below[es[0] % ns] = t
+                one[t] = es[0] >= ns
+        chains = [_chain(t, below, one) for t in merges]
+        if sum(len(c) for c, _f in chains) < len(states):  # cycles of in-degree-1 states
+            seen = bytearray(ns)
+            for c, _f in chains:
+                for t in c:
+                    seen[t] = 1
+            for t in states:
+                if not seen[t]:
+                    below[edges[t][0] % ns] = DEAD
+                    chains.append(_chain(t, below, one))
+                    for q in chains[-1][0]:
+                        seen[q] = 1
+        chains.sort(key=lambda c: (-len(edges[c[0][0]]), -len(c[0])))
+        K = max(f[-1] for _c, f in chains)
+        self.fits = K <= _FAR - 2  # so a far lane never reads as a rise of 0 or 1
+        if not self.fits:
+            return
 
-    groups = []  # per run of equal in-degree k >= 1: k gatherers out of v + u
-    far = b""
-    for k, run in groupby(order, key=lambda t: len(edges[t])):
-        targets = list(run)
-        if not k:
-            far = bytes([_FAR]) * len(targets)
-            continue
-        groups.append([_gatherer([source(edges[t][j]) for t in targets]) for j in range(k)])
+        levels = list(zip_longest(*[c for c, _f in chains]))
+        order = [t for level in levels for t in level if t is not None]
+        width = len(order)
+        lane = dict(zip(order, range(width)))
+        floor = bytes(K - f for level in zip_longest(*[f for _c, f in chains])
+                      for f in level if f is not None)
+        sources = [lane[q] for above, level in zip(levels, levels[1:])
+                   for q, t in zip(above, level) if t is not None]
+        copies = []  # slices of the old vector that make the chain lanes
+        done = 0
+        for shift, run in groupby(map(sub, sources, range(len(sources)))):
+            size = len(list(run))
+            copies.append(slice(shift + done, shift + done + size))
+            done += size
+        fed = [t for t in order[:len(chains)] if edges[t]]  # the merge lanes with an edge
+        slots = []  # per incoming edge j: the merge lanes with in-degree > j
+        for j in range(len(edges[fed[0]]) if fed else 0):
+            into = [edges[t][j] for t in fed if len(edges[t]) > j]
+            rise = _widen(bytes(K - floor[lane[e % ns]] + (e >= ns) for e in into))
+            slots.append((_gatherer([lane[e % ns] for e in into]), rise,
+                          (1 << 16 * len(into)) - 1, _lanes(len(into), 0x8000)))
 
-    def step(v: bytes, u: bytes) -> bytes:
-        w = v + u
-        return b"".join([bytes(gets[0](w)) if len(gets) == 1
-                         else bytes(map(min, *[get(w) for get in gets]))
-                         for gets in groups]) + far
+        self.order = order
+        self.lane = lane
+        self.width = width
+        self.floor = floor
+        self._floor = int.from_bytes(floor, "little")
+        self._copy = _gatherer(copies) if copies else None
+        self._slots = slots
+        self._fed = len(fed)
+        self._ones = _lanes(len(fed), 1)
+        self._unfed = bytes([_FAR]) * (len(chains) - len(fed))
 
-    return order, step
+    def start(self, state: int) -> bytes:
+        """The vector of length 0: the empty word ends in `state`."""
+        v = bytearray([_FAR]) * self.width
+        v[self.lane[state]] = self.floor[self.lane[state]]
+        return bytes(v)
+
+    def _merge_lanes(self, v: bytes) -> bytes | None:
+        """The merge lanes of T(v), before normalising; None if one outgrows its byte.
+
+        Every 16-bit lane stays below 2^15: a reachable one below 2^9 and a
+        far one in [0x40FF, 0x41FF).  So (low | top) - x borrows across no
+        lane and leaves bit 15 set exactly where low >= x.
+        """
+        (get, rise, _low, _top), *rest = self._slots
+        acc = _widen(bytes(get(v))) + rise
+        for get, rise, low, top in rest:  # acc = min(acc, x) on the lanes x covers
+            x = _widen(bytes(get(v))) + rise
+            low &= acc
+            acc ^= (low ^ x) & (((low | top) - x & top) >> 15) * 0xFFFF
+        ones, far = self._ones, (acc >> 14) & self._ones
+        if (acc + ones) >> 8 & ~far & ones:
+            return None
+        return (acc | far * 0xFF).to_bytes(2 * self._fed, "little")[::2] + self._unfed
+
+    def advance(self, v: bytes) -> tuple[bytes, int] | None:
+        """(T(v) - m, m) for m = min(T(v)), _FAR if no lane is reachable.
+
+        None if a lane of T(v) outgrows its byte.
+        """
+        merged = self._merge_lanes(v) if self._slots else self._unfed
+        if merged is None:
+            return None
+        new = b"".join([merged, *self._copy(memoryview(v))]) if self._copy else merged
+        x = (int.from_bytes(new, "little") - self._floor).to_bytes(self.width, "little")
+        if b"\0" in x:  # the fewest ones rise by 0 or 1, or else by more
+            return new, 0
+        m = 1 if b"\1" in x else min((a for a, b in zip(x, new) if b != _FAR), default=_FAR)
+        return (new, m) if m == _FAR else (new.translate(_shift_table(-m)), m)
+
+    def relaid(self, v: bytes, other: "_DelayLine") -> bytes | None:
+        """The vector v of `other` on these lanes; None if a lane outgrows its byte."""
+        new = bytearray([_FAR]) * self.width
+        for i, t in enumerate(self.order):
+            j = other.lane[t]
+            if v[j] != _FAR:
+                x = v[j] - other.floor[j] + self.floor[i]
+                if x >= _FAR:
+                    return None
+                new[i] = x
+        return bytes(new)
+
+
+def _chain(t: int, below: list[int], one: bytearray) -> tuple[list[int], list[int]]:
+    """The chain of states from t down `below`, and the ones counted on it from t."""
+    chain, phi, f = [t], [0], 0
+    t = below[t]
+    while t != DEAD:
+        f += one[t]
+        chain.append(t)
+        phi.append(f)
+        t = below[t]
+    return chain, phi
+
+
+def _lanes(k: int, value: int) -> int:
+    """k 16-bit lanes of one integer, each holding value."""
+    return int.from_bytes(value.to_bytes(2, "little") * k, "little")
+
+
+def _widen(lanes: bytes) -> int:
+    """Byte lanes as 16-bit lanes of one integer, _FAR raised above every reachable sum."""
+    wide = bytearray(2 * len(lanes))
+    wide[::2] = lanes
+    wide[1::2] = lanes.translate(_far_high())
+    return int.from_bytes(wide, "little")
+
+
+@cache
+def _far_high() -> bytes:
+    """`bytes.translate` table giving the high byte of a widened lane."""
+    return bytes(0x40 if x == _FAR else 0 for x in range(256))
 
 
 @cache
@@ -390,40 +545,35 @@ def _shift_table(c: int) -> bytes:
     return bytes(x if x == _FAR else max(x + c, 0) for x in range(256))
 
 
-def _normalised_lanes(new: bytes) -> tuple[bytes, bytes, int]:
-    """(v, v + 1, m) for v = new - m, where m = min(new) (_FAR if no lane is reachable)."""
-    m = 0 if b"\0" in new else 1 if b"\1" in new else min(new)
-    if m == _FAR:
-        return new, new, m
-    v = new.translate(_shift_table(-m)) if m else new
-    return v, new if m == 1 else v.translate(_shift_table(1)), m
-
-
 def _min_ones(auto: AvoidanceAutomaton, N: int) -> tuple[list[int], tuple[int, int, int] | None]:
     """Fewest ones per length 0..N, and the certificate (onset, period, slope).
 
     The min-plus step T satisfies T(v + c) = T(v) + c, so once the vector
     normalised by its minimum repeats, v_(n0+P) = v_(n0) + c, every later
     term follows: m_(n+P) = m_n + c for all n >= n0.  Each normalised vector
-    is a `bytes` of one lane per state (`_min_plus_step`), recorded by
-    digest only; a digest hit is trusted after all lanes of v_(n0), replayed
-    from the nearest checkpoint, equal the current vector.  The certificate
-    is None when no repeat occurs within N steps.
+    is a `bytes` of one lane per state laid out as delay lines
+    (`_DelayLine`): lane i holds v - phi + K, which is v shifted by a fixed
+    amount per lane, so two vectors are equal exactly when their lanes are.
+    Vectors are recorded by digest only; a digest hit is trusted after all
+    lanes of v_(n0), replayed from the nearest checkpoint, equal the current
+    vector.  The certificate is None when no repeat occurs within N steps.
 
     Up to step L* (see `_live_states`) every state is stepped; from step
-    L* + 1 on, only the live states are.  That leaves the certificate as it
-    was: at every step up to L* some peeled lane is reachable and past it
-    none is, so no repeat pairs a step up to L* with a later one, and past
-    L* the peeled lanes all hold _FAR.  If a normalised lane reaches 254,
-    it could collide with _FAR, so the whole run restarts on the list
-    kernel `_min_ones_lists`, whose entries are unbounded.
+    L* + 1 on, only the live states are, on lanes laid out anew.  That
+    leaves the certificate as it was: at every step up to L* some peeled
+    state is reachable and past it none is, so no repeat pairs a step up to
+    L* with a later one, and past L* the peeled states are unreachable.  A
+    lane holds at most n + K at step n, with K below the number of states.
+    If K exceeds 253, or a lane would reach 255 and collide with _FAR, the
+    whole run restarts on the list kernel `_min_ones_lists`, whose entries
+    are unbounded.
     """
     preds = _predecessors(auto)
     live, last_transient = _live_states(auto, preds)
-    order, step = _min_plus_step(auto, preds, range(auto.n_states))
-    start = bytearray([_FAR]) * len(order)
-    start[order.index(auto.start)] = 0
-    v, u, _m = _normalised_lanes(bytes(start))
+    line = _DelayLine(auto, preds, range(auto.n_states))
+    if not line.fits:
+        return _min_ones_lists(auto, N)
+    v = line.start(auto.start)
     min_ones = [0]
     base = 0  # the step of checkpoints[0]
     seen = {hash(v): [0]}
@@ -431,22 +581,25 @@ def _min_ones(auto: AvoidanceAutomaton, N: int) -> tuple[list[int], tuple[int, i
 
     def replay(n0: int) -> bytes:
         k, r = divmod(n0 - base, _CHECKPOINT_EVERY)
-        x, y, _m = _normalised_lanes(checkpoints[k])
+        x = checkpoints[k]
         for _ in range(r):
-            x, y, _m = _normalised_lanes(step(x, y))
+            x = line.advance(x)[0]
         return x
 
     for n in range(1, N + 1):
-        v, u, m = _normalised_lanes(step(v, u))
+        stepped = line.advance(v)
+        if stepped is None:
+            return _min_ones_lists(auto, N)
+        v, m = stepped
         if m == _FAR:
             raise EmptyLanguageError(f"no word of length {n} avoids the set")
-        if _OVERFLOW in v:
-            return _min_ones_lists(auto, N)
         min_ones.append(min_ones[-1] + m)
         if n == last_transient + 1 and live:
-            lanes = {t: i for i, t in enumerate(order)}
-            order, step = _min_plus_step(auto, preds, live)
-            v, u, _m = _normalised_lanes(bytes(_gatherer([lanes[t] for t in order])(v)))
+            live_line = _DelayLine(auto, preds, live)
+            v = live_line.relaid(v, line) if live_line.fits else None
+            if v is None:
+                return _min_ones_lists(auto, N)
+            line = live_line
             base, seen, checkpoints = n, {}, []
         digest = hash(v)
         for n0 in seen.get(digest, ()):

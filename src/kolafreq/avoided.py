@@ -10,6 +10,7 @@ the previous level, and levels 1..d together form a factor-free set of
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -111,13 +112,19 @@ def avoided_set(d: int) -> AvoidSet:
 def verify_factor_free(words: Iterable[str]) -> tuple[bool, tuple[str, str] | None]:
     """Check that no word is a contiguous factor of another.
 
-    Returns (True, None) on success, else (False, (inner, outer)).
+    Returns (True, None) on success, else (False, (inner, outer)): inner is
+    the first word in (length, lex) order that occurs in another word, and
+    outer the first word in that order containing it.  A word occurs in
+    another exactly when it is a prefix of a suffix of some other word, and
+    all suffixes that begin with a word sort right after it, so one sort of
+    every suffix tests all the words.
     """
     ws = sorted(set(words), key=lambda w: (len(w), w))
-    for i, small in enumerate(ws):
-        for big in ws[i + 1 :]:
-            if small in big:
-                return False, (small, big)
+    suffixes = sorted(w[i:] for w in ws for i in range(len(w)))
+    for k, small in enumerate(ws):
+        after = bisect_left(suffixes, small) + (small != "")  # past its own whole word
+        if after < len(suffixes) and suffixes[after].startswith(small):
+            return False, (small, next(big for big in ws[k + 1:] if small in big))
     return True, None
 
 

@@ -265,6 +265,8 @@ def cmd_report(args) -> int:
         terms = requested * len(depths) if len(requested) == 1 else requested
         if len(terms) != len(depths):
             raise ValueError("--terms must list one value, or one per depth")
+        if min(terms) < 0:
+            raise ValueError("--terms must be >= 0")
     rows = []
     for d, N in zip(depths, terms):
         words = words_for_depth(d)

@@ -1,4 +1,5 @@
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 from unittest import mock
 
@@ -19,6 +20,7 @@ from kolafreq import (
     contains_any_factor,
     degree_profile,
     enumerate_brute,
+    kolakoski_prefix,
     series_from_gf,
     weight_gf,
     weight_poly_dp,
@@ -266,15 +268,19 @@ def _kernel_outcome(kernel, auto, N):
 @example((), 80)
 @example(("1", "2"), 80)  # no word of length 1
 @example(("111", "22"), 80)  # not swap-closed
-@example(("1" * 300,), 400)  # a normalised lane reaches 254 at n = 254
+@example(("11", "22"), 80)  # the live states form one cycle of in-degree-1 states
+@example(("112", "21", "222"), 80)  # the fewest ones jump by 3 at n = 4
+@example(("1" * 300,), 400)  # a chain with 299 ones: K leaves no room in a byte
+@example(("1" * 130 + "2",), 200)  # the merge lane of 1^130 outgrows its byte at n = 130
 def test_byte_lane_kernel_matches_the_list_kernel(S, N):
     auto = build_automaton(S)
     expected = _kernel_outcome(automaton._min_ones_lists, auto, N)
     with mock.patch.object(automaton, "_min_ones_lists",
                            wraps=automaton._min_ones_lists) as fallback:
         assert _kernel_outcome(automaton._min_ones, auto, N) == expected
-    # A normalised lane is at most its length n, so only N > 253 can overflow.
-    assert fallback.called == (N > 253)
+    # A lane holds v - phi + K <= n + K, and K, the most ones on a chain, is
+    # less than the number of states, so only N + states > 255 can overflow.
+    assert fallback.called == (N + auto.n_states > 255)
 
 
 @pytest.mark.parametrize("d,live,last_transient", [
@@ -288,3 +294,93 @@ def test_live_states_of_avoided_sets(d, live, last_transient):
     auto = build_automaton(avoided_set(d))
     states, longest = automaton._live_states(auto, automaton._predecessors(auto))
     assert (len(states), longest) == (live, last_transient)
+
+
+def _walk_letters(auto, word):
+    """The letter-by-letter walk: True iff no letter leads to the dead state."""
+    state = auto.start
+    for ch in word:
+        state = (auto.on_one if ch == "1" else auto.on_two)[state]
+        if state == automaton.DEAD:
+            return False
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(factor_free_sets, st.text(alphabet="12", max_size=150))
+@example(("111", "222"), "12" * 50 + "1")  # 101 letters, none dead
+@example(("111", "222"), "12" * 40 + "111" + "2")  # dies at letter 83, inside a chunk
+@example(("11",), "2" * 31 + "11")  # the factor straddles the first two chunks
+def test_chunked_accepts_matches_the_letter_walk(S, word):
+    auto = build_automaton(S)
+    assert auto.accepts(word) == _walk_letters(auto, word)
+
+
+def test_chunked_accepts_on_a_long_prefix():
+    auto = build_automaton(avoided_set(5))
+    prefix = kolakoski_prefix(3 * 32 * 50 + 17)  # chunks repeat, the last is short
+    assert auto.accepts(prefix) and _walk_letters(auto, prefix)
+    # At a chunk's start, across two chunks, inside one and in the short last one.
+    for cut in (32 * 70, 32 * 70 - 1, 32 * 70 + 5, len(prefix) - 2):
+        word = prefix[:cut] + "222" + prefix[cut:]
+        assert auto.accepts(word) is _walk_letters(auto, word) is False
+
+
+def _karp_min_cycle_mean(auto):
+    """Karp (1978): the least mean ones-weight of a cycle reachable from the start.
+
+    D[k][v] is the fewest ones on a walk of exactly k edges from the start to
+    v; the least cycle mean is min over v of max over k < n of
+    (D[n][v] - D[k][v]) / (n - k), for n states.  Fractions are compared by
+    cross-multiplying.  None if no walk has n edges (no cycle).
+    """
+    n = auto.n_states
+    D = [[None] * n for _ in range(n + 1)]
+    D[0][auto.start] = 0
+    for k in range(n):
+        for q, x in enumerate(D[k]):
+            if x is None:
+                continue
+            for t, ones in ((auto.on_one[q], 1), (auto.on_two[q], 0)):
+                if t != automaton.DEAD and (D[k + 1][t] is None or x + ones < D[k + 1][t]):
+                    D[k + 1][t] = x + ones
+    best = None
+    for v in range(n):
+        if D[n][v] is None:
+            continue
+        worst = None
+        for k in range(n):
+            if D[k][v] is not None:
+                mean = (D[n][v] - D[k][v], n - k)
+                if worst is None or mean[0] * worst[1] > worst[0] * mean[1]:
+                    worst = mean
+        if best is None or worst[0] * best[1] < best[0] * worst[1]:
+            best = worst
+    return None if best is None else Fraction(*best)
+
+
+@pytest.mark.parametrize("d,limit", [
+    (1, Fraction(1, 3)),
+    (2, Fraction(1, 3)),
+    (3, Fraction(4, 9)),
+    (4, Fraction(7, 15)),
+    (5, Fraction(11, 23)),
+])
+def test_certificate_slope_is_the_least_cycle_mean(d, limit):
+    _onset, period, slope = certified_period(avoided_set(d), 200)
+    assert Fraction(slope, period) == limit == _karp_min_cycle_mean(build_automaton(avoided_set(d)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor_free_sets)
+@example(("11", "22"))  # the live states form one cycle of in-degree-1 states
+@example(("112", "21", "222"))  # the fewest ones jump by 3 at n = 4
+def test_certificate_slope_matches_karp_on_random_sets(S):
+    try:
+        certificate = certified_period(S, 200)
+    except EmptyLanguageError:
+        assert _karp_min_cycle_mean(build_automaton(S)) is None
+        return
+    if certificate is not None:
+        _onset, period, slope = certificate
+        assert Fraction(slope, period) == _karp_min_cycle_mean(build_automaton(S))

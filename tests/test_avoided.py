@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kolafreq.avoided
@@ -120,6 +120,46 @@ def test_factor_free_witness():
     assert not ok
     assert witness == ("111", "21112")
     assert verify_factor_free({"111", "222"}) == (True, None)
+
+
+def _pairwise_factor_free(words):
+    """The quadratic reference: every word against every later word."""
+    ws = sorted(set(words), key=lambda w: (len(w), w))
+    for i, small in enumerate(ws):
+        for big in ws[i + 1:]:
+            if small in big:
+                return False, (small, big)
+    return True, None
+
+
+def _minimal(words):
+    return {w for w in words if not any(u != w and u in w for u in words)}
+
+
+word_sets = st.lists(st.text(alphabet="12", max_size=7), max_size=12)
+
+
+@settings(max_examples=300)
+@given(word_sets, st.booleans())
+@example(["111", "21112"], False)
+@example(["", "1", "22"], False)  # the empty word occurs in every word
+@example(["12", "2", "1212", "21"], False)  # several inner words and containers
+@example(["1212", "2121", "12121"], False)  # a container that is a suffix shift
+def test_factor_free_check_matches_the_pairwise_loop(words, minimal):
+    words = _minimal(words) if minimal else words
+    assert verify_factor_free(words) == _pairwise_factor_free(words)
+    if minimal:
+        assert verify_factor_free(words) == (True, None)
+
+
+def test_factor_free_check_of_avoided_sets():
+    for d in (6, 7):
+        words = avoided_set(d).words
+        assert verify_factor_free(words) == (True, None)
+        # The longest word with a letter cut off each end lies inside it, and
+        # may contain or lie inside other words too.
+        inner = words[-1][1:-1]
+        assert verify_factor_free(words + (inner,)) == _pairwise_factor_free(words + (inner,))
 
 
 def test_ensure_factor_free_raises_with_witness():

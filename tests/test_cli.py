@@ -130,6 +130,16 @@ def test_report_zero_terms_yields_error_row(capsys):
     assert "error" in row
 
 
+@pytest.mark.parametrize("backend", ["automaton", "gj-series"])
+@pytest.mark.parametrize("terms", ["-1", "5,-1"])
+def test_report_refuses_negative_terms(capsys, backend, terms):
+    code, out, err = run(capsys, "report", "--d", "3-4", "--terms", terms,
+                         "--backend", backend, "--json")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: --terms must be >= 0\n"
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "report", "--d", "zero")
     assert code == EXIT_USAGE
