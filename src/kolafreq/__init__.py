@@ -63,7 +63,6 @@ from .quasipoly import (
     successive_maxima,
 )
 from .words import (
-    contains_any_factor,
     kolakoski_prefix,
     run_lengths,
     swap_letters,
@@ -95,7 +94,6 @@ __all__ = [
     "bound_from_term",
     "build_automaton",
     "certified_period",
-    "contains_any_factor",
     "degree_profile",
     "enumerate_brute",
     "expand",

@@ -10,18 +10,20 @@ surviving words.  On top of it sit:
   min-plus linear, T(v + c) = T(v) + c, so once the state vector normalised
   by its minimum repeats, v_(n0+P) = v_(n0) + c, the whole tail follows:
   m_(n+P) = m_n + c for all n >= n0 (eventual periodicity in max-plus
-  algebra; Cohen, Dubois, Quadrat & Viot 1983).  The kernel records digests
-  of the normalised vectors, confirms a hit component by component against
-  a replay from a sparse checkpoint, stops there and extends the profile
-  exactly (`certified_period`, `degree_profile`).  A vector is a `bytes`
+  algebra; Cohen, Dubois, Quadrat & Viot 1983).  One driver (`_run`)
+  records digests of the normalised vectors, confirms a hit component by
+  component against a replay from a sparse checkpoint, stops there and
+  extends the profile exactly (`certified_period`, `degree_profile`).  It
+  steps a vector of one of two step classes.  `_DelayLine` is a `bytes`
   of one lane per state laid out as delay lines: the 97-99% of states with
   one incoming edge hang in chains below a few merge states, and a lane
   holding v - phi (phi the ones along its chain) is a plain copy of the
   lane above it.  So a step copies a few byte slices and computes only the
   merge lanes, as an elementwise minimum on big-integer lanes; once the
   states that no cycle reaches are dead for good, only the live states are
-  stepped.  A run whose lanes outgrow a byte restarts on the same kernel
-  over lists of unbounded entries;
+  stepped.  `_Lists` steps lists of unbounded entries over every state,
+  unpruned on purpose: it takes over a run whose lanes outgrow a byte, and
+  it is the oracle the lanes and the pruning are tested against;
 - the most ones per length with no second DP: swapping the letters maps
   the words avoiding S onto those avoiding swap(S), so the most ones at
   length n are n minus the fewest ones avoiding swap(S);
@@ -191,16 +193,19 @@ class DegreeProfile:
         return cls(as_words(S), series.order, tuple(mins), tuple(maxs))
 
     def check_invariants(self) -> None:
-        """Raise AssertionError unless the extremes form a valid profile."""
-        if self.min_ones[0] != 0 or self.max_ones[0] != 0:
-            raise AssertionError("length-0 extremes must be 0")
+        """Raise AssertionError unless the extremes form a valid profile.
+
+        A prefix of a surviving word survives, so min-ones never falls and
+        max-ones rises by at most 1; min-ones can rise by more ({112, 21,
+        222} gives 0, 0, 0, 1, 4), and max-ones can fall.
+        """
         for n in range(self.N + 1):
             if not 0 <= self.min_ones[n] <= self.max_ones[n] <= n:
                 raise AssertionError(f"extremes out of range at n={n}")
         for n in range(self.N):
-            if self.min_ones[n + 1] - self.min_ones[n] not in (0, 1):
-                raise AssertionError(f"min-ones jump at n={n}")
-            if self.max_ones[n + 1] - self.max_ones[n] not in (0, 1):
+            if self.min_ones[n + 1] < self.min_ones[n]:
+                raise AssertionError(f"min-ones falls at n={n}")
+            if self.max_ones[n + 1] > self.max_ones[n] + 1:
                 raise AssertionError(f"max-ones jump at n={n}")
 
 
@@ -254,112 +259,65 @@ def _live_states(auto: AvoidanceAutomaton, preds: list[list[int]]) -> tuple[list
     return live, max((longest[q] for q in peeled), default=-1)
 
 
-def _list_step(auto: AvoidanceAutomaton) -> tuple[Callable[[list, list], list], list]:
-    """The step map T on lists over relabelled states, and the vector of length 0.
+class _Overflow(Exception):
+    """A lane of the delay-line kernel would outgrow its byte."""
 
-    Entry i of a vector is the fewest ones over the words that end in the
-    i-th state.  Unreachable states hold the one object `_UNREACHABLE`,
-    which no arithmetic touches, so it stays a distinct marker.  `step(v, u)`
-    takes v and u = v + 1 and returns T(v).  States are grouped by the
-    letters on their incoming edges, so T is, group by group, one gather per
-    incoming edge (from u after a 1, from v after a 2) and one elementwise
-    minimum, concatenated.
+
+class _Lists:
+    """The min-ones step map T on lists of unbounded entries.
+
+    Entry pos[t] of a vector is the fewest ones over the words that end in
+    state t; unreachable states hold the one object `_UNREACHABLE`, which no
+    arithmetic touches, so it stays a distinct marker.  States are grouped
+    by the letters on their incoming edges, so T is, group by group, one
+    gather per incoming edge (from v + 1 after a 1, from v after a 2) and
+    one elementwise minimum, concatenated.  Every predecessor of a state in
+    `states` must be in `states`: the list route is never pruned, so it is
+    never relaid.
     """
-    ns = auto.n_states
-    preds = _predecessors(auto)
 
-    def letters(t: int) -> tuple[bool, ...]:
-        return tuple(e >= ns for e in preds[t])
+    def __init__(self, auto: AvoidanceAutomaton, preds: list[list[int]],
+                 states: Sequence[int]):
+        ns = auto.n_states
 
-    order = sorted(range(ns), key=letters)
-    pos = [0] * ns
-    for i, t in enumerate(order):
-        pos[t] = i
+        def letters(t: int) -> tuple[bool, ...]:
+            return tuple(e >= ns for e in preds[t])
 
-    no_preds = []
-    blocks = []  # per group: (reads u, gatherer) per incoming edge
-    for pattern, group in groupby(order, key=letters):
-        targets = list(group)
-        if not pattern:
-            no_preds = [_UNREACHABLE] * len(targets)
-            continue
-        blocks.append([(one, _gatherer([pos[preds[t][j] % ns] for t in targets]))
-                       for j, one in enumerate(pattern)])
+        order = sorted(states, key=letters)
+        self.pos = dict(zip(order, range(len(order))))
+        self._no_preds = [_UNREACHABLE] * sum(not preds[t] for t in order)  # these sort first
+        self._blocks = []  # per group: (reads v + 1, gatherer) per incoming edge
+        for pattern, group in groupby(order, key=letters):
+            targets = list(group)
+            if pattern:
+                self._blocks.append([(one, _gatherer([self.pos[preds[t][j] % ns] for t in targets]))
+                                     for j, one in enumerate(pattern)])
+        self._v = self._u = None  # the vector last returned, and it plus one
 
-    def step(v: list, u: list) -> list:
-        new = no_preds.copy()  # the empty pattern sorts first
-        for columns in blocks:
-            if len(columns) == 1:
-                one, get = columns[0]
-                new += get(u if one else v)
-            else:
-                new += map(min, *[get(u if one else v) for one, get in columns])
-        return new
+    def start(self, state: int) -> tuple:
+        """The vector of length 0: the empty word ends in `state`."""
+        v = [_UNREACHABLE] * len(self.pos)
+        v[self.pos[state]] = 0
+        return tuple(v)
 
-    start = [_UNREACHABLE] * ns
-    start[pos[auto.start]] = 0
-    return step, start
-
-
-def _normalised(new: list) -> tuple[list, list, float]:
-    """(v, v + 1, m) for v = new - m, where m = min(new); one pass when m is 0 or 1."""
-    m = min(new)
-    if m is _UNREACHABLE:
-        return new, new, m
-    if m == 1:
-        return [x - 1 if x is not _UNREACHABLE else x for x in new], new, m
-    if m:
-        new = [x - m if x is not _UNREACHABLE else x for x in new]
-    return new, [x + 1 if x is not _UNREACHABLE else x for x in new], m
-
-
-def _pack(v: list) -> bytes | tuple:
-    """Compact checkpoint: one byte per state when every entry fits, else a tuple."""
-    codes = [0 if x is _UNREACHABLE else x + 1 for x in v]
-    return bytes(codes) if max(codes) < 256 else tuple(v)
-
-
-def _unpack(packed: bytes | tuple) -> list:
-    if isinstance(packed, tuple):
-        return list(packed)
-    return [_UNREACHABLE if c == 0 else c - 1 for c in packed]
-
-
-def _min_ones_lists(auto: AvoidanceAutomaton,
-                    N: int) -> tuple[list[int], tuple[int, int, int] | None]:
-    """`_min_ones` on lists of unbounded entries over every state.
-
-    The only route when a lane of the delay-line kernel outgrows its byte,
-    and the oracle that kernel is tested against.
-    """
-    step, start = _list_step(auto)
-    v, u, _m = _normalised(start)
-    min_ones = [0]
-    seen = {hash(tuple(v)): [0]}
-    checkpoints = [_pack(v)]
-
-    def replay(n0: int) -> list:
-        x, y, _m = _normalised(_unpack(checkpoints[n0 // _CHECKPOINT_EVERY]))
-        for _ in range(n0 % _CHECKPOINT_EVERY):
-            x, y, _m = _normalised(step(x, y))
-        return x
-
-    for n in range(1, N + 1):
-        v, u, m = _normalised(step(v, u))
+    def advance(self, v: tuple) -> tuple[tuple, int | None]:
+        """(T(v) - m, m) for m = min(T(v)), or (T(v), None) if no state is reachable."""
+        u = self._u if v is self._v else [x + 1 if x is not _UNREACHABLE else x for x in v]
+        new = self._no_preds.copy()
+        for columns in self._blocks:
+            gathered = [get(u if one else v) for one, get in columns]
+            new += gathered[0] if len(gathered) == 1 else map(min, *gathered)
+        m = min(new)
         if m is _UNREACHABLE:
-            raise EmptyLanguageError(f"no word of length {n} avoids the set")
-        min_ones.append(min_ones[-1] + m)
-        digest = hash(tuple(v))
-        for n0 in seen.get(digest, ()):
-            if replay(n0) == v:
-                period, slope = n - n0, min_ones[n] - min_ones[n0]
-                for k in range(n + 1, N + 1):
-                    min_ones.append(min_ones[k - period] + slope)
-                return min_ones, (n0, period, slope)
-        seen.setdefault(digest, []).append(n)
-        if n % _CHECKPOINT_EVERY == 0:
-            checkpoints.append(_pack(v))
-    return min_ones, None
+            return tuple(new), None
+        if m == 1:  # T(v) is already the vector returned plus one
+            u, new = new, [x - 1 if x is not _UNREACHABLE else x for x in new]
+        else:
+            if m:
+                new = [x - m if x is not _UNREACHABLE else x for x in new]
+            u = [x + 1 if x is not _UNREACHABLE else x for x in new]
+        self._v, self._u = tuple(new), u
+        return self._v, m
 
 
 class _DelayLine:
@@ -379,8 +337,8 @@ class _DelayLine:
     slices of the old vector and computes only the merge lanes: an
     elementwise minimum over their incoming edges, each a gather shifted by
     the phi of its source plus its letter, on 16-bit lanes of big integers.
-    When K exceeds 253 the bytes cannot hold the lanes, and only `fits` is
-    set, to False.
+    Raises `_Overflow` when K exceeds 253 and the bytes cannot hold the
+    lanes, and from `advance` or `relaid` when a lane would reach _FAR.
     """
 
     def __init__(self, auto: AvoidanceAutomaton, preds: list[list[int]],
@@ -419,9 +377,8 @@ class _DelayLine:
                         seen[q] = 1
         chains.sort(key=lambda c: (-len(edges[c[0][0]]), -len(c[0])))
         K = max(f[-1] for _c, f in chains)
-        self.fits = K <= _FAR - 2  # so a far lane never reads as a rise of 0 or 1
-        if not self.fits:
-            return
+        if K > _FAR - 2:  # so a far lane never reads as a rise of 0 or 1
+            raise _Overflow
 
         levels = list(zip_longest(*[c for c, _f in chains]))
         order = [t for level in levels for t in level if t is not None]
@@ -462,8 +419,8 @@ class _DelayLine:
         v[self.lane[state]] = self.floor[self.lane[state]]
         return bytes(v)
 
-    def _merge_lanes(self, v: bytes) -> bytes | None:
-        """The merge lanes of T(v), before normalising; None if one outgrows its byte.
+    def _merge_lanes(self, v: bytes) -> bytes:
+        """The merge lanes of T(v), before normalising.
 
         Every 16-bit lane stays below 2^15: a reachable one below 2^9 and a
         far one in [0x40FF, 0x41FF).  So (low | top) - x borrows across no
@@ -477,33 +434,28 @@ class _DelayLine:
             acc ^= (low ^ x) & (((low | top) - x & top) >> 15) * 0xFFFF
         ones, far = self._ones, (acc >> 14) & self._ones
         if (acc + ones) >> 8 & ~far & ones:
-            return None
+            raise _Overflow
         return (acc | far * 0xFF).to_bytes(2 * self._fed, "little")[::2] + self._unfed
 
-    def advance(self, v: bytes) -> tuple[bytes, int] | None:
-        """(T(v) - m, m) for m = min(T(v)), _FAR if no lane is reachable.
-
-        None if a lane of T(v) outgrows its byte.
-        """
+    def advance(self, v: bytes) -> tuple[bytes, int | None]:
+        """(T(v) - m, m) for m = min(T(v)), or (T(v), None) if no lane is reachable."""
         merged = self._merge_lanes(v) if self._slots else self._unfed
-        if merged is None:
-            return None
         new = b"".join([merged, *self._copy(memoryview(v))]) if self._copy else merged
         x = (int.from_bytes(new, "little") - self._floor).to_bytes(self.width, "little")
         if b"\0" in x:  # the fewest ones rise by 0 or 1, or else by more
             return new, 0
-        m = 1 if b"\1" in x else min((a for a, b in zip(x, new) if b != _FAR), default=_FAR)
-        return (new, m) if m == _FAR else (new.translate(_shift_table(-m)), m)
+        m = 1 if b"\1" in x else min((a for a, b in zip(x, new) if b != _FAR), default=None)
+        return (new, m) if m is None else (new.translate(_shift_table(-m)), m)
 
-    def relaid(self, v: bytes, other: "_DelayLine") -> bytes | None:
-        """The vector v of `other` on these lanes; None if a lane outgrows its byte."""
+    def relaid(self, v: bytes, other: "_DelayLine") -> bytes:
+        """The vector v of `other` on these lanes."""
         new = bytearray([_FAR]) * self.width
         for i, t in enumerate(self.order):
             j = other.lane[t]
             if v[j] != _FAR:
                 x = v[j] - other.floor[j] + self.floor[i]
                 if x >= _FAR:
-                    return None
+                    raise _Overflow
                 new[i] = x
         return bytes(new)
 
@@ -548,58 +500,74 @@ def _shift_table(c: int) -> bytes:
 def _min_ones(auto: AvoidanceAutomaton, N: int) -> tuple[list[int], tuple[int, int, int] | None]:
     """Fewest ones per length 0..N, and the certificate (onset, period, slope).
 
-    The min-plus step T satisfies T(v + c) = T(v) + c, so once the vector
-    normalised by its minimum repeats, v_(n0+P) = v_(n0) + c, every later
-    term follows: m_(n+P) = m_n + c for all n >= n0.  Each normalised vector
-    is a `bytes` of one lane per state laid out as delay lines
-    (`_DelayLine`): lane i holds v - phi + K, which is v shifted by a fixed
-    amount per lane, so two vectors are equal exactly when their lanes are.
-    Vectors are recorded by digest only; a digest hit is trusted after all
-    lanes of v_(n0), replayed from the nearest checkpoint, equal the current
-    vector.  The certificate is None when no repeat occurs within N steps.
-
-    Up to step L* (see `_live_states`) every state is stepped; from step
-    L* + 1 on, only the live states are, on lanes laid out anew.  That
-    leaves the certificate as it was: at every step up to L* some peeled
-    state is reachable and past it none is, so no repeat pairs a step up to
-    L* with a later one, and past L* the peeled states are unreachable.  A
-    lane holds at most n + K at step n, with K below the number of states.
-    If K exceeds 253, or a lane would reach 255 and collide with _FAR, the
-    whole run restarts on the list kernel `_min_ones_lists`, whose entries
-    are unbounded.
+    `_run` on `_DelayLine`, past L* only over the live states.  A lane holds
+    at most n + K at step n, K below the number of states; when a lane would
+    outgrow its byte, the whole run restarts on `_min_ones_lists`.
     """
     preds = _predecessors(auto)
     live, last_transient = _live_states(auto, preds)
-    line = _DelayLine(auto, preds, range(auto.n_states))
-    if not line.fits:
+    try:
+        return _run(_DelayLine, auto, preds, N, live, last_transient)
+    except _Overflow:
         return _min_ones_lists(auto, N)
-    v = line.start(auto.start)
+
+
+def _min_ones_lists(auto: AvoidanceAutomaton,
+                    N: int) -> tuple[list[int], tuple[int, int, int] | None]:
+    """`_min_ones` on `_Lists`, stepping every state at every step.
+
+    No state is peeled and no lane is bounded, so this is the route when a
+    lane of the delay-line kernel outgrows its byte, and the oracle the
+    lane layout and the Kahn pass of `_live_states` are tested against.
+    """
+    return _run(_Lists, auto, _predecessors(auto), N, [], -1)
+
+
+def _run(kind: type, auto: AvoidanceAutomaton, preds: list[list[int]], N: int,
+         live: list[int], last_transient: int) -> tuple[list[int], tuple[int, int, int] | None]:
+    """The min-ones kernel on the step class `kind`: `_DelayLine` or `_Lists`.
+
+    The min-plus step T satisfies T(v + c) = T(v) + c, so once the vector
+    normalised by its minimum repeats, v_(n0+P) = v_(n0) + c, every later
+    term follows: m_(n+P) = m_n + c for all n >= n0.  A step object built
+    over some states gives the vector of length 0 (`start`) and the next
+    normalised vector with its minimum (`advance`).  A vector is hashable,
+    and two are equal exactly when the normalised vectors are.  Vectors are
+    recorded by digest only; a digest hit is trusted after all entries of
+    v_(n0), replayed from the nearest checkpoint, equal the current vector.
+    The certificate is None when no repeat occurs within N steps.
+
+    Up to step L* = `last_transient` every state is stepped; from step
+    L* + 1 on, only the `live` states are, on a step object built anew, and
+    the vector is carried over by `relaid`.  That leaves the certificate as
+    it was: at every step up to L* some peeled state is reachable and past
+    it none is, so no repeat pairs a step up to L* with a later one, and
+    past L* the peeled states are unreachable.  An empty `live` steps every
+    state throughout.
+    """
+    step = kind(auto, preds, range(auto.n_states))
+    v = step.start(auto.start)
     min_ones = [0]
     base = 0  # the step of checkpoints[0]
     seen = {hash(v): [0]}
     checkpoints = [v]
 
-    def replay(n0: int) -> bytes:
+    def replay(n0: int):
         k, r = divmod(n0 - base, _CHECKPOINT_EVERY)
         x = checkpoints[k]
         for _ in range(r):
-            x = line.advance(x)[0]
+            x = step.advance(x)[0]
         return x
 
     for n in range(1, N + 1):
-        stepped = line.advance(v)
-        if stepped is None:
-            return _min_ones_lists(auto, N)
-        v, m = stepped
-        if m == _FAR:
+        v, m = step.advance(v)
+        if m is None:
             raise EmptyLanguageError(f"no word of length {n} avoids the set")
         min_ones.append(min_ones[-1] + m)
         if n == last_transient + 1 and live:
-            live_line = _DelayLine(auto, preds, live)
-            v = live_line.relaid(v, line) if live_line.fits else None
-            if v is None:
-                return _min_ones_lists(auto, N)
-            line = live_line
+            live_step = kind(auto, preds, live)
+            v = live_step.relaid(v, step)
+            step = live_step
             base, seen, checkpoints = n, {}, []
         digest = hash(v)
         for n0 in seen.get(digest, ()):

@@ -236,10 +236,12 @@ def cmd_quasifit(args) -> int:
     min_ones = data.get("min_ones") if isinstance(data, dict) else None
     if not isinstance(min_ones, list) or not all(type(m) is int for m in min_ones):
         raise ValueError(f"{args.profile}: expected an object with a 'min_ones' list of integers")
-    # m_0 = 0 and steps of 0 or 1 also give 0 <= m_n <= n.
-    if min_ones[:1] != [0] or any(b - a not in (0, 1) for a, b in zip(min_ones, min_ones[1:])):
-        raise ValueError(f"{args.profile}: not a min-ones profile: need min_ones[0] = 0 "
-                         "and steps of 0 or 1, so that 0 <= min_ones[n] <= n")
+    # A prefix of a surviving word survives, so min-ones never falls (it may
+    # rise by more than 1); from m_0 = 0 that also gives m_n >= 0.
+    if (min_ones[:1] != [0] or any(b < a for a, b in zip(min_ones, min_ones[1:]))
+            or any(m > n for n, m in enumerate(min_ones))):
+        raise ValueError(f"{args.profile}: not a min-ones profile: need min_ones[0] = 0, "
+                         "min_ones non-decreasing and min_ones[n] <= n")
     fit = fit_quasipoly(min_ones, args.max_modulus)
     maxima = successive_maxima(min_ones, fit)
     bound = semi_rigorous_bound(fit, maxima)

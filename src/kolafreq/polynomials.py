@@ -101,10 +101,6 @@ class WeightPoly:
             g = gcd(g, c)
         return g
 
-    def swap_vars(self) -> "WeightPoly":
-        """Interchange x1 and x2."""
-        return WeightPoly({(b, a): c for (a, b), c in self.terms.items()})
-
     def slices(self) -> dict[int, list[int]]:
         """Dense coefficient vectors per t-degree, indexed by the x1-exponent."""
         out: dict[int, list[int]] = {}
@@ -322,9 +318,6 @@ class Series:
                 return a
         return None
 
-    def word_count(self, n: int) -> int:
-        return sum(self.slices[n])
-
     def validate_counting(self) -> None:
         """Assert the invariants of a word-counting series."""
         if self.slices[0] != (1,):
@@ -372,10 +365,6 @@ class RationalGF:
     def d_poly(self) -> WeightPoly:
         """D in the 1 - D form of the denominator."""
         return WeightPoly.one() - self.denominator
-
-    def equivalent(self, other: "RationalGF") -> bool:
-        """Equality as rational functions (cross-multiplication; no gcd needed)."""
-        return self.numerator * other.denominator == other.numerator * self.denominator
 
     def __str__(self) -> str:
         return f"({self.numerator}) / ({self.denominator})"

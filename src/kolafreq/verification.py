@@ -296,6 +296,10 @@ def check_properties() -> tuple[bool, str]:
             prof.check_invariants()
         except AssertionError as exc:
             return False, f"d={d}: {exc}"
+        lo, hi = prof.min_ones, prof.max_ones
+        for n in range(prof.N):  # S_d only: any factor-free set passes check_invariants
+            if {lo[n + 1] - lo[n], hi[n + 1] - hi[n]} - {0, 1}:
+                return False, f"d={d}: an extreme steps by neither 0 nor 1 at n={n}"
     return True, "counts, factor-freeness, avoidance, symmetry, and steps all hold"
 
 

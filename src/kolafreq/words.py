@@ -1,4 +1,4 @@
-"""Kolakoski word generation, run lengths, and factor search.
+"""Kolakoski word generation, run lengths, and letter swaps.
 
 Letters are the characters "1" and "2" and words are plain strings, which
 keeps factor search (`in`) at C speed even for multi-megabyte prefixes.
@@ -7,7 +7,6 @@ keeps factor search (`in`) at C speed even for multi-megabyte prefixes.
 from __future__ import annotations
 
 from itertools import groupby, product
-from typing import Iterable
 
 _SWAP = str.maketrans("12", "21")
 _DIGITS = bytes.maketrans(bytes([1, 2]), b"12")
@@ -80,8 +79,3 @@ def _classical_prefix(n: int) -> str:
 def run_lengths(word: str) -> list[int]:
     """Lengths of the maximal runs of equal letters, in order."""
     return [sum(1 for _ in group) for _, group in groupby(word)]
-
-
-def contains_any_factor(word: str, factors: Iterable[str]) -> bool:
-    """True iff some element of `factors` occurs as a contiguous factor of `word`."""
-    return any(f in word for f in factors)

@@ -17,7 +17,6 @@ from kolafreq import (
     avoided_set,
     build_automaton,
     certified_period,
-    contains_any_factor,
     degree_profile,
     enumerate_brute,
     kolakoski_prefix,
@@ -27,6 +26,11 @@ from kolafreq import (
     weight_series,
 )
 from kolafreq.verification import REF_QUASIPOLY
+
+
+def contains_any_factor(word, factors):
+    """The oracle for `accepts`: some element of `factors` occurs in `word`."""
+    return any(f in word for f in factors)
 
 
 def test_s1_automaton_has_five_live_states():
@@ -75,10 +79,19 @@ def test_profile_basics():
 
 
 def test_invalid_profile_fails_invariants():
-    with pytest.raises(AssertionError, match="min-ones jump"):
-        DegreeProfile(("111",), 2, (0, 0, 2), (0, 1, 2)).check_invariants()
+    with pytest.raises(AssertionError, match="min-ones falls"):
+        DegreeProfile(("111",), 2, (0, 1, 0), (0, 1, 2)).check_invariants()
+    with pytest.raises(AssertionError, match="max-ones jump"):
+        DegreeProfile(("111",), 2, (0, 0, 0), (0, 0, 2)).check_invariants()
     with pytest.raises(AssertionError, match="out of range"):
         DegreeProfile(("111",), 1, (0, 1), (0, 0)).check_invariants()
+
+
+def test_profile_with_a_min_ones_jump_passes_invariants():
+    # The one fewest-ones word of length 3, 122, has no extension.
+    prof = degree_profile(("112", "21", "222"), 14)
+    assert prof.min_ones[:6] == (0, 0, 0, 1, 4, 5)
+    prof.check_invariants()
 
 
 def test_profile_order_zero():
@@ -131,6 +144,8 @@ def test_certificate_survives_digest_collisions(monkeypatch):
     monkeypatch.setattr(automaton, "hash", lambda vector: 0, raising=False)
     assert certified_period(avoided_set(4), 60) == (38, 15, 7)
     assert degree_profile(avoided_set(4), 60) == expected
+    min_ones, certificate = automaton._min_ones_lists(build_automaton(avoided_set(4)), 60)
+    assert (tuple(min_ones), certificate) == (expected.min_ones, (38, 15, 7))
 
 
 def test_certificate_holds_on_the_counting_dp_profile():
@@ -247,13 +262,16 @@ def test_oracles_agree_on_random_factor_free_sets(S):
 def test_profile_past_the_period_matches_counting_dp(S):
     N = 80
     series = weight_poly_dp(S, N)
+    lists = _kernel_outcome(automaton._min_ones_lists, build_automaton(S), N)
     try:
         expected = DegreeProfile.from_series(S, series)
     except EmptyLanguageError:
         with pytest.raises(EmptyLanguageError):
             degree_profile(S, N)
+        assert isinstance(lists, str)
     else:
         assert degree_profile(S, N) == expected
+        assert tuple(lists[0]) == expected.min_ones
 
 
 def _kernel_outcome(kernel, auto, N):

@@ -84,10 +84,24 @@ def test_quasifit_command(capsys, s1_file, tmp_path):
     assert data["attained"] is True
 
 
+def test_quasifit_takes_a_min_ones_jump(capsys, tmp_path):
+    # Words avoiding {112, 21, 222} of length >= 4 are all ones: 0, 0, 0, 1, 4, 5, ...
+    words_path = tmp_path / "jump.txt"
+    words_path.write_text("112\n21\n222\n", encoding="utf-8")
+    code, out, _ = run(capsys, "profile", "--words", str(words_path), "--terms", "60", "--json")
+    assert code == EXIT_OK and json.loads(out)["min_ones"][:5] == [0, 0, 0, 1, 4]
+    profile_path = tmp_path / "profile.json"
+    profile_path.write_text(out, encoding="utf-8")
+    code, out, _ = run(capsys, "quasifit", "--profile", str(profile_path))
+    assert code == EXIT_OK
+    assert json.loads(out)["limit"] == "1/1"
+
+
 @pytest.mark.parametrize("content", [
     '{"N": 3}',
     "[1, 2]",
     json.dumps({"min_ones": [0, 9] * 8}),  # m_1 = 9 > 1 and steps of +-9
+    json.dumps({"min_ones": [0, 1, 1, 0] * 4}),  # within 0..n, but falls at n = 3
 ])
 def test_quasifit_malformed_profile_is_usage_error(capsys, tmp_path, content):
     profile_path = tmp_path / "profile.json"

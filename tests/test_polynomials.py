@@ -47,7 +47,6 @@ def test_from_word_and_accessors():
     assert p.t_degree() == 5
     assert WeightPoly.zero().t_degree() == -1
     assert WeightPoly({(1, 1): 4, (0, 0): 6}).content() == 2
-    assert WeightPoly({(2, 1): 5}).swap_vars() == WeightPoly({(1, 2): 5})
 
 
 def test_rejects_negative_exponents():
@@ -123,7 +122,6 @@ def test_series_helpers():
     assert s.min_ones(2) == 1 and s.max_ones(2) == 1
     assert s.min_ones(0) == 0
     assert s.poly(1) == WeightPoly({(1, 0): 1})
-    assert s.word_count(2) == 2
 
 
 def test_series_validation():
@@ -177,14 +175,6 @@ def test_rational_gf_sign_and_content_normalization():
     assert gf.denominator.constant_term == 1
     assert gf.denominator == WeightPoly({(0, 0): 1, (1, 1): -1})
     assert gf.numerator == WeightPoly({(1, 0): 1})
-
-
-def test_rational_gf_equivalence():
-    one = WeightPoly.one()
-    two = WeightPoly.constant(2)
-    den = WeightPoly({(0, 0): 1, (1, 1): -1})
-    assert RationalGF(one, den).equivalent(RationalGF(two, den * 2))
-    assert not RationalGF(one, den).equivalent(RationalGF(one, WeightPoly.one()))
 
 
 def test_rational_gf_rejects_zero_constant_denominator():

@@ -3,12 +3,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kolafreq import (
-    contains_any_factor,
     kolakoski_prefix,
     run_lengths,
     swap_letters,
 )
 from kolafreq.verification import words_for_depth
+
+
+def contains_any_factor(word, factors):
+    """True iff some element of `factors` occurs as a contiguous factor of `word`."""
+    return any(f in word for f in factors)
 
 
 def test_first_twenty_letters():
