@@ -628,7 +628,7 @@ def weight_poly_dp(S: WordsLike, N: int) -> Series:
     if N < 0:
         raise ValueError("N must be >= 0")
     auto = build_automaton(S)
-    width = N + 2
+    width = (N + 9) // 8 * 8
     zero = mpz(0)
     vec = [zero] * auto.n_states
     vec[auto.start] = mpz(1)

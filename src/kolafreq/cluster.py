@@ -11,14 +11,14 @@ length-L prefix of v, and the full enumerator is
 
     weight(W) = 1 / (1 - (x1 + x2) t - sum_v C_v).
 
-Two evaluation strategies are provided: solving the linear system exactly
-over polynomials (rational closed form, small S), and the same equations
-multiplied through by the enumerator, iterated degree by degree with
-packed slices so that every step is shifts and additions only (truncated
-series, scales to large S and N).  `series_from_gf` expands a closed form
-slice by slice in plain integers, so it checks the packed series without
-sharing its encoding.  Both routes take any set that passes
-`avoided.checked_words`, the empty set included.
+Two evaluation strategies are provided.  The closed form (small S) solves
+the system by Bareiss elimination on integers that pack the polynomials,
+and proves the decoded solution by substituting it back; the series
+(large S and N) multiplies the equations through by the enumerator and
+steps degree by degree on packed slices with shifts and additions only.
+`series_from_gf` expands a closed form slice by slice in plain integers,
+so it checks the packed series without sharing its encoding.  Both routes
+take any set that passes `avoided.checked_words`, the empty set included.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from typing import Callable, Optional
 
 from .avoided import WordsLike, checked_words
 from .polynomials import (
+    InexactDivisionError,
     RationalGF,
     Series,
     WeightPoly,
@@ -53,69 +54,89 @@ def overlap_suffix_lengths(u: str, v: str) -> set[int]:
 # -- rational closed form -----------------------------------------------------
 
 
-def weight_gf(S: WordsLike) -> RationalGF:
+_START_WIDTH = 16  # bits per digit of the first packed elimination
+
+
+def weight_gf(
+    S: WordsLike,
+    *,
+    progress: Progress = None,
+    should_cancel: Cancel = None,
+) -> RationalGF:
     """Weight enumerator of words avoiding S, as a canonical rational function.
 
-    The cluster system is solved by fraction-free (Bareiss) elimination over
-    the integer polynomial ring; no pivoting is needed because every leading
-    principal minor has constant term 1.
+    The cluster system A C = rhs is solved by fraction-free (Bareiss)
+    elimination on integers: each entry of M = [A | rhs] is evaluated at
+    x1 = 2^w, x2 = 2^(wD), where D = 1 + the sum of the rows' largest
+    x1-degrees exceeds the x1-degree of every minor.  Evaluation is a ring
+    homomorphism and every Bareiss division is exact in Z[x1, x2], so it is
+    exact in Z; no pivot is needed, as every leading principal minor has
+    constant term 1.  Only det and y = det * C are decoded, then proven by
+    A y == det * rhs with det != 0: A is the identity modulo (x1, x2), so
+    C = y / det whether or not det is the true determinant.  A coefficient
+    too wide for w decodes wrongly and fails the proof, which doubles w, up
+    to the first whole byte past the l1 bound prod_i sum_j |M_ij|_1 on the
+    coefficients of the minors, where decoding is exact; a failure there
+    raises ArithmeticError.  `progress(k, m)` and `should_cancel()` are
+    called once per elimination step.
     """
     words = checked_words(S)
-    one = WeightPoly.one()
-    letters = WeightPoly.letter_sum()
+    one, letters = WeightPoly.one(), WeightPoly.letter_sum()
     if not words:
         return RationalGF.canonical(one, one - letters)
     m = len(words)
-    A = [[WeightPoly.zero() for _ in range(m)] for _ in range(m)]
-    rhs = []
+    M = [[WeightPoly.zero()] * m + [-WeightPoly.from_word(v)] for v in words]
     for i, v in enumerate(words):
-        A[i][i] = one
-        rhs.append(-WeightPoly.from_word(v))
+        M[i][i] = one
         for j, u in enumerate(words):
-            tails: dict[tuple[int, int], int] = {}
             for L in overlap_suffix_lengths(u, v):
-                tail = v[L:]
-                key = (tail.count("1"), len(tail) - tail.count("1"))
-                tails[key] = tails.get(key, 0) + 1
-            if tails:
-                A[i][j] = A[i][j] + WeightPoly(tails)
-    det, y = _bareiss_solve(A, rhs)
-    cluster_sum = WeightPoly.zero()
-    for yi in y:
-        cluster_sum = cluster_sum + yi
-    denominator = det - det * letters - cluster_sum
-    return RationalGF.canonical(det, denominator)
+                M[i][j] = M[i][j] + WeightPoly.from_word(v[L:])
+    D = 1 + sum(max(a for p in row for a, _ in p.terms) for row in M)
+    l1 = 1
+    for row in M:
+        l1 *= sum(abs(c) for p in row for c in p.terms.values())
+    widest = (l1.bit_length() + 8) // 8 * 8
+    width = _START_WIDTH
+    while True:
+        packed = [[sum(mpz(c) << width * (a + D * b) for (a, b), c in p.terms.items())
+                   for p in row] for row in M]
+        det, *y = (  # no nonzero signed digit of x lies past bit_length // width + 1
+            WeightPoly({(k % D, k // D): c for k, c in
+                        enumerate(unpack_signed(x, x.bit_length() // width + 2, width))})
+            for x in _bareiss_solve(packed, progress, should_cancel)
+        )
+        if det and all(sum(p * yj for p, yj in zip(row, y)) == det * row[m] for row in M):
+            return RationalGF.canonical(det, det - det * letters - sum(y))
+        if width >= widest:
+            raise ArithmeticError(f"cluster system unsolved at the proven width {widest}")
+        width = min(2 * width, widest)
 
 
-def _bareiss_solve(
-    A: list[list[WeightPoly]], rhs: list[WeightPoly]
-) -> tuple[WeightPoly, list[WeightPoly]]:
-    """Fraction-free solve of A y/det = rhs: returns (det, y) with y = det * solution."""
-    m = len(A)
-    M = [row[:] + [rhs[i]] for i, row in enumerate(A)]
-    zero = WeightPoly.zero()
-    prev = WeightPoly.one()
-    for k in range(m - 1):
-        pivot = M[k][k]
-        for i in range(k + 1, m):
-            mik = M[i][k]
-            row_i, row_k = M[i], M[k]
+def _bareiss_solve(M: list[list], progress: Progress, should_cancel: Cancel) -> list:
+    """[det, y_1..y_m] of the packed system M = [A | rhs], with y = det * A^-1 rhs."""
+    m = len(M)
+    prev = mpz(1)
+    for k, row_k in enumerate(M):
+        if should_cancel is not None and should_cancel():
+            raise ComputationCancelled(f"cancelled at elimination step {k + 1} of {m}")
+        for row_i in M[k + 1:]:
             for j in range(k + 1, m + 1):
-                lhs = pivot * row_i[j] if row_i[j] else zero
-                if mik and row_k[j]:
-                    lhs = lhs - mik * row_k[j]
-                row_i[j] = lhs.exact_div(prev) if lhs else zero
-            row_i[k] = zero
-        prev = pivot
-    det = M[m - 1][m - 1]
-    y = [zero] * m
+                row_i[j] = _exact_div(row_k[k] * row_i[j] - row_i[k] * row_k[j], prev)
+        prev = row_k[k]
+        if progress is not None:
+            progress(k + 1, m)
+    y = [mpz(0)] * m
     for i in range(m - 1, -1, -1):
-        acc = det * M[i][m]
-        for j in range(i + 1, m):
-            if M[i][j] and y[j]:
-                acc = acc - M[i][j] * y[j]
-        y[i] = acc.exact_div(M[i][i]) if acc else zero
-    return det, y
+        acc = prev * M[i][m] - sum(M[i][j] * y[j] for j in range(i + 1, m))
+        y[i] = _exact_div(acc, M[i][i])
+    return [prev, *y]
+
+
+def _exact_div(a, b):
+    q, r = divmod(a, b)
+    if r:
+        raise InexactDivisionError("a Bareiss division left a remainder")
+    return q
 
 
 # -- truncated series ---------------------------------------------------------
@@ -125,7 +146,7 @@ def _bareiss_solve(
 # x1 = 2^width, a ring homomorphism, so multiplying a slice by a monomial
 # x1^a x2^b is a left shift by width * a (x2 is implied by the degree).
 # Only the language slices p_n are decoded, and their coefficients are at
-# most 2^n, so a digit width of N + 2 bits is always sufficient.
+# most 2^n, so N + 2 bits rounded up to whole bytes are always sufficient.
 
 
 def weight_series(
@@ -153,7 +174,7 @@ def weight_series(
     if terms < 0:
         raise ValueError("terms must be >= 0")
     words = checked_words(S)
-    width = terms + 2
+    width = (terms + 9) // 8 * 8
     # The overlap prefixes x = v[:L], each with the words u it sums into R_x.
     members: dict[str, set[int]] = {}
     for v in words:

@@ -259,7 +259,7 @@ def format_terms(terms: Sequence[tuple[Key, int]]) -> str:
 # Packing is evaluation at x1 = 2^width, which is a ring homomorphism, so
 # sums and products of packed slices are exact regardless of intermediate
 # digit growth; only values that are eventually *decoded* need their true
-# coefficients to fit in a signed digit.
+# coefficients to fit in a signed digit, whose width is whole bytes.
 
 
 def pack_coefficients(coeffs: Sequence[int], width: int):
@@ -270,20 +270,20 @@ def pack_coefficients(coeffs: Sequence[int], width: int):
 
 
 def unpack_signed(packed, count: int, width: int) -> list[int]:
-    x = mpz(packed)
-    mask = (mpz(1) << width) - 1
-    full = mpz(1) << width
-    half = mpz(1) << (width - 1)
-    out = []
-    for _ in range(count):
-        d = x & mask
-        if d >= half:
-            d -= full
-        out.append(int(d))
-        x = (x - d) >> width
-    if x:
-        raise OverflowError("unconsumed residue while unpacking; digit width too small")
-    return out
+    """The `count` signed `width`-bit digits of `packed`, lowest first.
+
+    A bias of 2^(width-1) on every digit makes them all nonnegative, so one
+    `to_bytes` splits the biased value: linear time.  Raises ValueError
+    unless width is a multiple of 8, and (from `to_bytes`) OverflowError
+    outside the range [-bias, 2^(width*count) - 1 - bias] of the digits.
+    """
+    if width <= 0 or width % 8:
+        raise ValueError(f"digit width {width} is not a positive multiple of 8")
+    size = width // 8
+    half = 1 << (width - 1)
+    biased = int(packed) + int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+    data = biased.to_bytes(size * count, "little")
+    return [int.from_bytes(data[i:i + size], "little") - half for i in range(0, len(data), size)]
 
 
 # -- truncated series --------------------------------------------------------

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kolafreq import (
@@ -17,6 +17,9 @@ from kolafreq import (
     weight_poly_dp,
     weight_series,
 )
+from kolafreq import cluster
+from kolafreq.avoided import checked_words
+from kolafreq.verification import REF_S3_DEN, check_gf_s1
 
 words_st = st.text(alphabet="12", min_size=1, max_size=8)
 
@@ -158,9 +161,124 @@ def test_progress_and_cancellation_hooks():
         weight_series(avoided_set(1), 6, should_cancel=lambda: True)
     with pytest.raises(ComputationCancelled):
         series_from_gf(weight_gf(avoided_set(1)), 6, should_cancel=lambda: True)
+    seen.clear()
+    weight_gf(avoided_set(1), progress=lambda k, total: seen.append((k, total)))
+    assert seen == [(1, 2), (2, 2)]  # one call per elimination step
+    calls = []
+    with pytest.raises(ComputationCancelled, match="step 3 of 6"):
+        weight_gf(avoided_set(2), should_cancel=lambda: calls.append(1) or len(calls) > 2)
 
 
 def test_gf_s2_minratio_matches_s1():
     from kolafreq import bound_from_denominator
 
     assert bound_from_denominator(weight_gf(avoided_set(2))).epsilon == Fraction(1, 6)
+
+
+# -- packed closed form -------------------------------------------------------
+
+
+def _dict_bareiss_gf(S) -> RationalGF:
+    """The closed form by Bareiss elimination on `WeightPoly` dicts: an
+    oracle that shares no packing, width loop or identity check with
+    `weight_gf`."""
+    words = checked_words(S)
+    one, letters = WeightPoly.one(), WeightPoly.letter_sum()
+    if not words:
+        return RationalGF.canonical(one, one - letters)
+    m = len(words)
+    M = [[WeightPoly.zero() for _ in range(m)] + [-WeightPoly.from_word(v)] for v in words]
+    for i, v in enumerate(words):
+        M[i][i] = one
+        for j, u in enumerate(words):
+            for L in overlap_suffix_lengths(u, v):
+                M[i][j] = M[i][j] + WeightPoly.from_word(v[L:])
+    zero, prev = WeightPoly.zero(), one
+    for k in range(m - 1):
+        for i in range(k + 1, m):
+            for j in range(k + 1, m + 1):
+                lhs = M[k][k] * M[i][j] - M[i][k] * M[k][j]
+                M[i][j] = lhs.exact_div(prev) if lhs else zero
+        prev = M[k][k]
+    det = M[m - 1][m - 1]
+    y = [zero] * m
+    for i in range(m - 1, -1, -1):
+        acc = det * M[i][m]
+        for j in range(i + 1, m):
+            acc = acc - M[i][j] * y[j]
+        y[i] = acc.exact_div(M[i][i]) if acc else zero
+    cluster_sum = zero
+    for yi in y:
+        cluster_sum = cluster_sum + yi
+    return RationalGF.canonical(det, det - det * letters - cluster_sum)
+
+
+def _minimal_words(drawn: list[str]) -> tuple[str, ...]:
+    return tuple(sorted({w for w in drawn if not any(u != w and u in w for u in drawn)}))
+
+
+factor_free_sets = st.lists(
+    st.text(alphabet="12", min_size=1, max_size=7), min_size=1, max_size=8
+).map(_minimal_words)
+
+
+@settings(max_examples=80, deadline=None)
+@given(factor_free_sets)
+@example(avoided_set(1).words)
+@example(avoided_set(2).words)
+@example(avoided_set(3).words)
+@example(("112", "22121"))  # a real common factor, reduced symbolically
+def test_packed_gf_matches_dict_bareiss(S):
+    assert weight_gf(S) == _dict_bareiss_gf(S)
+
+
+def _spy_widths(monkeypatch, corrupt=lambda calls: False) -> list[int]:
+    """Record the width of every decode; `corrupt(calls)` adds 1 to its
+    lowest digit."""
+    widths: list[int] = []
+    real = cluster.unpack_signed
+
+    def spy(packed, count, width):
+        widths.append(width)
+        digits = real(packed, count, width)
+        if corrupt(widths):
+            digits[0] += 1
+        return digits
+
+    monkeypatch.setattr(cluster, "unpack_signed", spy)
+    return widths
+
+
+def test_packed_gf_from_the_narrowest_width(monkeypatch):
+    monkeypatch.setattr(cluster, "_START_WIDTH", 8)
+    widths = _spy_widths(monkeypatch)
+    assert weight_gf(avoided_set(3)).denominator.terms == REF_S3_DEN
+    assert set(widths) == {8}
+    check = check_gf_s1(weight_gf(avoided_set(1)))
+    assert check[0], check[1]
+
+
+def test_packed_gf_retries_when_a_coefficient_outgrows_the_width(monkeypatch):
+    # Eleven words of S_4 whose solution has a coefficient of 131: the
+    # decode at 8 bits is wrong and fails the identity, and 16 bits are exact.
+    S = ("111", "1122121122", "121121121", "1211211221211211", "12121",
+         "1212211211212211", "21221211212212", "2122122112122122", "2211212211",
+         "221122", "222")
+    monkeypatch.setattr(cluster, "_START_WIDTH", 8)
+    widths = _spy_widths(monkeypatch)
+    assert weight_gf(S) == _dict_bareiss_gf(S)
+    assert widths[0] == 8 and widths[-1] == 16
+
+
+def test_packed_gf_retries_after_a_corrupted_decode(monkeypatch):
+    expected = weight_gf(avoided_set(3))
+    widths = _spy_widths(monkeypatch, corrupt=lambda calls: len(calls) == 1)
+    assert weight_gf(avoided_set(3)) == expected
+    assert widths[0] == 16 and widths[-1] == 32
+
+
+def test_packed_gf_raises_when_no_width_passes_the_identity(monkeypatch):
+    widths = _spy_widths(monkeypatch, corrupt=lambda calls: True)
+    with pytest.raises(ArithmeticError, match="proven width 24"):
+        weight_gf(avoided_set(2))
+    assert sorted(set(widths)) == [16, 24]  # doubling stops at the l1 bound's width

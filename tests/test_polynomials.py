@@ -116,6 +116,22 @@ def test_unpack_detects_insufficient_width():
         unpack_signed(packed, 1, 8)
 
 
+@pytest.mark.parametrize("width", range(8, 72, 8))
+def test_unpack_edge_digits_and_one_step_outside(width):
+    lo, hi = -(2 ** (width - 1)), 2 ** (width - 1) - 1
+    for digits in ([lo] * 3, [hi] * 3, [lo, hi, lo], [hi, lo, hi], [0, lo, hi]):
+        assert unpack_signed(pack_coefficients(digits, width), 3, width) == digits
+    with pytest.raises(OverflowError):
+        unpack_signed(pack_coefficients([lo] * 3, width) - 1, 3, width)
+    with pytest.raises(OverflowError):
+        unpack_signed(pack_coefficients([hi] * 3, width) + 1, 3, width)
+
+
+def test_unpack_needs_whole_bytes():
+    with pytest.raises(ValueError, match="multiple of 8"):
+        unpack_signed(pack_coefficients([1, -1], 12), 2, 12)
+
+
 def test_series_helpers():
     s = Series(((1,), (0, 1), (0, 2, 0)))
     assert s.order == 2
