@@ -7,9 +7,10 @@ cluster method (`weight_gf`, `weight_series`) or an avoidance automaton
 for the exact eventual period of the fewest ones, `weight_poly_dp` for the
 series slices 0..N in one counting pass), read a profile off a
 series (`DegreeProfile.from_series`), turn the results into exact rational
-bounds (`bound_from_denominator`, `best_bound`), and sharpen them by fitting
-the eventual quasi-polynomial structure (`fit_quasipoly`,
-`semi_rigorous_bound`).
+bounds (`bound_from_denominator`, `best_bound`), and sharpen them with the
+eventual quasi-polynomial structure, proven by the kernel's certificate
+(`certified_fit`, `semi_rigorous_bound`) or guessed from a bare sequence
+(`fit_quasipoly`).
 """
 
 from .automaton import (
@@ -58,6 +59,7 @@ from .quasipoly import (
     MaximaReport,
     NoFitFoundError,
     QuasiPolyFit,
+    certified_fit,
     fit_quasipoly,
     semi_rigorous_bound,
     successive_maxima,
@@ -93,6 +95,7 @@ __all__ = [
     "bound_from_denominator",
     "bound_from_term",
     "build_automaton",
+    "certified_fit",
     "certified_period",
     "degree_profile",
     "enumerate_brute",

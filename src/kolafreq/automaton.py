@@ -292,7 +292,6 @@ class _Lists:
             if pattern:
                 self._blocks.append([(one, _gatherer([self.pos[preds[t][j] % ns] for t in targets]))
                                      for j, one in enumerate(pattern)])
-        self._v = self._u = None  # the vector last returned, and it plus one
 
     def start(self, state: int) -> tuple:
         """The vector of length 0: the empty word ends in `state`."""
@@ -302,7 +301,7 @@ class _Lists:
 
     def advance(self, v: tuple) -> tuple[tuple, int | None]:
         """(T(v) - m, m) for m = min(T(v)), or (T(v), None) if no state is reachable."""
-        u = self._u if v is self._v else [x + 1 if x is not _UNREACHABLE else x for x in v]
+        u = [x + 1 if x is not _UNREACHABLE else x for x in v]
         new = self._no_preds.copy()
         for columns in self._blocks:
             gathered = [get(u if one else v) for one, get in columns]
@@ -310,14 +309,9 @@ class _Lists:
         m = min(new)
         if m is _UNREACHABLE:
             return tuple(new), None
-        if m == 1:  # T(v) is already the vector returned plus one
-            u, new = new, [x - 1 if x is not _UNREACHABLE else x for x in new]
-        else:
-            if m:
-                new = [x - m if x is not _UNREACHABLE else x for x in new]
-            u = [x + 1 if x is not _UNREACHABLE else x for x in new]
-        self._v, self._u = tuple(new), u
-        return self._v, m
+        if m:
+            new = [x - m if x is not _UNREACHABLE else x for x in new]
+        return tuple(new), m
 
 
 class _DelayLine:

@@ -73,9 +73,6 @@ class AvoidSet:
     def __iter__(self):
         return iter(self.words)
 
-    def __contains__(self, word: str) -> bool:
-        return word in set(self.words)
-
 
 def avoided_set(d: int) -> AvoidSet:
     """Generate levels 1..d of the avoided-word tree.

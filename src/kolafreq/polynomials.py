@@ -89,9 +89,6 @@ class WeightPoly:
         """Maximal a + b over stored terms; -1 for the zero polynomial."""
         return max((a + b for a, b in self.terms), default=-1)
 
-    def coefficient(self, ones: int, twos: int) -> int:
-        return self.terms.get((ones, twos), 0)
-
     def sorted_terms(self) -> list[tuple[Key, int]]:
         return sorted(self.terms.items(), key=lambda kv: _grlex(kv[0]))
 
@@ -301,9 +298,6 @@ class Series:
 
     def poly(self, n: int) -> WeightPoly:
         return WeightPoly({(a, n - a): c for a, c in enumerate(self.slices[n]) if c})
-
-    def coefficient(self, n: int, ones: int) -> int:
-        return self.slices[n][ones]
 
     def min_ones(self, n: int) -> int | None:
         for a, c in enumerate(self.slices[n]):

@@ -26,7 +26,7 @@ from .avoided import avoided_set, verify_factor_free
 from .bounds import HALF, best_bound, bound_from_denominator, minratio
 from .cluster import series_from_gf, weight_gf, weight_series
 from .polynomials import WeightPoly
-from .quasipoly import fit_quasipoly, semi_rigorous_bound, successive_maxima
+from .quasipoly import certified_fit, semi_rigorous_bound, successive_maxima
 from .words import kolakoski_prefix, swap_letters
 
 # -- frozen reference values --------------------------------------------------
@@ -119,6 +119,11 @@ def words_for_depth(d: int) -> tuple[str, ...]:
 @lru_cache(maxsize=32)
 def profile_for_depth(d: int, N: int):
     return degree_profile(words_for_depth(d), N)
+
+
+@lru_cache(maxsize=16)
+def certified_fit_for_depth(d: int):
+    return certified_fit(words_for_depth(d), DEFAULT_TABLE_TERMS[d])
 
 
 # -- checks --------------------------------------------------------------------
@@ -214,10 +219,9 @@ def check_results_table_gj(max_d: int = 3, N: int = 200) -> tuple[bool, str]:
 
 
 def check_quasipoly_fits() -> tuple[bool, str]:
-    """Fitted moduli, slopes, and residue constants match the references."""
+    """Certified moduli, slopes, and residue constants match the references."""
     for d, (mod_ref, slope_ref, consts_ref) in REF_QUASIPOLY.items():
-        N = DEFAULT_TABLE_TERMS[d]
-        fit = fit_quasipoly(profile_for_depth(d, N).min_ones)
+        fit = certified_fit_for_depth(d)
         if (fit.modulus, fit.slope, fit.constants) != (mod_ref, slope_ref, consts_ref):
             return False, (
                 f"d={d}: fit (M={fit.modulus}, c={fit.slope}, k={fit.constants}) "
@@ -227,18 +231,16 @@ def check_quasipoly_fits() -> tuple[bool, str]:
 
 
 def check_limits_and_maxima() -> tuple[bool, str]:
-    """Limit ratios, epsilon values, successive-maxima formulas, and the d = 5
-    record at m = 11 (n = 762), whose ratio 364/762 gives epsilon 17/762."""
+    """Certified limits, rigorous epsilons, successive-maxima formulas, and the
+    d = 5 record at m = 11 (n = 762), whose ratio 364/762 gives epsilon 17/762."""
     for d, limit_ref in REF_LIMITS.items():
-        N = DEFAULT_TABLE_TERMS[d]
-        profile = profile_for_depth(d, N)
-        fit = fit_quasipoly(profile.min_ones)
+        fit = certified_fit_for_depth(d)
         if fit.limit != limit_ref:
             return False, f"d={d}: limit {fit.limit} != {limit_ref}"
-        maxima = successive_maxima(profile.min_ones, fit)
-        eps = semi_rigorous_bound(fit, maxima).epsilon
-        if eps != REF_EPSILONS[d]:
-            return False, f"d={d}: epsilon {eps} != {REF_EPSILONS[d]}"
+        maxima = successive_maxima(profile_for_depth(d, DEFAULT_TABLE_TERMS[d]).min_ones, fit)
+        bound = semi_rigorous_bound(fit)
+        if (bound.epsilon, bound.rigor) != (REF_EPSILONS[d], "rigorous"):
+            return False, f"d={d}: {bound.rigor} epsilon {bound.epsilon} != {REF_EPSILONS[d]}"
         if d in REF_MAXIMA:
             u_ref, i_ref, j_ref = REF_MAXIMA[d]
             got = (maxima.intercept, maxima.residue, maxima.first_j)

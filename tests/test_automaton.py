@@ -25,7 +25,6 @@ from kolafreq import (
     weight_poly_dp,
     weight_series,
 )
-from kolafreq.verification import REF_QUASIPOLY
 
 
 def contains_any_factor(word, factors):
@@ -121,13 +120,6 @@ def test_profile_of_dead_language():
 ])
 def test_certified_period_of_avoided_sets(d, certificate):
     assert certified_period(avoided_set(d), 1600) == certificate
-
-
-@pytest.mark.parametrize("d", [3, 4, 5])
-def test_certificate_matches_quasipoly_fit(d):
-    _onset, period, slope = certified_period(avoided_set(d), 1000)
-    modulus, fit_slope, _constants = REF_QUASIPOLY[d]
-    assert (period, slope) == (modulus, fit_slope)
 
 
 def test_certified_period_needs_enough_steps():

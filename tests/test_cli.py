@@ -97,11 +97,29 @@ def test_quasifit_takes_a_min_ones_jump(capsys, tmp_path):
     assert json.loads(out)["limit"] == "1/1"
 
 
+def test_quasifit_epsilon_reads_both_sides(capsys, tmp_path):
+    # Words avoiding {22} have at least n // 2 ones, but 1^n avoids it too:
+    # the fewest twos are 0, so the two-sided epsilon is 1/2, not 0.
+    words_path = tmp_path / "22.txt"
+    words_path.write_text("22\n", encoding="utf-8")
+    code, out, _ = run(capsys, "profile", "--words", str(words_path), "--terms", "60", "--json")
+    profile_path = tmp_path / "profile.json"
+    profile_path.write_text(out, encoding="utf-8")
+    code, out, _ = run(capsys, "quasifit", "--profile", str(profile_path))
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert (data["limit"], data["epsilon"], data["attained"]) == ("1/2", "1/2", True)
+
+
 @pytest.mark.parametrize("content", [
     '{"N": 3}',
     "[1, 2]",
     json.dumps({"min_ones": [0, 9] * 8}),  # m_1 = 9 > 1 and steps of +-9
     json.dumps({"min_ones": [0, 1, 1, 0] * 4}),  # within 0..n, but falls at n = 3
+    json.dumps({"min_ones": [0, 0, 1, 1, 2, 2]}),  # no max_ones
+    json.dumps({"min_ones": [0, 0, 1], "max_ones": [0, 1, 2, 3]}),  # lengths differ
+    json.dumps({"min_ones": [0, 0, 0, 1], "max_ones": [0, 1, 1, 3]}),  # max-ones jumps by 2
+    json.dumps({"min_ones": [0, 0, 1, 2], "max_ones": [0, 1, 1, 1]}),  # min_ones[3] > max_ones[3]
 ])
 def test_quasifit_malformed_profile_is_usage_error(capsys, tmp_path, content):
     profile_path = tmp_path / "profile.json"
