@@ -3,14 +3,13 @@
 The pipeline: generate sets of words the Kolakoski word avoids
 (`avoided_set`), enumerate the words avoiding them with the Goulden-Jackson
 cluster method (`weight_gf`, `weight_series`) or an avoidance automaton
-(`degree_profile` for the per-length extreme ones-counts, `certified_period`
-for the exact eventual period of the fewest ones, `weight_poly_dp` for the
-series slices 0..N in one counting pass), read a profile off a
-series (`DegreeProfile.from_series`), turn the results into exact rational
-bounds (`bound_from_denominator`, `best_bound`), and sharpen them with the
-eventual quasi-polynomial structure, proven by the kernel's certificate
-(`certified_fit`, `semi_rigorous_bound`) or guessed from a bare sequence
-(`fit_quasipoly`).
+(`degree_profile` for the per-length extreme ones-counts, with the exact
+eventual period of the fewest ones as `DegreeProfile.certificate`;
+`weight_poly_dp` for the series slices 0..N in one counting pass), read a
+profile off a series (`DegreeProfile.from_series`), turn the results into
+exact rational bounds (`bound_from_denominator`, `best_bound`), and sharpen
+them with the eventual quasi-polynomial structure that the certificate
+proves (`certified_fit`, `semi_rigorous_bound`).
 """
 
 from .automaton import (
@@ -19,7 +18,6 @@ from .automaton import (
     EmptyLanguageError,
     TooLargeError,
     build_automaton,
-    certified_period,
     degree_profile,
     enumerate_brute,
     weight_poly_dp,
@@ -57,10 +55,8 @@ from .polynomials import (
 )
 from .quasipoly import (
     MaximaReport,
-    NoFitFoundError,
     QuasiPolyFit,
     certified_fit,
-    fit_quasipoly,
     semi_rigorous_bound,
     successive_maxima,
 )
@@ -83,7 +79,6 @@ __all__ = [
     "EmptyLanguageError",
     "InexactDivisionError",
     "MaximaReport",
-    "NoFitFoundError",
     "NotFactorFreeError",
     "QuasiPolyFit",
     "RationalGF",
@@ -96,11 +91,9 @@ __all__ = [
     "bound_from_term",
     "build_automaton",
     "certified_fit",
-    "certified_period",
     "degree_profile",
     "enumerate_brute",
     "expand",
-    "fit_quasipoly",
     "kolakoski_prefix",
     "maxratio",
     "minratio",

@@ -13,7 +13,8 @@ surviving words.  On top of it sit:
   algebra; Cohen, Dubois, Quadrat & Viot 1983).  One driver (`_run`)
   records digests of the normalised vectors, confirms a hit component by
   component against a replay from a sparse checkpoint, stops there and
-  extends the profile exactly (`certified_period`, `degree_profile`).  It
+  extends the profile exactly (`degree_profile`, which keeps the repeat as
+  `DegreeProfile.certificate`).  It
   steps a vector of one of two step classes.  `_DelayLine` is a `bytes`
   of one lane per state laid out as delay lines: the 97-99% of states with
   one incoming edge hang in chains below a few merge states, and a lane
@@ -33,7 +34,7 @@ surviving words.  On top of it sit:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import groupby, zip_longest
 from operator import itemgetter, sub
@@ -173,12 +174,20 @@ def build_automaton(S: WordsLike) -> AvoidanceAutomaton:
 
 @dataclass(frozen=True)
 class DegreeProfile:
-    """Per-length extremes of the ones-count over words avoiding a factor set."""
+    """Per-length extremes of the ones-count over words avoiding a factor set.
+
+    `certificate` is the min-plus kernel's (onset, period, slope) with
+    min_ones[n + period] = min_ones[n] + slope for every n >= onset, or None
+    when the kernel found no repeat within N steps or the profile was read
+    off a series.  It takes no part in equality: it is how the profile was
+    proven, not what it is.
+    """
 
     words: tuple[str, ...]
     N: int
     min_ones: tuple[int, ...]
     max_ones: tuple[int, ...]
+    certificate: tuple[int, int, int] | None = field(default=None, compare=False)
 
     @classmethod
     def from_series(cls, S: WordsLike, series: Series) -> "DegreeProfile":
@@ -580,36 +589,23 @@ def degree_profile(S: WordsLike, N: int) -> DegreeProfile:
     """Fewest and most ones per length 0..N over the words avoiding S.
 
     The fewest come from the min-plus kernel on the automaton of S, which
-    stops at its certified period (see `certified_period`) and extends the
-    profile to N exactly.  The most need no second DP: swapping letters maps
-    the words avoiding S onto those avoiding swap(S), so
-    max_ones[n] = n - (fewest ones avoiding swap(S) at length n), and a
-    swap-closed S (every S_d) reuses its own run.
+    stops at the first repeat of its normalised vector and extends the
+    profile to N exactly; that repeat is kept as the profile's certificate.
+    The most need no second DP: swapping letters maps the words avoiding S
+    onto those avoiding swap(S), so max_ones[n] = n - (fewest ones avoiding
+    swap(S) at length n), and a swap-closed S (every S_d) reuses its own run.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
     words = as_words(S)
-    min_ones = _min_ones(build_automaton(words), N)[0]
+    min_ones, certificate = _min_ones(build_automaton(words), N)
     swapped = [swap_letters(w) for w in words]
     if set(swapped) == set(words):
         fewest_twos = min_ones
     else:
         fewest_twos = _min_ones(build_automaton(swapped), N)[0]
     max_ones = tuple(n - twos for n, twos in enumerate(fewest_twos))
-    return DegreeProfile(words, N, tuple(min_ones), max_ones)
-
-
-def certified_period(S: WordsLike, N: int) -> tuple[int, int, int] | None:
-    """(onset, period, slope) with m_(n+period) = m_n + slope for all n >= onset.
-
-    m_n is the fewest ones over the words of length n avoiding S.  The
-    certificate is exact: it is the first repeat of the normalised state
-    vector of the min-plus kernel, confirmed component by component.  None
-    if the vector does not repeat within N steps.
-    """
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    return _min_ones(build_automaton(S), N)[1]
+    return DegreeProfile(words, N, tuple(min_ones), max_ones, certificate)
 
 
 def weight_poly_dp(S: WordsLike, N: int) -> Series:

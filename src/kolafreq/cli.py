@@ -17,10 +17,10 @@ from typing import Sequence
 
 from .automaton import DegreeProfile, EmptyLanguageError, degree_profile
 from .avoided import CollisionError, avoided_set, read_word_file
-from .bounds import HALF, best_bound, bound_from_denominator, decimal
+from .bounds import best_bound, bound_from_denominator, decimal
 from .cluster import weight_gf, weight_series
 from .polynomials import Series, format_terms
-from .quasipoly import fit_quasipoly, successive_maxima
+from .quasipoly import certified_fit, semi_rigorous_bound, successive_maxima
 from .verification import DEFAULT_TABLE_TERMS, run_checks, words_for_depth
 from .words import kolakoski_prefix
 
@@ -93,9 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="best per-term bound over a length-N profile")
     p.add_argument("--json", action="store_true", help="emit JSON")
 
-    p = sub.add_parser("quasifit", help="fit a linear quasi-polynomial to a profile")
-    p.add_argument("--profile", required=True, metavar="JSON",
-                   help="profile file as produced by `profile --json`")
+    p = sub.add_parser("quasifit", help="certified quasi-polynomial of the fewest ones")
+    p.add_argument("--words", required=True, metavar="FILE")
+    p.add_argument("--terms", type=int, required=True, metavar="N")
 
     p = sub.add_parser("report", help="reproduce the per-depth results table")
     p.add_argument("--d", default="1-6", metavar="SPEC",
@@ -230,37 +230,21 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_quasifit(args) -> int:
-    with open(args.profile, encoding="utf-8") as fh:
-        data = json.load(fh)
-    min_ones, max_ones = (data.get(k) if isinstance(data, dict) else None
-                          for k in ("min_ones", "max_ones"))
-    if (not all(isinstance(x, list) and all(type(v) is int for v in x)
-                for x in (min_ones, max_ones)) or len(min_ones) != len(max_ones)):
-        raise ValueError(f"{args.profile}: expected an object with 'min_ones' and "
-                         "'max_ones' lists of integers of one length")
-    # A prefix of a surviving word survives, so the fewest ones and the
-    # fewest twos n - max_ones[n] never fall (they may rise by more than 1).
-    fewest_twos = [n - x for n, x in enumerate(max_ones)]
-    if (any(seq[:1] != [0] or any(b < a for a, b in zip(seq, seq[1:]))
-            for seq in (min_ones, fewest_twos))
-            or any(a > b for a, b in zip(min_ones, max_ones))):
-        raise ValueError(f"{args.profile}: not a profile: need min_ones[0] = max_ones[0] = 0, "
-                         "min_ones non-decreasing, max_ones rising by at most 1 "
-                         "and min_ones[n] <= max_ones[n]")
-    fit = fit_quasipoly(min_ones)
-    maxima = successive_maxima(min_ones, fit)
-    # The fewest ones bound freq from below and the fewest twos bound it from
-    # above, so epsilon takes the weaker of the two sides.
-    twos_limit = fit_quasipoly(fewest_twos).limit
+    profile = degree_profile(read_word_file(args.words), args.terms)
+    fit = certified_fit(profile)
+    maxima = successive_maxima(profile.min_ones, fit)
+    bound = semi_rigorous_bound(fit)
     print(json.dumps({
         "modulus": fit.modulus,
         "slope": fit.slope,
         "constants": list(fit.constants),
         "onset": fit.onset,
         "limit": f"{fit.slope}/{fit.modulus}",
-        "epsilon": str(HALF - min(fit.limit, twos_limit)),
+        "epsilon": str(bound.epsilon),
         "maxima_formula": maxima.formula(),
         "attained": maxima.attained,
+        "rigor": bound.rigor,
+        "provenance": bound.provenance,
     }))
     return EXIT_OK
 

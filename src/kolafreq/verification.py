@@ -121,11 +121,6 @@ def profile_for_depth(d: int, N: int):
     return degree_profile(words_for_depth(d), N)
 
 
-@lru_cache(maxsize=16)
-def certified_fit_for_depth(d: int):
-    return certified_fit(words_for_depth(d), DEFAULT_TABLE_TERMS[d])
-
-
 # -- checks --------------------------------------------------------------------
 
 CheckFn = Callable[[], tuple[bool, str]]
@@ -221,7 +216,7 @@ def check_results_table_gj(max_d: int = 3, N: int = 200) -> tuple[bool, str]:
 def check_quasipoly_fits() -> tuple[bool, str]:
     """Certified moduli, slopes, and residue constants match the references."""
     for d, (mod_ref, slope_ref, consts_ref) in REF_QUASIPOLY.items():
-        fit = certified_fit_for_depth(d)
+        fit = certified_fit(profile_for_depth(d, DEFAULT_TABLE_TERMS[d]))
         if (fit.modulus, fit.slope, fit.constants) != (mod_ref, slope_ref, consts_ref):
             return False, (
                 f"d={d}: fit (M={fit.modulus}, c={fit.slope}, k={fit.constants}) "
@@ -234,10 +229,11 @@ def check_limits_and_maxima() -> tuple[bool, str]:
     """Certified limits, rigorous epsilons, successive-maxima formulas, and the
     d = 5 record at m = 11 (n = 762), whose ratio 364/762 gives epsilon 17/762."""
     for d, limit_ref in REF_LIMITS.items():
-        fit = certified_fit_for_depth(d)
+        profile = profile_for_depth(d, DEFAULT_TABLE_TERMS[d])
+        fit = certified_fit(profile)
         if fit.limit != limit_ref:
             return False, f"d={d}: limit {fit.limit} != {limit_ref}"
-        maxima = successive_maxima(profile_for_depth(d, DEFAULT_TABLE_TERMS[d]).min_ones, fit)
+        maxima = successive_maxima(profile.min_ones, fit)
         bound = semi_rigorous_bound(fit)
         if (bound.epsilon, bound.rigor) != (REF_EPSILONS[d], "rigorous"):
             return False, f"d={d}: {bound.rigor} epsilon {bound.epsilon} != {REF_EPSILONS[d]}"

@@ -16,7 +16,6 @@ from kolafreq import (
     WeightPoly,
     avoided_set,
     build_automaton,
-    certified_period,
     degree_profile,
     enumerate_brute,
     kolakoski_prefix,
@@ -119,14 +118,14 @@ def test_profile_of_dead_language():
     (9, (964, 561, 275)),
 ])
 def test_certified_period_of_avoided_sets(d, certificate):
-    assert certified_period(avoided_set(d), 1600) == certificate
+    assert degree_profile(avoided_set(d), 1600).certificate == certificate
 
 
 def test_certified_period_needs_enough_steps():
-    assert certified_period(avoided_set(5), 147) is None
-    assert certified_period(avoided_set(5), 148) == (79, 69, 33)
+    assert degree_profile(avoided_set(5), 147).certificate is None
+    assert degree_profile(avoided_set(5), 148).certificate == (79, 69, 33)
     with pytest.raises(ValueError):
-        certified_period(avoided_set(5), -1)
+        degree_profile(avoided_set(5), -1)
 
 
 def test_certificate_survives_digest_collisions(monkeypatch):
@@ -134,15 +133,15 @@ def test_certificate_survives_digest_collisions(monkeypatch):
     # that only the component-wise comparison can reject.
     expected = degree_profile(avoided_set(4), 60)
     monkeypatch.setattr(automaton, "hash", lambda vector: 0, raising=False)
-    assert certified_period(avoided_set(4), 60) == (38, 15, 7)
-    assert degree_profile(avoided_set(4), 60) == expected
+    collided = degree_profile(avoided_set(4), 60)
+    assert (collided, collided.certificate) == (expected, (38, 15, 7))
     min_ones, certificate = automaton._min_ones_lists(build_automaton(avoided_set(4)), 60)
     assert (tuple(min_ones), certificate) == (expected.min_ones, (38, 15, 7))
 
 
 def test_certificate_holds_on_the_counting_dp_profile():
     S = avoided_set(4).words
-    onset, period, slope = certified_period(S, 200)
+    onset, period, slope = degree_profile(S, 200).certificate
     prof = DegreeProfile.from_series(S, weight_poly_dp(S, 200))
     for n in range(onset, 201 - period):
         assert prof.min_ones[n + period] == prof.min_ones[n] + slope
@@ -153,6 +152,23 @@ def test_profile_of_non_swap_closed_set():
     prof = degree_profile(S, 30)
     assert prof == DegreeProfile.from_series(S, weight_poly_dp(S, 30))
     assert any(prof.max_ones[n] != n - prof.min_ones[n] for n in range(31))
+
+
+def test_profile_equality_ignores_the_certificate():
+    S = avoided_set(2).words
+    prof = degree_profile(S, 40)
+    from_series = DegreeProfile.from_series(S, weight_poly_dp(S, 40))
+    assert (prof.certificate, from_series.certificate) == ((5, 3, 1), None)
+    assert prof == from_series and hash(prof) == hash(from_series)
+
+
+def test_certificate_of_a_non_swap_closed_set_is_the_fewest_ones_side():
+    # {111, 22} repeats with period 2 on the fewest ones; its swap {222, 11}
+    # has period 3, the fewest twos of {111, 22}.
+    prof = degree_profile(("111", "22"), 60)
+    assert prof.certificate == (2, 2, 1)
+    assert degree_profile(("222", "11"), 60).certificate == (2, 3, 1)
+    assert all(prof.min_ones[n + 2] == prof.min_ones[n] + 1 for n in range(2, 59))
 
 
 def test_counting_dp_examples():
@@ -377,7 +393,7 @@ def _karp_min_cycle_mean(auto):
     (5, Fraction(11, 23)),
 ])
 def test_certificate_slope_is_the_least_cycle_mean(d, limit):
-    _onset, period, slope = certified_period(avoided_set(d), 200)
+    _onset, period, slope = degree_profile(avoided_set(d), 200).certificate
     assert Fraction(slope, period) == limit == _karp_min_cycle_mean(build_automaton(avoided_set(d)))
 
 
@@ -387,7 +403,7 @@ def test_certificate_slope_is_the_least_cycle_mean(d, limit):
 @example(("112", "21", "222"))  # the fewest ones jump by 3 at n = 4
 def test_certificate_slope_matches_karp_on_random_sets(S):
     try:
-        certificate = certified_period(S, 200)
+        certificate = degree_profile(S, 200).certificate
     except EmptyLanguageError:
         assert _karp_min_cycle_mean(build_automaton(S)) is None
         return

@@ -2,11 +2,13 @@ import json
 
 import pytest
 
+from kolafreq import avoided_set
 from kolafreq.cli import (
     EXIT_OK,
     EXIT_USAGE,
     main,
 )
+from kolafreq.verification import DEFAULT_TABLE_TERMS, REF_QUASIPOLY
 
 
 @pytest.fixture
@@ -72,62 +74,45 @@ def test_bounds_command(capsys, s1_file):
     assert data["epsilon"] == "1/6" and data["n"] == 3
 
 
-def test_quasifit_command(capsys, s1_file, tmp_path):
-    code, out, _ = run(capsys, "profile", "--words", s1_file, "--terms", "80", "--json")
-    profile_path = tmp_path / "profile.json"
-    profile_path.write_text(out, encoding="utf-8")
-    code, out, _ = run(capsys, "quasifit", "--profile", str(profile_path))
+def test_quasifit_command(capsys, s1_file):
+    code, out, _ = run(capsys, "quasifit", "--words", s1_file, "--terms", "80")
     assert code == EXIT_OK
     data = json.loads(out)
     assert data["modulus"] == 3 and data["slope"] == 1
     assert data["limit"] == "1/3" and data["epsilon"] == "1/6"
     assert data["attained"] is True
+    assert data["rigor"] == "rigorous"
+    assert data["provenance"] == "certified-limit(n0=2, P=3, c=1)"
 
 
-def test_quasifit_takes_a_min_ones_jump(capsys, tmp_path):
-    # Words avoiding {112, 21, 222} of length >= 4 are all ones: 0, 0, 0, 1, 4, 5, ...
-    words_path = tmp_path / "jump.txt"
-    words_path.write_text("112\n21\n222\n", encoding="utf-8")
-    code, out, _ = run(capsys, "profile", "--words", str(words_path), "--terms", "60", "--json")
-    assert code == EXIT_OK and json.loads(out)["min_ones"][:5] == [0, 0, 0, 1, 4]
-    profile_path = tmp_path / "profile.json"
-    profile_path.write_text(out, encoding="utf-8")
-    code, out, _ = run(capsys, "quasifit", "--profile", str(profile_path))
-    assert code == EXIT_OK
-    assert json.loads(out)["limit"] == "1/1"
-
-
-def test_quasifit_epsilon_reads_both_sides(capsys, tmp_path):
-    # Words avoiding {22} have at least n // 2 ones, but 1^n avoids it too:
-    # the fewest twos are 0, so the two-sided epsilon is 1/2, not 0.
-    words_path = tmp_path / "22.txt"
-    words_path.write_text("22\n", encoding="utf-8")
-    code, out, _ = run(capsys, "profile", "--words", str(words_path), "--terms", "60", "--json")
-    profile_path = tmp_path / "profile.json"
-    profile_path.write_text(out, encoding="utf-8")
-    code, out, _ = run(capsys, "quasifit", "--profile", str(profile_path))
+@pytest.mark.parametrize("d", sorted(REF_QUASIPOLY))
+def test_quasifit_matches_the_reference_fits(capsys, tmp_path, d):
+    words_path = tmp_path / f"s{d}.txt"
+    words_path.write_text("\n".join(avoided_set(d).words) + "\n", encoding="utf-8")
+    code, out, _ = run(capsys, "quasifit", "--words", str(words_path),
+                       "--terms", str(DEFAULT_TABLE_TERMS[d]))
     assert code == EXIT_OK
     data = json.loads(out)
-    assert (data["limit"], data["epsilon"], data["attained"]) == ("1/2", "1/2", True)
+    assert (data["modulus"], data["slope"], tuple(data["constants"])) == REF_QUASIPOLY[d]
+    assert data["epsilon"] == {1: "1/6", 2: "1/6", 3: "1/18", 4: "1/30", 5: "1/46"}[d]
+    assert data["rigor"] == "rigorous"
 
 
-@pytest.mark.parametrize("content", [
-    '{"N": 3}',
-    "[1, 2]",
-    json.dumps({"min_ones": [0, 9] * 8}),  # m_1 = 9 > 1 and steps of +-9
-    json.dumps({"min_ones": [0, 1, 1, 0] * 4}),  # within 0..n, but falls at n = 3
-    json.dumps({"min_ones": [0, 0, 1, 1, 2, 2]}),  # no max_ones
-    json.dumps({"min_ones": [0, 0, 1], "max_ones": [0, 1, 2, 3]}),  # lengths differ
-    json.dumps({"min_ones": [0, 0, 0, 1], "max_ones": [0, 1, 1, 3]}),  # max-ones jumps by 2
-    json.dumps({"min_ones": [0, 0, 1, 2], "max_ones": [0, 1, 1, 1]}),  # min_ones[3] > max_ones[3]
+@pytest.mark.parametrize("words,terms", [
+    ("22", "60"),  # not swap-closed: 1^n avoids it, so the fewest ones bound one side only
+    ("112,21,222", "60"),  # not swap-closed; its fewest ones jump by 3 at n = 4
+    ("12,21", "200"),  # no certificate within N
+    ("111,222", "-1"),
+    ("13", "10"),  # not a word over 1 and 2
+    ("1,11", "10"),  # not factor-free
+    ("1,2", "10"),  # no word of length 1
 ])
-def test_quasifit_malformed_profile_is_usage_error(capsys, tmp_path, content):
-    profile_path = tmp_path / "profile.json"
-    profile_path.write_text(content, encoding="utf-8")
-    code, _, err = run(capsys, "quasifit", "--profile", str(profile_path))
-    assert code == EXIT_USAGE
-    assert err.startswith("error:") and "min_ones" in err
-    assert len(err.splitlines()) == 1
+def test_quasifit_refusals(capsys, tmp_path, words, terms):
+    words_path = tmp_path / "words.txt"
+    words_path.write_text(words.replace(",", "\n") + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "quasifit", "--words", str(words_path), "--terms", terms)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_report_default_table(capsys):

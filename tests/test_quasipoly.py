@@ -1,96 +1,55 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kolafreq import automaton, verification
 from kolafreq import (
+    DegreeProfile,
     EmptyLanguageError,
-    NoFitFoundError,
     avoided_set,
+    best_bound,
     certified_fit,
-    certified_period,
     degree_profile,
-    fit_quasipoly,
     semi_rigorous_bound,
     successive_maxima,
     swap_letters,
+    weight_series,
 )
 
 
-def synthetic(modulus, slope, constants, n_max, prefix=()):
-    values = list(prefix)
-    for n in range(len(prefix), n_max + 1):
-        values.append(slope * (n // modulus) + constants[n % modulus])
-    return values
-
-
-def test_fit_recovers_synthetic_structure():
-    m = synthetic(3, 1, (0, 0, 1), 120)
-    fit = fit_quasipoly(m)
-    assert (fit.modulus, fit.slope, fit.constants) == (3, 1, (0, 0, 1))
-    assert fit.onset == 0
-    assert all(fit.predict(n) == m[n] for n in range(121))
-
-
-def test_fit_prefers_minimal_modulus():
-    # (4, 2, (0, 0, 1, 1)) collapses to floor(n/2), so modulus 2 must win.
-    m = synthetic(4, 2, (0, 0, 1, 1), 100)
-    fit = fit_quasipoly(m)
-    assert (fit.modulus, fit.slope) == (2, 1)
-
-
-def test_fit_finds_onset_after_irregular_prefix():
-    m = synthetic(3, 1, (0, 0, 1), 150, prefix=(5, 5, 5, 5, 5, 5))
-    fit = fit_quasipoly(m)
-    assert fit.modulus == 3
-    assert fit.onset == 6
-    assert fit.window == (6, 150)
-
-
-def test_fit_rejects_late_onset():
-    # Linear from n = 80 of 100: every modulus up to 25 has its onset past n = 50.
-    m = [0] * 80 + list(range(1, 22))
-    with pytest.raises(NoFitFoundError):
-        fit_quasipoly(m)
-    assert fit_quasipoly([0] * 51 + list(range(1, 51))).onset == 50  # N // 2 is in
-
-
-def test_fit_rejects_non_quasipolynomial_data():
-    m = [int(n**0.5) for n in range(200)]
-    with pytest.raises(NoFitFoundError):
-        fit_quasipoly(m)
-
-
 def test_fit_input_validation():
-    with pytest.raises(ValueError):
-        fit_quasipoly([0, 1, 2])
-    assert fit_quasipoly([0, 1, 2, 3]).modulus == 1
+    # A profile read off a series carries no certificate, so it gets no fit.
+    S = avoided_set(1).words
+    with pytest.raises(ValueError, match="no certified period within 30 steps"):
+        certified_fit(DegreeProfile.from_series(S, weight_series(S, 30)))
 
 
 def test_fit_on_depth1_profile():
-    fit = fit_quasipoly(degree_profile(avoided_set(1), 120).min_ones)
+    fit = certified_fit(degree_profile(avoided_set(1), 120))
     assert (fit.modulus, fit.slope, fit.constants) == (3, 1, (0, 0, 0))
     assert fit.limit == Fraction(1, 3)
 
 
 def test_fit_on_depth3_profile():
-    fit = fit_quasipoly(degree_profile(avoided_set(3), 120).min_ones)
+    fit = certified_fit(degree_profile(avoided_set(3), 120))
     assert (fit.modulus, fit.slope) == (9, 4)
     assert fit.constants == (0, 0, 0, 1, 1, 1, 2, 2, 3)
     assert fit.limit == Fraction(4, 9)
 
 
 def test_first_half_fit_predicts_second_half():
+    # The certificate proves the structure for every n, beyond the profile.
     full = degree_profile(avoided_set(3), 200).min_ones
-    fit = fit_quasipoly(full[:101])
+    fit = certified_fit(degree_profile(avoided_set(3), 100))
     assert all(fit.predict(n) == full[n] for n in range(101, 201))
 
 
 def test_maxima_on_depth1():
-    m = degree_profile(avoided_set(1), 120).min_ones
-    fit = fit_quasipoly(m)
-    report = successive_maxima(m, fit)
+    profile = degree_profile(avoided_set(1), 120)
+    report = successive_maxima(profile.min_ones, certified_fit(profile))
     assert report.attained
     assert report.records[-1] == (3, Fraction(1, 3))
     # Equal later ratios must not appear: each record keeps its earliest n.
@@ -98,15 +57,15 @@ def test_maxima_on_depth1():
 
 
 def test_maxima_on_depth3_attained_at_nine():
-    m = degree_profile(avoided_set(3), 120).min_ones
-    report = successive_maxima(m, fit_quasipoly(m))
+    profile = degree_profile(avoided_set(3), 120)
+    report = successive_maxima(profile.min_ones, certified_fit(profile))
     assert report.attained and report.records[-1] == (9, Fraction(4, 9))
 
 
 def test_maxima_closed_form_depth4():
-    m = degree_profile(avoided_set(4), 500).min_ones
-    fit = fit_quasipoly(m)
-    report = successive_maxima(m, fit)
+    profile = degree_profile(avoided_set(4), 500)
+    fit = certified_fit(profile)
+    report = successive_maxima(profile.min_ones, fit)
     assert not report.attained
     assert (report.slope, report.intercept, report.modulus, report.residue) == (7, 1, 15, 3)
     assert report.first_j == 2
@@ -117,9 +76,8 @@ def test_maxima_closed_form_depth4():
 
 
 def test_maxima_record_values_match_closed_form():
-    m = degree_profile(avoided_set(5), 800).min_ones
-    fit = fit_quasipoly(m)
-    report = successive_maxima(m, fit)
+    profile = degree_profile(avoided_set(5), 800)
+    report = successive_maxima(profile.min_ones, certified_fit(profile))
     for j in range(report.first_j, (800 - 3) // 69 + 1):
         n = 69 * j + 3
         assert (n, report.value(j)) in report.records
@@ -130,22 +88,9 @@ def test_semi_rigorous_bound_values():
     for d, eps in ((1, Fraction(1, 6)), (3, Fraction(1, 18)), (4, Fraction(1, 30)),
                    (5, Fraction(1, 46))):
         N = {4: 500, 5: 800}.get(d, 150)
-        guessed = semi_rigorous_bound(fit_quasipoly(degree_profile(avoided_set(d), N).min_ones))
-        certified = semi_rigorous_bound(certified_fit(avoided_set(d), N))
-        assert guessed.epsilon == certified.epsilon == eps
-        assert (guessed.rigor, certified.rigor) == ("semi-rigorous", "rigorous")
-    assert certified.provenance == "certified-limit(n0=79, P=69, c=33)"
-
-
-def test_semi_rigorous_flag_without_maxima():
-    # An attained limit no longer upgrades a guessed fit: {22} attains 1/2
-    # at n = 2, yet 1^n avoids 22.
-    m = degree_profile(["22"], 120).min_ones
-    fit = fit_quasipoly(m)
-    assert successive_maxima(m, fit).attained
-    bound = semi_rigorous_bound(fit)
-    assert bound.rigor == "semi-rigorous"
-    assert "semi-rigorous-limit" in bound.provenance
+        bound = semi_rigorous_bound(certified_fit(degree_profile(avoided_set(d), N)))
+        assert (bound.epsilon, bound.rigor) == (eps, "rigorous")
+    assert bound.provenance == "certified-limit(n0=79, P=69, c=33)"
 
 
 @pytest.mark.parametrize("d,N,fit,eps", [
@@ -154,7 +99,7 @@ def test_semi_rigorous_flag_without_maxima():
     (8, 1000, (290, 123, 59), Fraction(5, 246)),
 ])
 def test_certified_fits_beyond_the_table(d, N, fit, eps):
-    certified = certified_fit(avoided_set(d), N)
+    certified = certified_fit(degree_profile(avoided_set(d), N))
     assert (certified.certificate, certified.modulus, certified.slope) == (fit, *fit[1:])
     bound = semi_rigorous_bound(certified)
     assert (bound.epsilon, bound.rigor) == (eps, "rigorous")
@@ -162,7 +107,7 @@ def test_certified_fits_beyond_the_table(d, N, fit, eps):
 
 def test_certified_fit_takes_the_least_period():
     S = ("111", "1211", "2122", "222")
-    fit = certified_fit(S, 200)
+    fit = certified_fit(degree_profile(S, 200))
     assert fit.certificate == (4, 4, 2)
     assert (fit.modulus, fit.slope) == (2, 1)
 
@@ -173,7 +118,7 @@ def test_certified_fit_takes_the_least_period():
 ])
 def test_certified_fit_refusals(S, reason):
     with pytest.raises(ValueError, match=reason):
-        certified_fit(S, 200)
+        certified_fit(degree_profile(S, 200))
 
 
 def _swap_closed_minimal(drawn: list[str]) -> tuple[str, ...]:
@@ -186,25 +131,44 @@ def _swap_closed_minimal(drawn: list[str]) -> tuple[str, ...]:
 @given(st.lists(st.text(alphabet="12", min_size=2, max_size=6), min_size=1, max_size=4)
        .map(_swap_closed_minimal))
 @example(("111", "1211", "2122", "222"))  # certificate period 4, least period 2
-@example(("12", "21"))  # no certificate; the fitter finds (1, 0)
+@example(("12", "21"))  # no certificate, though the fewest ones are 0 throughout
 @example(("22",))  # not swap-closed
 def test_certified_fit_agrees_with_the_fitter(S):
     N = 200
     try:
-        m = degree_profile(S, N).min_ones
+        profile = degree_profile(S, N)
     except EmptyLanguageError:
         return
+    swap_closed = {swap_letters(w) for w in S} == set(S)
     try:
-        guessed = fit_quasipoly(m)
-    except NoFitFoundError:
-        guessed = None
-    try:
-        certified = certified_fit(S, N)
+        fit = certified_fit(profile)
     except ValueError:
-        assert {swap_letters(w) for w in S} != set(S) or certified_period(S, N) is None
+        assert not swap_closed or profile.certificate is None
         return
-    assert certified.certificate == certified_period(S, N)
-    assert all(certified.predict(n) == m[n] for n in range(certified.onset, N + 1))
-    if guessed is not None:
-        key = lambda f: (f.modulus, f.slope, f.constants, f.onset)
-        assert key(certified) == key(guessed)
+    assert swap_closed and fit.certificate == profile.certificate
+    assert all(fit.predict(n) == profile.min_ones[n] for n in range(fit.onset, N + 1))
+
+
+def test_verify_runs_the_kernel_once_per_depth():
+    verification.profile_for_depth.cache_clear()
+    with mock.patch.object(automaton, "_min_ones", wraps=automaton._min_ones) as kernel:
+        for check in (verification.check_results_table, verification.check_quasipoly_fits,
+                      verification.check_limits_and_maxima):
+            assert check()[0]
+    assert [len(call.args[0].words) for call in kernel.call_args_list] == [
+        len(avoided_set(d).words) for d in range(1, 7)]
+    # The fit reads the certificate off the profile and runs no kernel.
+    profile = verification.profile_for_depth(5, 800)
+    with mock.patch.object(automaton, "_min_ones", side_effect=AssertionError("kernel run")):
+        fit = certified_fit(profile)
+    assert (fit.modulus, fit.slope) == (69, 33)
+
+
+def test_depth9_bounds_from_one_profile():
+    with mock.patch.object(automaton, "_min_ones", wraps=automaton._min_ones) as kernel:
+        profile = degree_profile(avoided_set(9), 1700)
+    assert kernel.call_count == 1
+    n, bound = best_bound(profile)
+    assert (n, bound.epsilon) == (1695, Fraction(7, 678))
+    bound = semi_rigorous_bound(certified_fit(profile))
+    assert (bound.rigor, bound.epsilon) == ("rigorous", Fraction(1, 102))
