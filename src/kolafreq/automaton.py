@@ -1,9 +1,9 @@
 """Factor-avoidance automaton and its dynamic programs.
 
-An Aho-Corasick trie of the avoided words, with failure links compiled into
-a complete deterministic automaton over {1, 2}, recognizes exactly the words
-containing no avoided factor: live paths from the start correspond to
-surviving words.  On top of it sit:
+The Aho-Corasick trie of a factor-free set of avoided words, failure links
+compiled in and word ends dropped, is a deterministic automaton over {1, 2}
+on the proper prefixes of the words, whose paths from the empty prefix spell
+exactly the words containing no avoided factor.  On top of it sit:
 
 - an exact counting DP for the weight series slices (`weight_poly_dp`);
 - a min-plus kernel for the fewest ones per length.  Its step map T is
@@ -38,11 +38,11 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import groupby, zip_longest
 from operator import itemgetter, sub
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 from .avoided import WordsLike, as_words, checked_words
 from .polynomials import Series, WeightPoly, mpz, unpack_signed
-from .words import swap_letters
+from .words import swap_closed, swap_letters
 
 DEAD = -1
 
@@ -66,7 +66,7 @@ class AvoidanceAutomaton:
     words: tuple[str, ...]
     on_one: tuple[int, ...]
     on_two: tuple[int, ...]
-    start: int = 0
+    start: ClassVar[int] = 0
 
     @property
     def n_states(self) -> int:
@@ -101,75 +101,42 @@ class AvoidanceAutomaton:
 
 
 def build_automaton(S: WordsLike) -> AvoidanceAutomaton:
-    """Aho-Corasick construction, dead states pruned, live states BFS-numbered.
+    """Aho & Corasick (1975) in one breadth-first pass over the trie of S.
 
-    S passes `checked_words`, so the root is never terminal and stays live;
-    the empty set gives one state with a loop on each letter.
+    The trie is two flat lists of children, one per letter, 0 (the root) for
+    none; the pass completes them in place into the goto function, a node's
+    entries from those of its shallower failure node.  As S is factor-free
+    (`checked_words`), the dead nodes are exactly the word ends, the leaves:
+    the pass drops them, and its order, (length, lex) over the proper
+    prefixes of the words, numbers the states from the root, state 0.
     """
     words = checked_words(S)
-    children: list[dict[str, int]] = [{}]
-    terminal = [False]
+    goto: tuple[list[int], list[int]] = ([0], [0])
     for w in words:
         node = 0
         for ch in w:
-            nxt = children[node].get(ch)
-            if nxt is None:
-                children.append({})
-                terminal.append(False)
-                nxt = len(children) - 1
-                children[node][ch] = nxt
-            node = nxt
-        terminal[node] = True
-
-    size = len(children)
-    fail = [0] * size
-    goto = [dict() for _ in range(size)]
-    dead = terminal[:]
-    order = []
-    for ch in "12":
-        child = children[0].get(ch)
-        if child is None:
-            goto[0][ch] = 0
-        else:
-            goto[0][ch] = child
-            fail[child] = 0
-            order.append(child)
-    head = 0
-    while head < len(order):
-        node = order[head]
-        head += 1
-        if dead[fail[node]]:
-            dead[node] = True
-        for ch in "12":
-            child = children[node].get(ch)
-            if child is None:
-                goto[node][ch] = goto[fail[node]][ch]
-            else:
-                fail[child] = goto[fail[node]][ch]
-                goto[node][ch] = child
-                if dead[node]:
-                    dead[child] = True
+            row = goto[ch == "2"]
+            if not row[node]:
+                row[node] = len(row)
+                goto[0].append(0)
+                goto[1].append(0)
+            node = row[node]
+    fail = [0] * len(goto[0])
+    order = [0]  # the live nodes, breadth first; grows while it is walked
+    for node in order:
+        for row in goto:
+            child = row[node]
+            if not child:
+                row[node] = row[fail[node]]
+                continue
+            fail[child] = row[fail[node]] if node else 0
+            if goto[0][child] or goto[1][child]:  # not a leaf, so not a word end
                 order.append(child)
-
-    renumber = {0: 0}
-    live_order = [0]
-    head = 0
-    while head < len(live_order):
-        node = live_order[head]
-        head += 1
-        for ch in "12":
-            nxt = goto[node][ch]
-            if not dead[nxt] and nxt not in renumber:
-                renumber[nxt] = len(live_order)
-                live_order.append(nxt)
-    on_one = []
-    on_two = []
-    for node in live_order:
-        t1 = goto[node]["1"]
-        t2 = goto[node]["2"]
-        on_one.append(DEAD if dead[t1] else renumber[t1])
-        on_two.append(DEAD if dead[t2] else renumber[t2])
-    return AvoidanceAutomaton(words, tuple(on_one), tuple(on_two))
+    state = [DEAD] * len(fail)
+    for i, node in enumerate(order):
+        state[node] = i
+    on_one, on_two = (tuple(state[row[node]] for node in order) for row in goto)
+    return AvoidanceAutomaton(words, on_one, on_two)
 
 
 @dataclass(frozen=True)
@@ -599,11 +566,10 @@ def degree_profile(S: WordsLike, N: int) -> DegreeProfile:
         raise ValueError("N must be >= 0")
     words = as_words(S)
     min_ones, certificate = _min_ones(build_automaton(words), N)
-    swapped = [swap_letters(w) for w in words]
-    if set(swapped) == set(words):
+    if swap_closed(words):
         fewest_twos = min_ones
     else:
-        fewest_twos = _min_ones(build_automaton(swapped), N)[0]
+        fewest_twos = _min_ones(build_automaton(map(swap_letters, words)), N)[0]
     max_ones = tuple(n - twos for n, twos in enumerate(fewest_twos))
     return DegreeProfile(words, N, tuple(min_ones), max_ones, certificate)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 from .automaton import DegreeProfile
 from .polynomials import RationalGF, WeightPoly
@@ -47,17 +48,15 @@ def maxratio(poly: WeightPoly) -> Fraction:
 
 @dataclass(frozen=True)
 class Bound:
-    """Two-sided bound |freq - 1/2| <= epsilon, with provenance and rigor flag."""
+    """Two-sided bound |freq - 1/2| <= epsilon; every route proves it, so `rigor` is fixed."""
 
     epsilon: Fraction
     provenance: str
-    rigor: str = "rigorous"
+    rigor: ClassVar[str] = "rigorous"
 
     def __post_init__(self) -> None:
         if not 0 <= self.epsilon <= HALF:
             raise ValueError(f"epsilon out of range: {self.epsilon}")
-        if self.rigor not in ("rigorous", "semi-rigorous"):
-            raise ValueError(f"unknown rigor flag {self.rigor!r}")
 
     @property
     def lower(self) -> Fraction:

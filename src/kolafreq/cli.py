@@ -16,13 +16,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from .automaton import DegreeProfile, EmptyLanguageError, degree_profile
-from .avoided import CollisionError, avoided_set, read_word_file
+from .avoided import CollisionError, avoided_set, checked_words, read_word_file
 from .bounds import best_bound, bound_from_denominator, decimal
 from .cluster import weight_gf, weight_series
 from .polynomials import Series, format_terms
 from .quasipoly import certified_fit, semi_rigorous_bound, successive_maxima
 from .verification import DEFAULT_TABLE_TERMS, run_checks, words_for_depth
-from .words import kolakoski_prefix
+from .words import kolakoski_prefix, swap_closed
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -230,7 +230,10 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_quasifit(args) -> int:
-    profile = degree_profile(read_word_file(args.words), args.terms)
+    words = checked_words(read_word_file(args.words))
+    if not swap_closed(words):  # refused before any kernel run
+        raise ValueError("the set is not closed under swapping the letters")
+    profile = degree_profile(words, args.terms)
     fit = certified_fit(profile)
     maxima = successive_maxima(profile.min_ones, fit)
     bound = semi_rigorous_bound(fit)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .automaton import DegreeProfile
 from .bounds import HALF, Bound
-from .words import swap_letters
+from .words import swap_closed
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,7 @@ def certified_fit(profile: DegreeProfile) -> QuasiPolyFit:
     which mirrors the lower side of the bound into the upper, and the
     profile carries a certificate.
     """
-    words = profile.words
-    if {swap_letters(w) for w in words} != set(words):
+    if not swap_closed(profile.words):
         raise ValueError("the set is not closed under swapping the letters")
     if profile.certificate is None:
         raise ValueError(f"no certified period within {profile.N} steps")

@@ -27,7 +27,7 @@ from .bounds import HALF, best_bound, bound_from_denominator, minratio
 from .cluster import series_from_gf, weight_gf, weight_series
 from .polynomials import WeightPoly
 from .quasipoly import certified_fit, semi_rigorous_bound, successive_maxima
-from .words import kolakoski_prefix, swap_letters
+from .words import kolakoski_prefix, swap_closed
 
 # -- frozen reference values --------------------------------------------------
 # Exponent keys are (ones, twos); the t-exponent is their sum.
@@ -273,7 +273,7 @@ def check_properties() -> tuple[bool, str]:
         ok, witness = verify_factor_free(words)
         if not ok:
             return False, f"S_{d} not factor-free: {witness}"
-        if {swap_letters(w) for w in words} != set(words):
+        if not swap_closed(words):
             return False, f"S_{d} is not closed under swapping the letters"
     prefix = kolakoski_prefix(10**7, 2)
     if not build_automaton(words_for_depth(6)).accepts(prefix):

@@ -7,6 +7,7 @@ keeps factor search (`in`) at C speed even for multi-megabyte prefixes.
 from __future__ import annotations
 
 from itertools import groupby, product
+from typing import Iterable
 
 _SWAP = str.maketrans("12", "21")
 _DIGITS = bytes.maketrans(bytes([1, 2]), b"12")
@@ -15,6 +16,12 @@ _DIGITS = bytes.maketrans(bytes([1, 2]), b"12")
 def swap_letters(word: str) -> str:
     """Interchange the letters 1 and 2."""
     return word.translate(_SWAP)
+
+
+def swap_closed(words: Iterable[str]) -> bool:
+    """True iff swapping the letters maps the set of words onto itself."""
+    ws = set(words)
+    return {swap_letters(w) for w in ws} == ws
 
 
 def kolakoski_prefix(n: int, first_letter: int | str = 2) -> str:

@@ -240,6 +240,42 @@ factor_free_sets = st.lists(
 ).map(_minimal_words)
 
 
+def _automaton_by_definition(S):
+    """The transitions of the automaton of S, read off its definition.
+
+    The states are "" and the proper prefixes of the words, sorted by
+    (length, lex).  The target of (p, c) is DEAD if p + c ends with a word
+    of S, and otherwise the longest suffix of p + c that is a state.
+    """
+    words = tuple(S)
+    states = sorted({""} | {w[:i] for w in words for i in range(len(w))},
+                    key=lambda p: (len(p), p))
+    index = {p: i for i, p in enumerate(states)}
+
+    def target(x):
+        if x.endswith(words):
+            return automaton.DEAD
+        return next(index[x[i:]] for i in range(len(x) + 1) if x[i:] in index)
+
+    return tuple(tuple(target(p + c) for p in states) for c in "12")
+
+
+@settings(max_examples=100, deadline=None)
+@given(factor_free_sets)
+@example(())
+@example(("1",))
+@example(("2", "1111"))
+@example(("12", "21"))
+@example(avoided_set(1).words)
+@example(avoided_set(2).words)
+@example(avoided_set(3).words)
+@example(avoided_set(4).words)
+@example(avoided_set(5).words)
+def test_automaton_matches_its_definition(S):
+    auto = build_automaton(S)
+    assert (auto.on_one, auto.on_two) == _automaton_by_definition(S)
+
+
 @settings(max_examples=60, deadline=None)
 @given(factor_free_sets)
 @example(())  # every word survives

@@ -5,6 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kolafreq import (
+    Bound,
     DegenerateDenominatorError,
     DegreeProfile,
     RationalGF,
@@ -74,6 +75,12 @@ def test_bound_fields_are_exact_and_symmetric():
     assert b.rigor == "rigorous"
     assert "series-term(762)" in b.provenance
     assert "limiting frequency exists" in b.render()
+
+
+def test_rigor_is_a_constant_and_not_a_field():
+    assert Bound(Fraction(1, 6), "x").rigor == "rigorous"
+    with pytest.raises(TypeError):
+        Bound(Fraction(1, 6), "x", "semi-rigorous")
 
 
 def test_decimal_rendering_matches_published_style():

@@ -1,8 +1,9 @@
 import json
+from unittest import mock
 
 import pytest
 
-from kolafreq import avoided_set
+from kolafreq import automaton, avoided_set
 from kolafreq.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -111,6 +112,17 @@ def test_quasifit_refusals(capsys, tmp_path, words, terms):
     words_path = tmp_path / "words.txt"
     words_path.write_text(words.replace(",", "\n") + "\n", encoding="utf-8")
     code, out, err = run(capsys, "quasifit", "--words", str(words_path), "--terms", terms)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_quasifit_refuses_a_set_that_is_not_swap_closed_before_any_kernel_run(
+        capsys, tmp_path):
+    words_path = tmp_path / "words.txt"
+    words_path.write_text("112\n21\n222\n", encoding="utf-8")
+    with mock.patch.object(automaton, "_min_ones", wraps=automaton._min_ones) as kernel:
+        code, out, err = run(capsys, "quasifit", "--words", str(words_path), "--terms", "60")
+    assert kernel.call_count == 0
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
