@@ -19,7 +19,7 @@ from .automaton import DegreeProfile, EmptyLanguageError, degree_profile
 from .avoided import CollisionError, avoided_set, checked_words, read_word_file
 from .bounds import best_bound, bound_from_denominator, decimal
 from .cluster import weight_gf, weight_series
-from .polynomials import Series, format_terms
+from .polynomials import RationalGF, Series, format_terms
 from .quasipoly import certified_fit, semi_rigorous_bound, successive_maxima
 from .verification import DEFAULT_TABLE_TERMS, run_checks, words_for_depth
 from .words import kolakoski_prefix, swap_closed
@@ -157,8 +157,13 @@ def cmd_avoided(args) -> int:
     return EXIT_OK
 
 
+def _gf(words) -> RationalGF:
+    """weight_gf, with progress on stderr for sets of 30 words (S_4) or more."""
+    return weight_gf(words, progress=_progress_printer("gf") if len(words) >= 30 else None)
+
+
 def cmd_gf(args) -> int:
-    gf = weight_gf(read_word_file(args.words))
+    gf = _gf(read_word_file(args.words))
     if args.json:
         print(json.dumps(
             {"numerator": _poly_json(gf.numerator),
@@ -210,7 +215,7 @@ def cmd_bounds(args) -> int:
         n, bound = best_bound(degree_profile(words, args.profile_terms))
         extra = {"n": n}
     else:
-        bound = bound_from_denominator(weight_gf(words))
+        bound = bound_from_denominator(_gf(words))
         extra = {}
     if args.json:
         print(json.dumps({

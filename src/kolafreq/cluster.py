@@ -54,7 +54,7 @@ def overlap_suffix_lengths(u: str, v: str) -> set[int]:
 # -- rational closed form -----------------------------------------------------
 
 
-_START_WIDTH = 16  # bits per digit of the first packed elimination
+_START_WIDTH = 8  # bits per digit of the first packed elimination
 
 
 def weight_gf(
@@ -67,18 +67,21 @@ def weight_gf(
 
     The cluster system A C = rhs is solved by fraction-free (Bareiss)
     elimination on integers: each entry of M = [A | rhs] is evaluated at
-    x1 = 2^w, x2 = 2^(wD), where D = 1 + the sum of the rows' largest
-    x1-degrees exceeds the x1-degree of every minor.  Evaluation is a ring
-    homomorphism and every Bareiss division is exact in Z[x1, x2], so it is
-    exact in Z; no pivot is needed, as every leading principal minor has
-    constant term 1.  Only det and y = det * C are decoded, then proven by
+    x1 = 2^w, x2 = 2^(wD).  Evaluation is a ring homomorphism for any D and
+    every Bareiss division is exact in Z[x1, x2], so it is exact in Z; no
+    pivot is needed, as every leading principal minor has constant term 1,
+    so is 1 mod 2^w.  Only det and y = det * C are decoded, then proven by
     A y == det * rhs with det != 0: A is the identity modulo (x1, x2), so
-    C = y / det whether or not det is the true determinant.  A coefficient
-    too wide for w decodes wrongly and fails the proof, which doubles w, up
-    to the first whole byte past the l1 bound prod_i sum_j |M_ij|_1 on the
-    coefficients of the minors, where decoding is exact; a failure there
-    raises ArithmeticError.  `progress(k, m)` and `should_cancel()` are
-    called once per elimination step.
+    C = y / det whether or not det is the true determinant.  The decode is
+    right once w holds every coefficient and D exceeds every x1-degree; a
+    wrong one fails the proof and the next of `_attempts` runs.  D is first
+    guessed at the narrowest width; the last attempts double w at the
+    a-priori D = 1 + the sum of the rows' largest x1-degrees, which exceeds
+    the x1-degree of every minor, up to the first whole byte past the l1
+    bound prod_i sum_j |M_ij|_1 on the coefficients of the minors, where
+    decoding is exact; a failure there raises ArithmeticError.
+    `progress(k, m)` and `should_cancel()` are called once per elimination
+    step of every attempt.
     """
     words = checked_words(S)
     one, letters = WeightPoly.one(), WeightPoly.letter_sum()
@@ -91,13 +94,12 @@ def weight_gf(
         for j, u in enumerate(words):
             for L in overlap_suffix_lengths(u, v):
                 M[i][j] = M[i][j] + WeightPoly.from_word(v[L:])
-    D = 1 + sum(max(a for p in row for a, _ in p.terms) for row in M)
+    a_priori = 1 + sum(max(a for p in row for a, _ in p.terms) for row in M)
     l1 = 1
     for row in M:
         l1 *= sum(abs(c) for p in row for c in p.terms.values())
     widest = (l1.bit_length() + 8) // 8 * 8
-    width = _START_WIDTH
-    while True:
+    for width, D in _attempts(a_priori, widest):
         packed = [[sum(mpz(c) << width * (a + D * b) for (a, b), c in p.terms.items())
                    for p in row] for row in M]
         det, *y = (  # no nonzero signed digit of x lies past bit_length // width + 1
@@ -107,9 +109,22 @@ def weight_gf(
         )
         if det and all(sum(p * yj for p, yj in zip(row, y)) == det * row[m] for row in M):
             return RationalGF.canonical(det, det - det * letters - sum(y))
-        if width >= widest:
-            raise ArithmeticError(f"cluster system unsolved at the proven width {widest}")
-        width = min(2 * width, widest)
+    raise ArithmeticError(f"cluster system unsolved at the proven width {widest}")
+
+
+def _attempts(a_priori: int, widest: int):
+    """(width, D) of each packed elimination: D from a_priori // 4 up by
+    about 3/2 below a_priori at the narrowest width, then the width doubled
+    at D = a_priori up to widest.  The last attempt is (widest, a_priori)."""
+    D = max(1, a_priori // 4)
+    while D < a_priori:
+        yield _START_WIDTH, D
+        D += (D + 1) // 2
+    width = _START_WIDTH
+    while width < widest:
+        yield width, a_priori
+        width *= 2
+    yield widest, a_priori
 
 
 def _bareiss_solve(M: list[list], progress: Progress, should_cancel: Cancel) -> list:

@@ -1,3 +1,4 @@
+import itertools
 import json
 from unittest import mock
 
@@ -73,6 +74,24 @@ def test_bounds_command(capsys, s1_file):
     code, out, _ = run(capsys, "bounds", "--words", s1_file, "--profile-terms", "50", "--json")
     data = json.loads(out)
     assert data["epsilon"] == "1/6" and data["n"] == 3
+
+
+def test_gf_progress_goes_to_stderr_from_30_words(capsys, tmp_path):
+    # The 30 words of length 5 other than 11111 and 22222 solve in
+    # milliseconds; S_3 (14 words) stays silent.
+    many = tmp_path / "many.txt"
+    many.write_text("".join(w + "\n" for w in map("".join, itertools.product("12", repeat=5))
+                            if len(set(w)) == 2), encoding="utf-8")
+    s3 = tmp_path / "s3.txt"
+    s3.write_text("".join(w + "\n" for w in avoided_set(3).words), encoding="utf-8")
+    for command, flags in (("gf", ["--json"]), ("bounds", ["--gf", "--json"])):
+        code, out, err = run(capsys, command, "--words", str(many), *flags)
+        assert code == EXIT_OK and json.loads(out)
+        lines = err.splitlines()
+        assert lines and lines[-1] == "gf: 30/30"
+        assert all(line.startswith("gf: ") and line.endswith("/30") for line in lines)
+        code, out, err = run(capsys, command, "--words", str(s3), *flags)
+        assert code == EXIT_OK and json.loads(out) and err == ""
 
 
 def test_quasifit_command(capsys, s1_file):

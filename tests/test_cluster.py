@@ -163,7 +163,8 @@ def test_progress_and_cancellation_hooks():
         series_from_gf(weight_gf(avoided_set(1)), 6, should_cancel=lambda: True)
     seen.clear()
     weight_gf(avoided_set(1), progress=lambda k, total: seen.append((k, total)))
-    assert seen == [(1, 2), (2, 2)]  # one call per elimination step
+    # One call per elimination step of each of S_1's four attempts (D = 1, 2, 3, 4).
+    assert seen == [(1, 2), (2, 2)] * 4
     calls = []
     with pytest.raises(ComputationCancelled, match="step 3 of 6"):
         weight_gf(avoided_set(2), should_cancel=lambda: calls.append(1) or len(calls) > 2)
@@ -270,15 +271,53 @@ def test_packed_gf_retries_when_a_coefficient_outgrows_the_width(monkeypatch):
     assert widths[0] == 8 and widths[-1] == 16
 
 
+def _spy_attempts(monkeypatch) -> list[tuple[int, int]]:
+    """Record every (width, D) that `_attempts` hands out; the last one
+    recorded is the attempt that solved the system."""
+    seen: list[tuple[int, int]] = []
+    real = cluster._attempts
+
+    def spy(a_priori, widest):
+        for attempt in real(a_priori, widest):
+            seen.append(attempt)
+            yield attempt
+
+    monkeypatch.setattr(cluster, "_attempts", spy)
+    return seen
+
+
 def test_packed_gf_retries_after_a_corrupted_decode(monkeypatch):
     expected = weight_gf(avoided_set(3))
-    widths = _spy_widths(monkeypatch, corrupt=lambda calls: len(calls) == 1)
+    tried = _spy_attempts(monkeypatch)
+    weight_gf(avoided_set(3))
+    clean = tried[:]
+    tried.clear()
+    # Corrupt det, the first of the 15 decodes of the attempt that solved S_3.
+    first = (len(clean) - 1) * 15 + 1
+    _spy_widths(monkeypatch, corrupt=lambda calls: len(calls) == first)
     assert weight_gf(avoided_set(3)) == expected
-    assert widths[0] == 16 and widths[-1] == 32
+    assert tried[:len(clean)] == clean and len(tried) == len(clean) + 1
 
 
 def test_packed_gf_raises_when_no_width_passes_the_identity(monkeypatch):
+    tried = _spy_attempts(monkeypatch)
     widths = _spy_widths(monkeypatch, corrupt=lambda calls: True)
     with pytest.raises(ArithmeticError, match="proven width 24"):
         weight_gf(avoided_set(2))
-    assert sorted(set(widths)) == [16, 24]  # doubling stops at the l1 bound's width
+    assert sorted(set(widths)) == [8, 16, 24]  # doubling stops at the l1 bound's width
+    assert tried[-1] == (24, 15)  # raised after the last attempt
+
+
+def test_packed_gf_attempt_schedule(monkeypatch):
+    for a_priori, widest in [(1, 8), (4, 8), (15, 24), (52, 64), (171, 160), (7, 1000)]:
+        attempts = list(cluster._attempts(a_priori, widest))
+        assert attempts[-1] == (widest, a_priori)
+        assert all(D <= a_priori and width <= widest for width, D in attempts)
+        assert len(set(attempts)) == len(attempts)
+    s1_schedule = list(cluster._attempts(4, 8))
+    tried = _spy_attempts(monkeypatch)
+    weight_gf(avoided_set(1))  # its answer has x1-degree 3, so it needs D = 4
+    assert tried == s1_schedule and tried[-1] == (8, 4)
+    tried.clear()
+    assert weight_gf(avoided_set(3)).denominator.terms == REF_S3_DEN
+    assert tried[-1][1] < 52
