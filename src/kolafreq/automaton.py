@@ -34,13 +34,14 @@ exactly the words containing no avoided factor.  On top of it sit:
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import groupby, zip_longest
 from operator import itemgetter, sub
 from typing import Callable, ClassVar, Sequence
 
-from .avoided import WordsLike, as_words, checked_words
+from .avoided import WordsLike, as_words, checked_trie, checked_words
 from .polynomials import Series, WeightPoly, mpz, unpack_signed
 from .words import swap_closed, swap_letters
 
@@ -76,66 +77,40 @@ class AvoidanceAutomaton:
         """True iff the word contains none of the tracked factors.
 
         The word is walked in chunks of `_ACCEPT_CHUNK` letters through a
-        memo of (state, chunk) -> state kept for this call: a long word
-        repeats few such pairs (4 909 for the 10^7-letter Kolakoski prefix
-        through S_6), so most chunks cost one lookup.
-        """
-        memo: dict[tuple[int, str], int] = {}
+        memo kept for this call, one dict per state from a chunk to the
+        state after it: a long word repeats few (state, chunk) pairs (4 909
+        for the 10^7-letter Kolakoski prefix through S_6), so most chunks
+        cost two lookups."""
+        memo: defaultdict[int, dict[str, int]] = defaultdict(dict)
         state = self.start
         for i in range(0, len(word), _ACCEPT_CHUNK):
-            key = (state, word[i:i + _ACCEPT_CHUNK])
-            state = memo.get(key)
-            if state is None:
-                state = memo[key] = self._walk(*key)
-            if state == DEAD:
+            chunk, after = word[i:i + _ACCEPT_CHUNK], memo[state]
+            nxt = after.get(chunk)
+            if nxt is None:  # a new pair: walk its letters until one dies
+                nxt = state
+                for ch in chunk:
+                    nxt = (self.on_one if ch == "1" else self.on_two)[nxt]
+                    if nxt == DEAD:
+                        break
+                after[chunk] = nxt
+            if nxt == DEAD:
                 return False
+            state = nxt
         return True
-
-    def _walk(self, state: int, letters: str) -> int:
-        """The state after reading the letters from `state`, DEAD once one dies."""
-        for ch in letters:
-            state = (self.on_one if ch == "1" else self.on_two)[state]
-            if state == DEAD:
-                break
-        return state
 
 
 def build_automaton(S: WordsLike) -> AvoidanceAutomaton:
-    """Aho & Corasick (1975) in one breadth-first pass over the trie of S.
+    """The automaton of S off the Aho-Corasick pass of `checked_trie`.
 
-    The trie is two flat lists of children, one per letter, 0 (the root) for
-    none; the pass completes them in place into the goto function, a node's
-    entries from those of its shallower failure node.  As S is factor-free
-    (`checked_words`), the dead nodes are exactly the word ends, the leaves:
-    the pass drops them, and its order, (length, lex) over the proper
-    prefixes of the words, numbers the states from the root, state 0.
+    As S is factor-free, the dead nodes are exactly the word ends, and the
+    pass's order, (length, lex) over the proper prefixes of the words,
+    numbers the states from the root, state 0.
     """
-    words = checked_words(S)
-    goto: tuple[list[int], list[int]] = ([0], [0])
-    for w in words:
-        node = 0
-        for ch in w:
-            row = goto[ch == "2"]
-            if not row[node]:
-                row[node] = len(row)
-                goto[0].append(0)
-                goto[1].append(0)
-            node = row[node]
-    fail = [0] * len(goto[0])
-    order = [0]  # the live nodes, breadth first; grows while it is walked
-    for node in order:
-        for row in goto:
-            child = row[node]
-            if not child:
-                row[node] = row[fail[node]]
-                continue
-            fail[child] = row[fail[node]] if node else 0
-            if goto[0][child] or goto[1][child]:  # not a leaf, so not a word end
-                order.append(child)
-    state = [DEAD] * len(fail)
-    for i, node in enumerate(order):
+    words, goto, states = checked_trie(S)
+    state = [DEAD] * len(goto[0])
+    for i, node in enumerate(states):
         state[node] = i
-    on_one, on_two = (tuple(state[row[node]] for node in order) for row in goto)
+    on_one, on_two = (tuple(state[row[node]] for node in states) for row in goto)
     return AvoidanceAutomaton(words, on_one, on_two)
 
 

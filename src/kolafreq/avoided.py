@@ -10,7 +10,6 @@ the previous level, and levels 1..d together form a factor-free set of
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -111,18 +110,54 @@ def verify_factor_free(words: Iterable[str]) -> tuple[bool, tuple[str, str] | No
 
     Returns (True, None) on success, else (False, (inner, outer)): inner is
     the first word in (length, lex) order that occurs in another word, and
-    outer the first word in that order containing it.  A word occurs in
-    another exactly when it is a prefix of a suffix of some other word, and
-    all suffixes that begin with a word sort right after it, so one sort of
-    every suffix tests all the words.
+    outer the first word in that order containing it.  One `aho_corasick`
+    pass decides; the witness costs a scan only on failure.
     """
-    ws = sorted(set(words), key=lambda w: (len(w), w))
-    suffixes = sorted(w[i:] for w in ws for i in range(len(w)))
-    for k, small in enumerate(ws):
-        after = bisect_left(suffixes, small) + (small != "")  # past its own whole word
-        if after < len(suffixes) and suffixes[after].startswith(small):
-            return False, (small, next(big for big in ws[k + 1:] if small in big))
-    return True, None
+    witness = aho_corasick(as_words(words))[2]
+    return witness is None, witness
+
+
+def aho_corasick(words: Sequence[str]) -> tuple[tuple[list[int], list[int]], list[int],
+                                                tuple[str, str] | None]:
+    """Aho & Corasick (1975) in one breadth-first pass over the trie of the
+    distinct words in (length, lex) order: two flat lists of children, one
+    per letter, 0 (the root) for none, completed in place into the goto
+    function, a node's entries from those of its shallower failure node.
+    Returns the goto lists, the states (the nodes that end no word) in the
+    pass's order, (length, lex), and `verify_factor_free`'s witness or None:
+    a word lies in another iff its end has a child or is some failure node.
+    """
+    goto: tuple[list[int], list[int]] = ([0], [0])
+    inner = none = len(words)  # the first word inside another, by index
+    end = [none]  # the index of the word ending at each node
+    for k, w in enumerate(words):
+        node = 0
+        for ch in w:
+            row = goto[ch == "2"]
+            if not row[node]:
+                row[node] = len(end)
+                goto[0].append(0)
+                goto[1].append(0)
+                end.append(none)
+            node = row[node]
+        end[node] = k
+    fail = [0] * len(end)
+    order = [0]  # every node, breadth first; grows while it is walked
+    for node in order:
+        if end[node] < inner and (goto[0][node] or goto[1][node]):
+            inner = end[node]
+        for row in goto:
+            child = row[node]
+            if not child:
+                row[node] = row[fail[node]]
+                continue
+            fail[child] = f = row[fail[node]] if node else 0
+            if end[f] < inner:
+                inner = end[f]
+            order.append(child)
+    states = [node for node in order if end[node] == none]
+    outer = (big for big in words[inner + 1:] if words[inner] in big)  # read on failure only
+    return goto, states, None if inner == none else (words[inner], next(outer))
 
 
 WordsLike = Union[AvoidSet, Iterable[str]]
@@ -139,20 +174,22 @@ def as_words(S: WordsLike) -> tuple[str, ...]:
     return ws
 
 
-def ensure_factor_free(words: Sequence[str]) -> None:
-    ok, witness = verify_factor_free(words)
-    if not ok:
-        raise NotFactorFreeError(*witness)
-
-
-def checked_words(S: WordsLike) -> tuple[str, ...]:
+def checked_trie(S: WordsLike) -> tuple[tuple[str, ...], tuple[list[int], list[int]], list[int]]:
     """The word-set rule of every enumeration route: `as_words`, no empty
-    word, and no word a factor of another.  The empty set passes."""
+    word, and no word a factor of another; the empty set passes.  Returns
+    the words, and the goto lists and the states of `aho_corasick`."""
     words = as_words(S)
     if "" in words:
         raise ValueError("the empty word cannot be avoided")
-    ensure_factor_free(words)
-    return words
+    goto, states, witness = aho_corasick(words)
+    if witness:
+        raise NotFactorFreeError(*witness)
+    return words, goto, states
+
+
+def checked_words(S: WordsLike) -> tuple[str, ...]:
+    """The words of S under the rule of `checked_trie`."""
+    return checked_trie(S)[0]
 
 
 def read_word_file(path: str | os.PathLike) -> tuple[str, ...]:

@@ -139,7 +139,13 @@ def _series_json(series: Series) -> list[list[list]]:
 
 
 def _progress_printer(label: str):
+    last = 0
+
     def hook(done: int, total: int) -> None:
+        nonlocal last
+        if done < last:  # only weight_gf restarts, at its next packing
+            print(f"{label}: packing failed its proof, retrying", file=sys.stderr)
+        last = done
         if total and (done % max(1, total // 20) == 0 or done == total):
             print(f"{label}: {done}/{total}", file=sys.stderr)
 

@@ -58,6 +58,13 @@ def test_automaton_rejects_bad_sets():
         build_automaton([""])
     with pytest.raises(NotFactorFreeError):
         build_automaton(["12", "121"])
+    # One set breaking every rule: a letter outside {1, 2} is refused
+    # first, then the empty word, then a word inside another.
+    with pytest.raises(ValueError, match="letters outside"):
+        build_automaton(["", "13", "12", "121"])
+    with pytest.raises(ValueError, match="empty word") as refusal:
+        build_automaton(["", "12", "121"])
+    assert type(refusal.value) is ValueError
 
 
 def test_live_state_count_is_trie_minus_terminals():
@@ -373,6 +380,10 @@ def _walk_letters(auto, word):
 @example(("111", "222"), "12" * 50 + "1")  # 101 letters, none dead
 @example(("111", "222"), "12" * 40 + "111" + "2")  # dies at letter 83, inside a chunk
 @example(("11",), "2" * 31 + "11")  # the factor straddles the first two chunks
+# One 32-letter chunk read twice: from the start it survives and ends after
+# a 1, from there its first letter dies.  A memo keyed by the chunk alone
+# would accept.
+@example(("11",), ("1" + "2" * 30 + "1") * 2)
 def test_chunked_accepts_matches_the_letter_walk(S, word):
     auto = build_automaton(S)
     assert auto.accepts(word) == _walk_letters(auto, word)

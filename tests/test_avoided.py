@@ -12,7 +12,7 @@ from kolafreq import (
     swap_letters,
     verify_factor_free,
 )
-from kolafreq.avoided import as_words, ensure_factor_free, read_word_file
+from kolafreq.avoided import as_words, checked_words, read_word_file
 from kolafreq.verification import words_for_depth
 
 runs_strategy = st.lists(st.integers(1, 3), min_size=1, max_size=7)
@@ -72,7 +72,7 @@ def test_level_two():
     }
 
 
-@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("d", range(1, 11))
 def test_counts_and_factor_freeness(d):
     s = avoided_set(d)
     assert len(s) == 2 ** (d + 1) - 2
@@ -162,9 +162,21 @@ def test_factor_free_check_of_avoided_sets():
         assert verify_factor_free(words + (inner,)) == _pairwise_factor_free(words + (inner,))
 
 
-def test_ensure_factor_free_raises_with_witness():
+@pytest.mark.parametrize("words,witness", [
+    (["12", "121"], ("12", "121")),  # a prefix: the end of 12 has a child
+    (["21", "121"], ("21", "121")),  # a suffix: the failure link of 121 lands on 21
+    (["22", "1221"], ("22", "1221")),  # strictly inside: 122 fails to 22
+    (["121", "12", "121", "2"], ("2", "12")),  # duplicates, and 2 before 12
+    (["111", "222", "111"], None),
+    ([], None),
+])
+def test_factor_free_check_finds_each_kind_of_inner_word(words, witness):
+    assert verify_factor_free(words) == (witness is None, witness) == _pairwise_factor_free(words)
+
+
+def test_checked_words_raises_with_witness():
     with pytest.raises(NotFactorFreeError) as exc:
-        ensure_factor_free(["12", "121"])
+        checked_words(["121", "12"])
     assert exc.value.witness == ("12", "121")
 
 

@@ -4,7 +4,7 @@ from unittest import mock
 
 import pytest
 
-from kolafreq import automaton, avoided_set
+from kolafreq import automaton, avoided_set, cli
 from kolafreq.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -92,6 +92,27 @@ def test_gf_progress_goes_to_stderr_from_30_words(capsys, tmp_path):
         assert all(line.startswith("gf: ") and line.endswith("/30") for line in lines)
         code, out, err = run(capsys, command, "--words", str(s3), *flags)
         assert code == EXIT_OK and json.loads(out) and err == ""
+
+
+def test_gf_progress_says_when_the_count_restarts(capsys, tmp_path):
+    # weight_gf counts its elimination steps from 1 again when a packing
+    # fails its identity proof; a stand-in feeds the hook such a count.
+    many = tmp_path / "many.txt"
+    many.write_text("".join(w + "\n" for w in map("".join, itertools.product("12", repeat=5))
+                            if len(set(w)) == 2), encoding="utf-8")
+    real = cli.weight_gf
+
+    def restarting(words, progress=None):
+        for done in (1, 2, 3, 1, 2, 3):
+            progress(done, 3)
+        return real(words)
+
+    code, out, _ = run(capsys, "gf", "--words", str(many), "--json")
+    with mock.patch.object(cli, "weight_gf", restarting):
+        restarted = run(capsys, "gf", "--words", str(many), "--json")
+    counts = ["gf: 1/3", "gf: 2/3", "gf: 3/3"]
+    assert restarted == (code, out, "\n".join(
+        counts + ["gf: packing failed its proof, retrying"] + counts) + "\n")
 
 
 def test_quasifit_command(capsys, s1_file):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,12 +70,23 @@ def _two_pointer_prefix(n: int, first: int) -> str:
 def test_prefix_matches_two_pointer_loop(first):
     reference = _two_pointer_prefix(200_001, first)
     small = range(301)
-    # Lengths around multiples of the 8-run chunk and around each growth
-    # round (the expansion grows by about 3/2 per round from 64 letters).
+    # Lengths around the 64-letter seed, around the letter where the first
+    # 32k runs end (the memo expands chunks of 32 runs, and 32k runs fill
+    # 32k letters plus one per 2 among the first 32k), and around each
+    # growth round (the expansion grows by about 3/2 per round from 64).
+    classical = reference[first == 1:]
+    chunk_ends = {32 * k + classical[:32 * k].count("2") for k in (1, 2, 3, 5, 247, 1000, 4100)}
     rounds = {int(64 * 1.5**k) for k in range(17)}
-    near = {m + j for m in rounds | {8 * 7919, 8 * 25_000} for j in range(-9, 10)}
+    near = {m + j for m in chunk_ends | rounds for j in range(-9, 10)}
     for n in sorted(set(small) | {n for n in near if 0 <= n <= 200_001}):
         assert kolakoski_prefix(n, first) == reference[:n], n
+
+
+def test_ten_million_letter_prefix_is_pinned():
+    word = kolakoski_prefix(10**7)
+    digest = hashlib.sha256(word.encode("ascii")).hexdigest()
+    assert digest == "1e71092955c7181c45ef31db55b4d7b6b09bad3bdf838073ed9bde9b721f9b41"
+    assert word.count("1") == 5_000_046
 
 
 def test_rejects_bad_arguments():
