@@ -139,6 +139,7 @@ def _series_json(series: Series) -> list[list[list]]:
 
 
 def _progress_printer(label: str):
+    """A progress hook printing about 20 lines per count, the last step included."""
     last = 0
 
     def hook(done: int, total: int) -> None:
@@ -146,7 +147,7 @@ def _progress_printer(label: str):
         if done < last:  # only weight_gf restarts, at its next packing
             print(f"{label}: packing failed its proof, retrying", file=sys.stderr)
         last = done
-        if total and (done % max(1, total // 20) == 0 or done == total):
+        if total and (done % -(-total // 20) == 0 or done == total):
             print(f"{label}: {done}/{total}", file=sys.stderr)
 
     return hook

@@ -160,8 +160,10 @@ def _exact_div(a, b):
 # integers (one signed digit per x1-exponent).  Packing is evaluation at
 # x1 = 2^width, a ring homomorphism, so multiplying a slice by a monomial
 # x1^a x2^b is a left shift by width * a (x2 is implied by the degree).
-# Only the language slices p_n are decoded, and their coefficients are at
-# most 2^n, so N + 2 bits rounded up to whole bytes are always sufficient.
+# Width 0 is evaluation at x1 = 1, so the same steps on small integers give
+# the word counts c_n = p_n(1, 1).  Every coefficient of p_n is a count of
+# words, so it lies in [0, c_n]: one spare bit over max(c_n), rounded up to
+# whole bytes, holds every signed digit that is decoded.
 
 
 def weight_series(
@@ -185,11 +187,45 @@ def weight_series(
     every product is a monomial times a slice: one step is a shift-add per
     word, per overlap length and per (prefix, word) membership, and no
     multiplication.
+
+    The steps run twice: first at x1 = 1 for the word counts c_n, then
+    packed at the narrowest whole-byte width with a sign bit above max(c_n),
+    as the coefficients of p_n are nonnegative and sum to c_n.  A digit that
+    spilled into the next would change the sum of the decoded slice, so
+    each must sum to c_n, or ArithmeticError is raised.  `progress(n, terms)`
+    is called once per degree of the packed pass; `should_cancel()` is
+    polled once per degree of both passes.
     """
     if terms < 0:
         raise ValueError("terms must be >= 0")
     words = checked_words(S)
-    width = (terms + 9) // 8 * 8
+    counts = _packed_slices(words, terms, 0, None, should_cancel)
+    width = _digit_width(counts)
+    packed = _packed_slices(words, terms, width, progress, should_cancel)
+    series = Series(tuple(
+        tuple(unpack_signed(packed[n], n + 1, width)) for n in range(terms + 1)
+    ))
+    for n, (row, count) in enumerate(zip(series.slices, counts)):
+        if sum(row) != count:
+            raise ArithmeticError(
+                f"slice {n} sums to {sum(row)} at width {width}, not to its {count} words")
+    series.validate_counting()
+    return series
+
+
+def _digit_width(counts: list[int]) -> int:
+    """Whole bytes holding every digit in [0, max(counts)] with a sign bit."""
+    return (max(counts).bit_length() + 8) // 8 * 8
+
+
+def _packed_slices(
+    words: tuple[str, ...],
+    terms: int,
+    width: int,
+    progress: Progress,
+    should_cancel: Cancel,
+) -> list:
+    """p_0..p_terms evaluated at x1 = 2^width, by the steps of `weight_series`."""
     # The overlap prefixes x = v[:L], each with the words u it sums into R_x.
     members: dict[str, set[int]] = {}
     for v in words:
@@ -233,11 +269,7 @@ def weight_series(
         packed.append(acc)
         if progress is not None:
             progress(n, terms)
-    series = Series(tuple(
-        tuple(unpack_signed(packed[n], n + 1, width)) for n in range(terms + 1)
-    ))
-    series.validate_counting()
-    return series
+    return packed
 
 
 def series_from_gf(

@@ -76,12 +76,18 @@ def test_bounds_command(capsys, s1_file):
     assert data["epsilon"] == "1/6" and data["n"] == 3
 
 
-def test_gf_progress_goes_to_stderr_from_30_words(capsys, tmp_path):
-    # The 30 words of length 5 other than 11111 and 22222 solve in
-    # milliseconds; S_3 (14 words) stays silent.
-    many = tmp_path / "many.txt"
-    many.write_text("".join(w + "\n" for w in map("".join, itertools.product("12", repeat=5))
+@pytest.fixture
+def many(tmp_path):
+    """The 30 words of length 5 other than 11111 and 22222: a set as large
+    as S_4 whose closed form solves in milliseconds."""
+    path = tmp_path / "many.txt"
+    path.write_text("".join(w + "\n" for w in map("".join, itertools.product("12", repeat=5))
                             if len(set(w)) == 2), encoding="utf-8")
+    return path
+
+
+def test_gf_progress_goes_to_stderr_from_30_words(capsys, tmp_path, many):
+    # S_3 (14 words) stays silent.
     s3 = tmp_path / "s3.txt"
     s3.write_text("".join(w + "\n" for w in avoided_set(3).words), encoding="utf-8")
     for command, flags in (("gf", ["--json"]), ("bounds", ["--gf", "--json"])):
@@ -94,12 +100,9 @@ def test_gf_progress_goes_to_stderr_from_30_words(capsys, tmp_path):
         assert code == EXIT_OK and json.loads(out) and err == ""
 
 
-def test_gf_progress_says_when_the_count_restarts(capsys, tmp_path):
+def test_gf_progress_says_when_the_count_restarts(capsys, many):
     # weight_gf counts its elimination steps from 1 again when a packing
     # fails its identity proof; a stand-in feeds the hook such a count.
-    many = tmp_path / "many.txt"
-    many.write_text("".join(w + "\n" for w in map("".join, itertools.product("12", repeat=5))
-                            if len(set(w)) == 2), encoding="utf-8")
     real = cli.weight_gf
 
     def restarting(words, progress=None):
@@ -113,6 +116,20 @@ def test_gf_progress_says_when_the_count_restarts(capsys, tmp_path):
     counts = ["gf: 1/3", "gf: 2/3", "gf: 3/3"]
     assert restarted == (code, out, "\n".join(
         counts + ["gf: packing failed its proof, retrying"] + counts) + "\n")
+
+
+def test_progress_prints_at_most_21_lines_per_count(capsys, many):
+    # A stride of total // 20 is 1 below 40 steps, which printed all 30
+    # steps of the 30-word set.
+    code, out, err = run(capsys, "gf", "--words", str(many), "--json")
+    assert code == EXIT_OK and json.loads(out)
+    assert 0 < len(err.splitlines()) <= 21 and err.splitlines()[-1] == "gf: 30/30"
+    for total in (1, 7, 19, 20, 21, 30, 39, 40, 41, 250, 800):
+        hook = cli._progress_printer("series")
+        for done in range(1, total + 1):
+            hook(done, total)
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) <= 21 and lines[-1] == f"series: {total}/{total}", total
 
 
 def test_quasifit_command(capsys, s1_file):

@@ -118,6 +118,28 @@ def test_series_matches_counting_dp_at_depth_4():
     assert weight_series(S, 300) == weight_poly_dp(S, 300)
 
 
+def test_series_width_comes_from_the_word_counts():
+    # The empty set counts 2^n words; {1, 22} admits no word past length 1,
+    # so its width comes from c_0 = 1.  Their slices are checked against
+    # the counting DP in test_series_matches_counting_dp_on_random_sets.
+    counts = cluster._packed_slices((), 40, 0, None, None)
+    assert counts == [2**n for n in range(41)] and cluster._digit_width(counts) == 48
+    counts = cluster._packed_slices(("1", "22"), 40, 0, None, None)
+    assert counts == [1, 1] + [0] * 39 and cluster._digit_width(counts) == 8
+
+
+def test_packed_series_refuses_a_width_below_its_counts(monkeypatch):
+    # S_1's coefficients reach 137 bits at N = 200 and its counts 140, so
+    # the proven width is 144; at 136 bits digits spill into their
+    # neighbours, and the count check refuses the decode.
+    real = cluster._digit_width
+    monkeypatch.setattr(cluster, "_digit_width", lambda counts: real(counts) - 8)
+    with pytest.raises(ArithmeticError, match="at width 136, not to its"):
+        weight_series(avoided_set(1), 200)
+    monkeypatch.setattr(cluster, "_digit_width", real)
+    assert weight_series(avoided_set(1), 200) == weight_poly_dp(avoided_set(1), 200)
+
+
 def test_series_validates_counting_invariants():
     weight_series(avoided_set(3), 40).validate_counting()
 
@@ -231,6 +253,14 @@ factor_free_sets = st.lists(
 @example(("112", "22121"))  # a real common factor, reduced symbolically
 def test_packed_gf_matches_dict_bareiss(S):
     assert weight_gf(S) == _dict_bareiss_gf(S)
+
+
+@settings(max_examples=200, deadline=None)
+@given(factor_free_sets, st.integers(min_value=0, max_value=40))
+@example((), 40)
+@example(("1", "22"), 40)
+def test_series_matches_counting_dp_on_random_sets(S, N):
+    assert weight_series(S, N) == weight_poly_dp(S, N)
 
 
 def _spy_widths(monkeypatch, corrupt=lambda calls: False) -> list[int]:
