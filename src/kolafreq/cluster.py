@@ -163,7 +163,10 @@ def _exact_div(a, b):
 # Width 0 is evaluation at x1 = 1, so the same steps on small integers give
 # the word counts c_n = p_n(1, 1).  Every coefficient of p_n is a count of
 # words, so it lies in [0, c_n]: one spare bit over max(c_n), rounded up to
-# whole bytes, holds every signed digit that is decoded.
+# whole bytes, holds every signed digit that is decoded.  The nonzero digits
+# of p_n and of the R_x slices of degree n lie in a narrow band (x1-exponents
+# 115-135 of 251 for S_4 at n = 250), so each is kept divided by x1^base_n,
+# the lowest power they share: a step costs about the band, not n digits.
 
 
 def weight_series(
@@ -194,21 +197,26 @@ def weight_series(
     spilled into the next would change the sum of the decoded slice, so
     each must sum to c_n, or ArithmeticError is raised.  `progress(n, terms)`
     is called once per degree of the packed pass; `should_cancel()` is
-    polled once per degree of both passes.
+    polled once per degree of both passes.  The packed pass keeps the
+    slices of degree n divided by the largest power of x1 they share, and
+    only the digits above it are decoded.
     """
     if terms < 0:
         raise ValueError("terms must be >= 0")
     words = checked_words(S)
     counts = _packed_slices(words, terms, 0, None, should_cancel)
     width = _digit_width(counts)
-    packed = _packed_slices(words, terms, width, progress, should_cancel)
-    series = Series(tuple(
-        tuple(unpack_signed(packed[n], n + 1, width)) for n in range(terms + 1)
-    ))
-    for n, (row, count) in enumerate(zip(series.slices, counts)):
+    bases: list[int] = []
+    packed = _packed_slices(words, terms, width, progress, should_cancel, bases)
+    rows = []
+    for n, (x, lo, count) in enumerate(zip(packed, bases, counts)):
+        row = [0] * lo + unpack_signed(x, min(n + 1 - lo, x.bit_length() // width + 2), width)
+        row += [0] * (n + 1 - len(row))
         if sum(row) != count:
             raise ArithmeticError(
                 f"slice {n} sums to {sum(row)} at width {width}, not to its {count} words")
+        rows.append(tuple(row))
+    series = Series(tuple(rows))
     series.validate_counting()
     return series
 
@@ -224,8 +232,11 @@ def _packed_slices(
     width: int,
     progress: Progress,
     should_cancel: Cancel,
+    bases: Optional[list[int]] = None,
 ) -> list:
-    """p_0..p_terms evaluated at x1 = 2^width, by the steps of `weight_series`."""
+    """p_0..p_terms evaluated at x1 = 2^width, by the steps of `weight_series`.
+
+    Slice n is returned divided by x1^bases[n], which `bases` receives."""
     # The overlap prefixes x = v[:L], each with the words u it sums into R_x.
     members: dict[str, set[int]] = {}
     for v in words:
@@ -250,23 +261,40 @@ def _packed_slices(
     history = [[zero] * ring for _ in sums]
     q = [zero] * len(words)
     packed = [mpz(1)]
+    base = bases if bases is not None else []
+    base.append(0)
     for n in range(1, terms + 1):
         if should_cancel is not None and should_cancel():
             raise ComputationCancelled(f"cancelled at degree {n} of {terms}")
-        prev = packed[n - 1]
+        # The step works at the lowest base it reads, degrees n - 1 back to
+        # n - max|v|; off[k] lifts a value of degree n - k to it.
+        window = base[-1:-ring - 2:-1]
+        b = min(window)
+        off = [0] + [width * (m - b) for m in window]
+        prev = packed[n - 1] << off[1]
         acc = prev + (prev << width)
         for iv, (length, shift, tails) in enumerate(equations):
             if n < length:
                 continue
-            qv = -(packed[n - length] << shift)
+            qv = -(packed[n - length] << shift + off[length])
             for ix, tail_len, tail_shift in tails:
-                qv -= history[ix][(n - tail_len) % ring] << tail_shift
+                qv -= history[ix][(n - tail_len) % ring] << tail_shift + off[tail_len]
             q[iv] = qv
             acc += qv
         slot = n % ring
+        z = acc
         for ix, us in enumerate(sums):
-            history[ix][slot] = sum(q[iu] for iu in us)
+            history[ix][slot] = r = sum(map(q.__getitem__, us))
+            z |= r
+        # The zero digits below the lowest nonzero digit of p_n and of every
+        # R_x,n are dropped: a right shift by them is exact.
+        t = ((z & -z).bit_length() - 1) // width if width and z else 0
+        if t:
+            acc >>= t * width
+            for h in history:
+                h[slot] >>= t * width
         packed.append(acc)
+        base.append(b + t)
         if progress is not None:
             progress(n, terms)
     return packed

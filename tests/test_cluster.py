@@ -128,6 +128,17 @@ def test_series_width_comes_from_the_word_counts():
     assert counts == [1, 1] + [0] * 39 and cluster._digit_width(counts) == 8
 
 
+def test_packed_series_keeps_only_the_band_of_nonzero_digits():
+    # S_4's slices of degree 250 have nonzero digits only at x1-exponents
+    # 115-135; kept whole, p_250 would reach 134 digits of 64 bits.
+    words = avoided_set(4).words
+    assert cluster._digit_width(cluster._packed_slices(words, 250, 0, None, None)) == 64
+    bases: list[int] = []
+    packed = cluster._packed_slices(words, 250, 64, None, None, bases)
+    assert bases[250] == 115
+    assert max(x.bit_length() for x in packed) <= 40 * 64
+
+
 def test_packed_series_refuses_a_width_below_its_counts(monkeypatch):
     # S_1's coefficients reach 137 bits at N = 200 and its counts 140, so
     # the proven width is 144; at 136 bits digits spill into their
