@@ -61,6 +61,7 @@ from .quasipoly import (
     successive_maxima,
 )
 from .words import (
+    kolakoski_pieces,
     kolakoski_prefix,
     run_lengths,
     swap_letters,
@@ -94,6 +95,7 @@ __all__ = [
     "degree_profile",
     "enumerate_brute",
     "expand",
+    "kolakoski_pieces",
     "kolakoski_prefix",
     "maxratio",
     "minratio",

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import groupby, zip_longest
 from operator import itemgetter, sub
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 from .avoided import WordsLike, as_words, checked_trie, checked_words
 from .polynomials import Series, WeightPoly, mpz, unpack_signed
@@ -73,20 +73,26 @@ class AvoidanceAutomaton:
     def n_states(self) -> int:
         return len(self.on_one)
 
-    def accepts(self, word: str) -> bool:
+    def accepts(self, word: str | Iterable[str]) -> bool:
         """True iff the word contains none of the tracked factors.
 
-        The word is walked in chunks of `_ACCEPT_CHUNK` letters through a
-        memo kept for this call, one dict per state from a chunk to the
-        state after it: a long word repeats few (state, chunk) pairs (4 909
-        for the 10^7-letter Kolakoski prefix through S_6), so most chunks
-        cost two lookups."""
+        A `str` is cut into chunks of `_ACCEPT_CHUNK` letters; any other
+        iterable is of chunks already, such as `kolakoski_pieces`.  The walk
+        goes through a memo kept for this call, one dict per state from a
+        chunk to the state after it: a long word repeats few (state, chunk)
+        pairs (3 028 for the 10^7 Kolakoski letters in their pieces through
+        S_6), so most chunks cost two lookups.  A letter other than 1 or 2
+        raises ValueError when its chunk is first walked."""
+        chunks = word if not isinstance(word, str) else (
+            word[i:i + _ACCEPT_CHUNK] for i in range(0, len(word), _ACCEPT_CHUNK))
         memo: defaultdict[int, dict[str, int]] = defaultdict(dict)
         state = self.start
-        for i in range(0, len(word), _ACCEPT_CHUNK):
-            chunk, after = word[i:i + _ACCEPT_CHUNK], memo[state]
+        for chunk in chunks:
+            after = memo[state]
             nxt = after.get(chunk)
             if nxt is None:  # a new pair: walk its letters until one dies
+                if chunk.strip("12"):
+                    raise ValueError(f"letter {chunk.strip('12')[0]!r} is neither 1 nor 2")
                 nxt = state
                 for ch in chunk:
                     nxt = (self.on_one if ch == "1" else self.on_two)[nxt]

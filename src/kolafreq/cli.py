@@ -13,6 +13,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Sequence
 
 from .automaton import DegreeProfile, EmptyLanguageError, degree_profile
@@ -22,7 +23,7 @@ from .cluster import weight_gf, weight_series
 from .polynomials import RationalGF, Series, format_terms
 from .quasipoly import certified_fit, semi_rigorous_bound, successive_maxima
 from .verification import DEFAULT_TABLE_TERMS, run_checks, words_for_depth
-from .words import kolakoski_prefix, swap_closed
+from .words import kolakoski_pieces, swap_closed
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -154,7 +155,10 @@ def _progress_printer(label: str):
 
 
 def cmd_kolakoski(args) -> int:
-    print(kolakoski_prefix(args.n, args.first))
+    pieces = kolakoski_pieces(args.n, args.first)
+    for batch in iter(lambda: "".join(islice(pieces, 4096)), ""):  # ~200 000 letters
+        sys.stdout.write(batch)
+    print()
     return EXIT_OK
 
 

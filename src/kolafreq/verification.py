@@ -27,7 +27,7 @@ from .bounds import HALF, best_bound, bound_from_denominator, minratio
 from .cluster import series_from_gf, weight_gf, weight_series
 from .polynomials import WeightPoly
 from .quasipoly import certified_fit, semi_rigorous_bound, successive_maxima
-from .words import kolakoski_prefix, swap_closed
+from .words import kolakoski_pieces, swap_closed
 
 # -- frozen reference values --------------------------------------------------
 # Exponent keys are (ones, twos); the t-exponent is their sum.
@@ -275,8 +275,8 @@ def check_properties() -> tuple[bool, str]:
             return False, f"S_{d} not factor-free: {witness}"
         if not swap_closed(words):
             return False, f"S_{d} is not closed under swapping the letters"
-    prefix = kolakoski_prefix(10**7, 2)
-    if not build_automaton(words_for_depth(6)).accepts(prefix):
+    if not build_automaton(words_for_depth(6)).accepts(kolakoski_pieces(10**7)):
+        prefix = "".join(kolakoski_pieces(10**7))
         bad = [w for w in words_for_depth(6) if w in prefix]
         return False, f"avoided words found in the 10^7 prefix: {bad[:3]}"
     for d in (1, 2, 3):

@@ -9,7 +9,7 @@ or, equivalently, `kolafreq verify --level full`.
 import time
 from fractions import Fraction
 
-from kolafreq import avoided_set, weight_series
+from kolafreq import avoided_set, kolakoski_pieces, verification, weight_series
 from kolafreq.verification import (
     check_d6_anomaly,
     check_gf_s1,
@@ -71,6 +71,33 @@ def test_depth6_anomaly_at_62():
 
 def test_structural_property_suite():
     _run("properties", check_properties, budget_seconds=300.0)
+
+
+def test_properties_walks_ten_million_letters_of_pieces(monkeypatch):
+    letters = []
+
+    def counted(n, first_letter=2):
+        for piece in kolakoski_pieces(n, first_letter):
+            letters.append(len(piece))
+            yield piece
+
+    monkeypatch.setattr(verification, "kolakoski_pieces", counted)
+    assert verification.check_properties()[0]
+    assert sum(letters) == 10**7
+
+
+def test_properties_names_an_avoided_word_in_the_prefix(monkeypatch):
+    word, calls = verification.words_for_depth(6)[-1], []
+
+    def doctored(n, first_letter=2):
+        calls.append(n)
+        yield word
+
+    monkeypatch.setattr(verification, "kolakoski_pieces", doctored)
+    ok, detail = verification.check_properties()
+    assert not ok
+    assert detail == f"avoided words found in the 10^7 prefix: {[word]}"
+    assert calls == [10**7, 10**7]  # the walk, then the rebuild that names it
 
 
 def test_headline_bound_reproduced_exactly():

@@ -18,6 +18,7 @@ from kolafreq import (
     build_automaton,
     degree_profile,
     enumerate_brute,
+    kolakoski_pieces,
     kolakoski_prefix,
     series_from_gf,
     weight_gf,
@@ -397,6 +398,32 @@ def test_chunked_accepts_on_a_long_prefix():
     for cut in (32 * 70, 32 * 70 - 1, 32 * 70 + 5, len(prefix) - 2):
         word = prefix[:cut] + "222" + prefix[cut:]
         assert auto.accepts(word) is _walk_letters(auto, word) is False
+
+
+@settings(max_examples=100, deadline=None)
+@given(factor_free_sets, st.lists(st.text(alphabet="12", max_size=40), max_size=10))
+@example(("1221",), ["2212", "2112"])  # the factor straddles the two pieces
+@example(("11",), ["1" + "2" * 30 + "1"] * 2)  # one piece read from two states
+# The Kolakoski pieces of 400 letters: the first 1221211212212 starts at
+# letter 96 and straddles the seed piece and the next; the first
+# 11211212212211211 starts at letter 485, past n, so the pieces avoid it.
+@example(("1221211212212",), tuple(kolakoski_pieces(400)))
+@example(("11211212212211211",), tuple(kolakoski_pieces(400)))
+def test_accepts_pieces_as_the_joined_word(S, pieces):
+    auto = build_automaton(S)
+    word = "".join(pieces)
+    assert auto.accepts(iter(pieces)) == auto.accepts(word) == (not contains_any_factor(word, S))
+
+
+@pytest.mark.parametrize("word,letter", [
+    ("13", "3"),
+    ("1x1", "x"),
+    ("12" * 20 + "0", "0"),  # in the second chunk
+    (["12", "12", "1 2"], " "),  # in a piece
+])
+def test_accepts_refuses_letters_other_than_1_and_2(word, letter):
+    with pytest.raises(ValueError, match=repr(letter)):
+        build_automaton(["11", "22"]).accepts(word)
 
 
 def _karp_min_cycle_mean(auto):

@@ -1,10 +1,12 @@
+import io
 import itertools
 import json
+import sys
 from unittest import mock
 
 import pytest
 
-from kolafreq import automaton, avoided_set, cli
+from kolafreq import automaton, avoided_set, cli, kolakoski_prefix
 from kolafreq.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -30,6 +32,24 @@ def test_kolakoski_command(capsys):
     code, out, _ = run(capsys, "kolakoski", "--n", "20", "--first", "2")
     assert code == EXIT_OK
     assert out.strip() == "22112122122112112212"
+
+
+@pytest.mark.parametrize("n", [0, 1, 64, 65, 97, 98, 400_000])
+@pytest.mark.parametrize("first", [1, 2])
+def test_kolakoski_command_streams_the_prefix(monkeypatch, n, first):
+    sizes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            sizes.append(len(text))
+            return super().write(text)
+
+    out = Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["kolakoski", "--n", str(n), "--first", str(first)]) == EXIT_OK
+    assert out.getvalue() == kolakoski_prefix(n, first) + "\n"
+    # Joined batches of pieces, about 200 000 letters each, never the whole word.
+    assert max(sizes) <= 4096 * 64 and len(sizes) > n // (4096 * 64)
 
 
 def test_avoided_command(capsys):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kolafreq import (
+    kolakoski_pieces,
     kolakoski_prefix,
     run_lengths,
     swap_letters,
@@ -82,11 +83,35 @@ def test_prefix_matches_two_pointer_loop(first):
         assert kolakoski_prefix(n, first) == reference[:n], n
 
 
+@pytest.mark.parametrize("first", [1, 2])
+def test_pieces_match_two_pointer_loop_at_their_cuts(first):
+    reference = _two_pointer_prefix(760_000, first)
+    # The seed piece ends at letter 97.  At n = 337 the cut falls where the
+    # last piece made starts, and at 577 and 3 023 the last batch overshoots
+    # n by its last piece and part of the one before.  With n past them,
+    # batches of 4 096 chunks start at letters 559 859 and 756 467.
+    cuts = {97, 337, 577, 3023, 559_859, 756_467}
+    for n in sorted({m + j for m in cuts for j in range(-3, 4)}):
+        assert "".join(kolakoski_pieces(n, first)) == reference[:n], n
+
+
+PINNED_10M = "1e71092955c7181c45ef31db55b4d7b6b09bad3bdf838073ed9bde9b721f9b41"
+
+
 def test_ten_million_letter_prefix_is_pinned():
     word = kolakoski_prefix(10**7)
-    digest = hashlib.sha256(word.encode("ascii")).hexdigest()
-    assert digest == "1e71092955c7181c45ef31db55b4d7b6b09bad3bdf838073ed9bde9b721f9b41"
+    assert hashlib.sha256(word.encode("ascii")).hexdigest() == PINNED_10M
     assert word.count("1") == 5_000_046
+
+
+def test_ten_million_letters_streamed_piece_by_piece_are_pinned():
+    digest, distinct = hashlib.sha256(), set()
+    for piece in kolakoski_pieces(10**7):
+        digest.update(piece.encode("ascii"))
+        distinct.add(piece)
+    assert digest.hexdigest() == PINNED_10M
+    # The seed, the 782 chunk expansions of the memo, and the piece cut at n.
+    assert len(distinct) == 784
 
 
 def test_rejects_bad_arguments():
