@@ -10,104 +10,54 @@ profile off a series (`DegreeProfile.from_series`), turn the results into
 exact rational bounds (`bound_from_denominator`, `best_bound`), and sharpen
 them with the eventual quasi-polynomial structure that the certificate
 proves (`certified_fit`, `semi_rigorous_bound`).
+
+Submodules load on first use: `import kolafreq` imports none of them, and
+the first read of a public name imports only the submodule that defines it
+(a PEP 562 module `__getattr__`), so a command compiles only what it runs.
 """
 
-from .automaton import (
-    AvoidanceAutomaton,
-    DegreeProfile,
-    EmptyLanguageError,
-    TooLargeError,
-    build_automaton,
-    degree_profile,
-    enumerate_brute,
-    weight_poly_dp,
-)
-from .avoided import (
-    AvoidSet,
-    CollisionError,
-    NotFactorFreeError,
-    avoided_set,
-    expand,
-    read_word_file,
-    verify_factor_free,
-)
-from .bounds import (
-    Bound,
-    DegenerateDenominatorError,
-    best_bound,
-    bound_from_denominator,
-    bound_from_term,
-    maxratio,
-    minratio,
-)
-from .cluster import (
-    ComputationCancelled,
-    overlap_suffix_lengths,
-    series_from_gf,
-    weight_gf,
-    weight_series,
-)
-from .polynomials import (
-    InexactDivisionError,
-    RationalGF,
-    Series,
-    WeightPoly,
-)
-from .quasipoly import (
-    MaximaReport,
-    QuasiPolyFit,
-    certified_fit,
-    semi_rigorous_bound,
-    successive_maxima,
-)
-from .words import (
-    kolakoski_pieces,
-    kolakoski_prefix,
-    run_lengths,
-    swap_letters,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AvoidSet",
-    "AvoidanceAutomaton",
-    "Bound",
-    "CollisionError",
-    "ComputationCancelled",
-    "DegenerateDenominatorError",
-    "DegreeProfile",
-    "EmptyLanguageError",
-    "InexactDivisionError",
-    "MaximaReport",
-    "NotFactorFreeError",
-    "QuasiPolyFit",
-    "RationalGF",
-    "Series",
-    "TooLargeError",
-    "WeightPoly",
-    "avoided_set",
-    "best_bound",
-    "bound_from_denominator",
-    "bound_from_term",
-    "build_automaton",
-    "certified_fit",
-    "degree_profile",
-    "enumerate_brute",
-    "expand",
-    "kolakoski_pieces",
-    "kolakoski_prefix",
-    "maxratio",
-    "minratio",
-    "overlap_suffix_lengths",
-    "read_word_file",
-    "run_lengths",
-    "semi_rigorous_bound",
-    "series_from_gf",
-    "successive_maxima",
-    "swap_letters",
-    "verify_factor_free",
-    "weight_gf",
-    "weight_poly_dp",
-    "weight_series",
-]
+# Home submodule -> the public names it defines.
+_EXPORTS = {
+    "automaton": (
+        "AvoidanceAutomaton", "DegreeProfile", "TooLargeError", "build_automaton",
+        "degree_profile", "enumerate_brute", "weight_poly_dp",
+    ),
+    "avoided": (
+        "AvoidSet", "CollisionError", "EmptyLanguageError", "NotFactorFreeError",
+        "avoided_set", "expand", "read_word_file", "verify_factor_free",
+    ),
+    "bounds": (
+        "Bound", "DegenerateDenominatorError", "best_bound", "bound_from_denominator",
+        "bound_from_term", "maxratio", "minratio",
+    ),
+    "cluster": (
+        "ComputationCancelled", "overlap_suffix_lengths", "series_from_gf", "weight_gf",
+        "weight_series",
+    ),
+    "polynomials": ("InexactDivisionError", "RationalGF", "Series", "WeightPoly"),
+    "quasipoly": (
+        "MaximaReport", "QuasiPolyFit", "certified_fit", "semi_rigorous_bound",
+        "successive_maxima",
+    ),
+    "words": ("kolakoski_pieces", "kolakoski_prefix", "run_lengths", "swap_letters"),
+}
+_HOMES = {name: home for home, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    """Import the home submodule of a public name and cache the name here."""
+    home = _HOMES.get(name)
+    if home is None:  # `hasattr` and `from kolafreq import <submodule>` rely on this
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{home}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -41,7 +41,7 @@ from itertools import groupby, zip_longest
 from operator import itemgetter, sub
 from typing import Callable, ClassVar, Iterable, Sequence
 
-from .avoided import WordsLike, as_words, checked_trie, checked_words
+from .avoided import EmptyLanguageError, WordsLike, as_words, checked_trie, checked_words
 from .polynomials import Series, WeightPoly, mpz, unpack_signed
 from .words import swap_closed, swap_letters
 
@@ -54,10 +54,6 @@ _BRUTE_FORCE_CHUNK = 1 << 14
 
 class TooLargeError(ValueError):
     """Brute-force enumeration refused for oversized lengths."""
-
-
-class EmptyLanguageError(RuntimeError):
-    """No word of the requested length avoids the factor set."""
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,10 @@ class CollisionError(RuntimeError):
     """Two distinct expansions produced the same word."""
 
 
+class EmptyLanguageError(RuntimeError):
+    """No word of the requested length avoids the factor set."""
+
+
 class NotFactorFreeError(ValueError):
     """A word of the set occurs inside another word of the set."""
 

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar
+from typing import TYPE_CHECKING, ClassVar
 
-from .automaton import DegreeProfile
-from .polynomials import RationalGF, WeightPoly
+if TYPE_CHECKING:
+    from .automaton import DegreeProfile
+    from .polynomials import RationalGF, WeightPoly
 
 HALF = Fraction(1, 2)
 

@@ -4,26 +4,23 @@ Subcommands: kolakoski, avoided, gf, series, profile, bounds, quasifit,
 report, verify.  Results go to standard output, progress to standard error.
 Exit codes: 0 success, 1 verification failure, 2 usage error or malformed
 input.
+
+Each command imports what it runs at the top of its body, so a command
+compiles and executes only the modules on its path.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import islice
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .automaton import DegreeProfile, EmptyLanguageError, degree_profile
-from .avoided import CollisionError, avoided_set, checked_words, read_word_file
-from .bounds import best_bound, bound_from_denominator, decimal
-from .cluster import weight_gf, weight_series
-from .polynomials import RationalGF, Series, format_terms
-from .quasipoly import certified_fit, semi_rigorous_bound, successive_maxima
-from .verification import DEFAULT_TABLE_TERMS, run_checks, words_for_depth
-from .words import kolakoski_pieces, swap_closed
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .automaton import DegreeProfile
+    from .polynomials import RationalGF, Series
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -155,6 +152,10 @@ def _progress_printer(label: str):
 
 
 def cmd_kolakoski(args) -> int:
+    from itertools import islice
+
+    from .words import kolakoski_pieces
+
     pieces = kolakoski_pieces(args.n, args.first)
     for batch in iter(lambda: "".join(islice(pieces, 4096)), ""):  # ~200 000 letters
         sys.stdout.write(batch)
@@ -163,6 +164,8 @@ def cmd_kolakoski(args) -> int:
 
 
 def cmd_avoided(args) -> int:
+    from .avoided import avoided_set
+
     for word in avoided_set(args.d).words:
         print(word)
     return EXIT_OK
@@ -170,10 +173,17 @@ def cmd_avoided(args) -> int:
 
 def _gf(words) -> RationalGF:
     """weight_gf, with progress on stderr for sets of 30 words (S_4) or more."""
+    from .cluster import weight_gf
+
     return weight_gf(words, progress=_progress_printer("gf") if len(words) >= 30 else None)
 
 
 def cmd_gf(args) -> int:
+    import json
+
+    from .avoided import read_word_file
+    from .polynomials import format_terms
+
     gf = _gf(read_word_file(args.words))
     if args.json:
         print(json.dumps(
@@ -186,6 +196,11 @@ def cmd_gf(args) -> int:
 
 
 def cmd_series(args) -> int:
+    import json
+
+    from .avoided import read_word_file
+    from .cluster import weight_series
+
     series = weight_series(
         read_word_file(args.words), args.terms,
         progress=_progress_printer("series") if args.terms >= 200 else None,
@@ -199,6 +214,8 @@ def cmd_series(args) -> int:
 
 
 def _print_profile(profile: DegreeProfile, as_json: bool, as_csv: bool) -> None:
+    import json
+
     if as_json:
         print(json.dumps({
             "N": profile.N,
@@ -215,14 +232,24 @@ def _print_profile(profile: DegreeProfile, as_json: bool, as_csv: bool) -> None:
 
 
 def cmd_profile(args) -> int:
+    from .automaton import degree_profile
+    from .avoided import read_word_file
+
     profile = degree_profile(read_word_file(args.words), args.terms)
     _print_profile(profile, args.json, args.csv)
     return EXIT_OK
 
 
 def cmd_bounds(args) -> int:
+    import json
+
+    from .avoided import read_word_file
+    from .bounds import best_bound, bound_from_denominator, decimal
+
     words = read_word_file(args.words)
     if args.profile_terms is not None:
+        from .automaton import degree_profile
+
         n, bound = best_bound(degree_profile(words, args.profile_terms))
         extra = {"n": n}
     else:
@@ -246,6 +273,13 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_quasifit(args) -> int:
+    import json
+
+    from .automaton import degree_profile
+    from .avoided import checked_words, read_word_file
+    from .quasipoly import certified_fit, semi_rigorous_bound, successive_maxima
+    from .words import swap_closed
+
     words = checked_words(read_word_file(args.words))
     if not swap_closed(words):  # refused before any kernel run
         raise ValueError("the set is not closed under swapping the letters")
@@ -269,8 +303,16 @@ def cmd_quasifit(args) -> int:
 
 
 def cmd_report(args) -> int:
+    import json
+
+    from .automaton import DegreeProfile, degree_profile
+    from .avoided import avoided_set
+    from .bounds import best_bound, decimal
+
     depths = _parse_depths(args.d)
     if args.terms is None:
+        from .verification import DEFAULT_TABLE_TERMS
+
         terms = [DEFAULT_TABLE_TERMS.get(d, 200) for d in depths]
     else:
         requested = [int(x) for x in str(args.terms).split(",")]
@@ -281,11 +323,13 @@ def cmd_report(args) -> int:
             raise ValueError("--terms must be >= 0")
     rows = []
     for d, N in zip(depths, terms):
-        words = words_for_depth(d)
+        words = avoided_set(d).words
         try:
             if args.backend == "automaton":
                 profile = degree_profile(words, N)
             else:
+                from .cluster import weight_series
+
                 series = weight_series(
                     words, N, progress=_progress_printer(f"series d={d}"))
                 profile = DegreeProfile.from_series(words, series)
@@ -315,6 +359,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verification import run_checks
+
     results = run_checks(args.level)
     failed = [r for r in results if not r.ok]
     for r in results:
@@ -344,6 +390,8 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    from .avoided import CollisionError, EmptyLanguageError
+
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, EmptyLanguageError, CollisionError) as exc:

@@ -6,7 +6,7 @@ from unittest import mock
 
 import pytest
 
-from kolafreq import automaton, avoided_set, cli, kolakoski_prefix
+from kolafreq import automaton, avoided_set, cli, cluster, kolakoski_prefix
 from kolafreq.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -123,7 +123,7 @@ def test_gf_progress_goes_to_stderr_from_30_words(capsys, tmp_path, many):
 def test_gf_progress_says_when_the_count_restarts(capsys, many):
     # weight_gf counts its elimination steps from 1 again when a packing
     # fails its identity proof; a stand-in feeds the hook such a count.
-    real = cli.weight_gf
+    real = cluster.weight_gf
 
     def restarting(words, progress=None):
         for done in (1, 2, 3, 1, 2, 3):
@@ -131,7 +131,7 @@ def test_gf_progress_says_when_the_count_restarts(capsys, many):
         return real(words)
 
     code, out, _ = run(capsys, "gf", "--words", str(many), "--json")
-    with mock.patch.object(cli, "weight_gf", restarting):
+    with mock.patch.object(cluster, "weight_gf", restarting):
         restarted = run(capsys, "gf", "--words", str(many), "--json")
     counts = ["gf: 1/3", "gf: 2/3", "gf: 3/3"]
     assert restarted == (code, out, "\n".join(
@@ -202,6 +202,19 @@ def test_quasifit_refuses_a_set_that_is_not_swap_closed_before_any_kernel_run(
     assert kernel.call_count == 0
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", [
+    ("profile", "--terms", "10"),
+    ("bounds", "--profile-terms", "10"),
+])
+def test_empty_language_is_a_usage_error(capsys, tmp_path, command):
+    # {1, 2} leaves no word of length 1, so the profile has no row to fill.
+    words_path = tmp_path / "words.txt"
+    words_path.write_text("1\n2\n", encoding="utf-8")
+    code, out, err = run(capsys, command[0], "--words", str(words_path), *command[1:])
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: no word of length 1 avoids the set\n"
 
 
 def test_report_default_table(capsys):
