@@ -17,22 +17,23 @@ the first read of a public name imports only the submodule that defines it
 """
 
 from importlib import import_module
+from operator import attrgetter
 
 __version__ = "0.1.0"
 
 # Home submodule -> the public names it defines.
 _EXPORTS = {
     "automaton": (
-        "AvoidanceAutomaton", "DegreeProfile", "TooLargeError", "build_automaton",
-        "degree_profile", "enumerate_brute", "weight_poly_dp",
+        "AvoidanceAutomaton", "TooLargeError", "build_automaton", "degree_profile",
+        "enumerate_brute", "weight_poly_dp",
     ),
     "avoided": (
         "AvoidSet", "CollisionError", "EmptyLanguageError", "NotFactorFreeError",
         "avoided_set", "expand", "read_word_file", "verify_factor_free",
     ),
     "bounds": (
-        "Bound", "DegenerateDenominatorError", "best_bound", "bound_from_denominator",
-        "bound_from_term", "maxratio", "minratio",
+        "Bound", "DegenerateDenominatorError", "DegreeProfile", "best_bound",
+        "bound_from_denominator", "bound_from_term", "maxratio", "minratio",
     ),
     "cluster": (
         "ComputationCancelled", "overlap_suffix_lengths", "series_from_gf", "weight_gf",
@@ -61,3 +62,35 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(__all__))
+
+
+def record(cls=None, /, *, uncompared=(), unshown=()):
+    """Class decorator: the methods `dataclasses.dataclass(frozen=True)` writes,
+    as closures, so no command imports `dataclasses`.  The fields are the
+    annotations not spelled `ClassVar[...]`, with class attributes as their
+    defaults; equality and hash skip `uncompared`, the repr `unshown`."""
+    if cls is None:
+        return lambda cls: record(cls, uncompared=uncompared, unshown=unshown)
+    names = tuple(n for n, kind in cls.__annotations__.items() if not kind.startswith("ClassVar"))
+    defaults = {n: vars(cls)[n] for n in names if n in vars(cls)}
+    post_init = getattr(cls, "__post_init__", lambda self: None)
+    key = attrgetter(*(n for n in names if n not in uncompared))
+
+    def __init__(self, *args, **kwargs):
+        got = {**defaults, **dict(zip(names, args)), **kwargs}
+        if len(args) > len(names) or got.keys() != set(names) or kwargs.keys() & names[:len(args)]:
+            raise TypeError(f"{cls.__name__} takes the fields {', '.join(names)}")
+        for n in names:
+            object.__setattr__(self, n, got[n])
+        post_init(self)
+
+    def refuse(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {cls.__name__}")
+
+    cls.__init__, cls.__setattr__, cls.__delattr__ = __init__, refuse, refuse
+    cls.__eq__ = lambda self, other: (
+        key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented)
+    cls.__hash__ = lambda self: hash(key(self))
+    cls.__repr__ = lambda self: "{}({})".format(cls.__qualname__, ", ".join(
+        f"{n}={getattr(self, n)!r}" for n in names if n not in unshown))
+    return cls

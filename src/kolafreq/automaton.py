@@ -35,13 +35,14 @@ exactly the words containing no avoided factor.  On top of it sit:
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import groupby, zip_longest
 from operator import itemgetter, sub
 from typing import Callable, ClassVar, Iterable, Sequence
 
+from . import record
 from .avoided import EmptyLanguageError, WordsLike, as_words, checked_trie, checked_words
+from .bounds import DegreeProfile
 from .polynomials import Series, WeightPoly, mpz, unpack_signed
 from .words import swap_closed, swap_letters
 
@@ -56,7 +57,7 @@ class TooLargeError(ValueError):
     """Brute-force enumeration refused for oversized lengths."""
 
 
-@dataclass(frozen=True)
+@record
 class AvoidanceAutomaton:
     """Complete DFA over {1, 2} whose live paths avoid every tracked factor."""
 
@@ -114,52 +115,6 @@ def build_automaton(S: WordsLike) -> AvoidanceAutomaton:
         state[node] = i
     on_one, on_two = (tuple(state[row[node]] for node in states) for row in goto)
     return AvoidanceAutomaton(words, on_one, on_two)
-
-
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Per-length extremes of the ones-count over words avoiding a factor set.
-
-    `certificate` is the min-plus kernel's (onset, period, slope) with
-    min_ones[n + period] = min_ones[n] + slope for every n >= onset, or None
-    when the kernel found no repeat within N steps or the profile was read
-    off a series.  It takes no part in equality: it is how the profile was
-    proven, not what it is.
-    """
-
-    words: tuple[str, ...]
-    N: int
-    min_ones: tuple[int, ...]
-    max_ones: tuple[int, ...]
-    certificate: tuple[int, int, int] | None = field(default=None, compare=False)
-
-    @classmethod
-    def from_series(cls, S: WordsLike, series: Series) -> "DegreeProfile":
-        """Read the extremes off the nonzero coefficients of each series slice."""
-        mins, maxs = [], []
-        for n in range(series.order + 1):
-            lo, hi = series.min_ones(n), series.max_ones(n)
-            if lo is None or hi is None:
-                raise EmptyLanguageError(f"no word of length {n} avoids the set")
-            mins.append(lo)
-            maxs.append(hi)
-        return cls(as_words(S), series.order, tuple(mins), tuple(maxs))
-
-    def check_invariants(self) -> None:
-        """Raise AssertionError unless the extremes form a valid profile.
-
-        A prefix of a surviving word survives, so min-ones never falls and
-        max-ones rises by at most 1; min-ones can rise by more ({112, 21,
-        222} gives 0, 0, 0, 1, 4), and max-ones can fall.
-        """
-        for n in range(self.N + 1):
-            if not 0 <= self.min_ones[n] <= self.max_ones[n] <= n:
-                raise AssertionError(f"extremes out of range at n={n}")
-        for n in range(self.N):
-            if self.min_ones[n + 1] < self.min_ones[n]:
-                raise AssertionError(f"min-ones falls at n={n}")
-            if self.max_ones[n + 1] > self.max_ones[n] + 1:
-                raise AssertionError(f"max-ones jump at n={n}")
 
 
 # A digest hit at step n0 is confirmed by replaying at most this many steps

@@ -10,8 +10,9 @@ the previous level, and levels 1..d together form a factor-free set of
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence, Union
+
+from . import record
 
 
 class CollisionError(RuntimeError):
@@ -62,13 +63,13 @@ def expand(runs: Sequence[int] | str, start: int | str) -> str:
     return word
 
 
-@dataclass
+@record(unshown=("levels",))
 class AvoidSet:
     """Avoided words from tree levels 1..depth, sorted by (length, lex)."""
 
     depth: int
     words: tuple[str, ...]
-    levels: Mapping[int, frozenset[str]] = field(repr=False)
+    levels: Mapping[int, frozenset[str]]
 
     def __len__(self) -> int:
         return len(self.words)

@@ -3,21 +3,22 @@
 Every bound has the two-sided form |freq - 1/2| <= epsilon and is valid
 conditional on the limiting frequency existing; that caveat travels with
 every rendered bound.  A bound comes from one series term
-(`bound_from_term`, searched by `best_bound`) or from the denominator 1 - D
-of a closed form, whose monomials' extreme ones-ratios `minratio` and
-`maxratio` read straight off D.  All arithmetic is exact (fractions of
-integers); decimal renderings are display-only.
+(`bound_from_term`, searched by `best_bound` over a `DegreeProfile`) or
+from the denominator 1 - D of a closed form, whose monomials' extreme
+ones-ratios `minratio` and `maxratio` read straight off D.  All arithmetic
+is exact (fractions of integers); decimal renderings are display-only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, ClassVar
 
+from . import record
+from .avoided import EmptyLanguageError, WordsLike, as_words
+
 if TYPE_CHECKING:
-    from .automaton import DegreeProfile
-    from .polynomials import RationalGF, WeightPoly
+    from .polynomials import RationalGF, Series, WeightPoly
 
 HALF = Fraction(1, 2)
 
@@ -47,7 +48,7 @@ def maxratio(poly: WeightPoly) -> Fraction:
     return max(_ratios(poly))
 
 
-@dataclass(frozen=True)
+@record
 class Bound:
     """Two-sided bound |freq - 1/2| <= epsilon; every route proves it, so `rigor` is fixed."""
 
@@ -100,6 +101,52 @@ def bound_from_denominator(gf: RationalGF) -> Bound:
         raise DegenerateDenominatorError("denominator is 1; no monomials to bound with")
     eps = max(HALF - minratio(d), maxratio(d) - HALF)
     return Bound(eps, provenance="denominator")
+
+
+@record(uncompared=("certificate",))
+class DegreeProfile:
+    """Per-length extremes of the ones-count over words avoiding a factor set.
+
+    `certificate` is the min-plus kernel's (onset, period, slope) with
+    min_ones[n + period] = min_ones[n] + slope for every n >= onset, or None
+    when the kernel found no repeat within N steps or the profile was read
+    off a series.  It takes no part in equality: it is how the profile was
+    proven, not what it is.
+    """
+
+    words: tuple[str, ...]
+    N: int
+    min_ones: tuple[int, ...]
+    max_ones: tuple[int, ...]
+    certificate: tuple[int, int, int] | None = None
+
+    @classmethod
+    def from_series(cls, S: WordsLike, series: Series) -> "DegreeProfile":
+        """Read the extremes off the nonzero coefficients of each series slice."""
+        mins, maxs = [], []
+        for n in range(series.order + 1):
+            lo, hi = series.min_ones(n), series.max_ones(n)
+            if lo is None or hi is None:
+                raise EmptyLanguageError(f"no word of length {n} avoids the set")
+            mins.append(lo)
+            maxs.append(hi)
+        return cls(as_words(S), series.order, tuple(mins), tuple(maxs))
+
+    def check_invariants(self) -> None:
+        """Raise AssertionError unless the extremes form a valid profile.
+
+        A prefix of a surviving word survives, so min-ones never falls and
+        max-ones rises by at most 1; min-ones can rise by more ({112, 21,
+        222} gives 0, 0, 0, 1, 4), and max-ones can fall.
+        """
+        for n in range(self.N + 1):
+            if not 0 <= self.min_ones[n] <= self.max_ones[n] <= n:
+                raise AssertionError(f"extremes out of range at n={n}")
+        for n in range(self.N):
+            if self.min_ones[n + 1] < self.min_ones[n]:
+                raise AssertionError(f"min-ones falls at n={n}")
+            if self.max_ones[n + 1] > self.max_ones[n] + 1:
+                raise AssertionError(f"max-ones jump at n={n}")
 
 
 def best_bound(profile: DegreeProfile) -> tuple[int, Bound]:

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
+
+from . import record
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
-    from .automaton import DegreeProfile
+    from .bounds import DegreeProfile
     from .polynomials import RationalGF, Series
 
 EXIT_OK = 0
@@ -27,7 +28,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
 
-@dataclass(frozen=True)
+@record
 class ReportRow:
     """One depth of the results table."""
 
@@ -305,9 +306,8 @@ def cmd_quasifit(args) -> int:
 def cmd_report(args) -> int:
     import json
 
-    from .automaton import DegreeProfile, degree_profile
     from .avoided import avoided_set
-    from .bounds import best_bound, decimal
+    from .bounds import DegreeProfile, best_bound, decimal
 
     depths = _parse_depths(args.d)
     if args.terms is None:
@@ -326,6 +326,8 @@ def cmd_report(args) -> int:
         words = avoided_set(d).words
         try:
             if args.backend == "automaton":
+                from .automaton import degree_profile
+
                 profile = degree_profile(words, N)
             else:
                 from .cluster import weight_series

@@ -74,14 +74,15 @@ def weight_gf(
     A y == det * rhs with det != 0: A is the identity modulo (x1, x2), so
     C = y / det whether or not det is the true determinant.  The decode is
     right once w holds every coefficient and D exceeds every x1-degree; a
-    wrong one fails the proof and the next of `_attempts` runs.  D is first
-    guessed at the narrowest width; the last attempts double w at the
-    a-priori D = 1 + the sum of the rows' largest x1-degrees, which exceeds
-    the x1-degree of every minor, up to the first whole byte past the l1
-    bound prod_i sum_j |M_ij|_1 on the coefficients of the minors, where
-    decoding is exact; a failure there raises ArithmeticError.
-    `progress(k, m)` and `should_cancel()` are called once per elimination
-    step of every attempt.
+    wrong one fails the proof and the next of `_attempts` runs.  The first
+    is at the narrowest width and the D read off det and y at 32 bits per
+    x1-degree by a probe, one elimination at x1 = 2^32, x2 = -2, where every
+    pivot is odd.  The rest double w at the a-priori D = 1 + the sum of the
+    rows' largest x1-degrees, which exceeds the x1-degree of every minor, up
+    to the first whole byte past the l1 bound prod_i sum_j |M_ij|_1 on the
+    coefficients of the minors, where decoding is exact; a failure there
+    raises ArithmeticError.  `progress(k, m)` is called once per elimination
+    step of every attempt, `should_cancel()` of the probe too.
     """
     words = checked_words(S)
     one, letters = WeightPoly.one(), WeightPoly.letter_sum()
@@ -99,7 +100,11 @@ def weight_gf(
     for row in M:
         l1 *= sum(abs(c) for p in row for c in p.terms.values())
     widest = (l1.bit_length() + 8) // 8 * 8
-    for width, D in _attempts(a_priori, widest):
+    probe = [[sum(mpz(c) * (-2) ** b << 32 * a for (a, b), c in p.terms.items()) for p in row]
+             for row in M]
+    guess = 1 + max((abs(x).bit_length() - 1) // 32
+                    for x in _bareiss_solve(probe, None, should_cancel))
+    for width, D in _attempts(min(guess, a_priori), a_priori, widest):
         packed = [[sum(mpz(c) << width * (a + D * b) for (a, b), c in p.terms.items())
                    for p in row] for row in M]
         det, *y = (  # no nonzero signed digit of x lies past bit_length // width + 1
@@ -112,19 +117,13 @@ def weight_gf(
     raise ArithmeticError(f"cluster system unsolved at the proven width {widest}")
 
 
-def _attempts(a_priori: int, widest: int):
-    """(width, D) of each packed elimination: D from a_priori // 4 up by
-    about 3/2 below a_priori at the narrowest width, then the width doubled
-    at D = a_priori up to widest.  The last attempt is (widest, a_priori)."""
-    D = max(1, a_priori // 4)
-    while D < a_priori:
-        yield _START_WIDTH, D
-        D += (D + 1) // 2
-    width = _START_WIDTH
-    while width < widest:
-        yield width, a_priori
-        width *= 2
-    yield widest, a_priori
+def _attempts(guess: int, a_priori: int, widest: int) -> list[tuple[int, int]]:
+    """(width, D) of each packed elimination, each pair once: the narrowest
+    width at the probe's guess of D, then the width doubled at D = a_priori
+    up to widest.  The last attempt is (widest, a_priori)."""
+    doubling = [(_START_WIDTH << k, a_priori) for k in range(widest.bit_length())
+                if _START_WIDTH << k < widest]
+    return list(dict.fromkeys([(_START_WIDTH, guess), *doubling, (widest, a_priori)]))
 
 
 def _bareiss_solve(M: list[list], progress: Progress, should_cancel: Cancel) -> list:

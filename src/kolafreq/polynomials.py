@@ -8,9 +8,10 @@ integers; nothing in this module touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Mapping, Sequence
+
+from . import record
 
 try:
     from gmpy2 import mpz  # GMP-backed integers speed up the packed kernels
@@ -286,7 +287,7 @@ def unpack_signed(packed, count: int, width: int) -> list[int]:
 # -- truncated series --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Series:
     """Truncated weight series: slices[n][a] is the coefficient of x1^a x2^(n-a) t^n."""
 
@@ -328,7 +329,7 @@ class Series:
 # -- rational generating functions -------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class RationalGF:
     """Quotient of weight polynomials, denominator normalized to constant term 1."""
 

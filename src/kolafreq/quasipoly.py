@@ -9,16 +9,15 @@ a rigorous bound.  The successive maxima of m_n / n follow in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .automaton import DegreeProfile
-from .bounds import HALF, Bound
+from . import record
+from .bounds import HALF, Bound, DegreeProfile
 from .words import swap_closed
 
 
-@dataclass(frozen=True)
+@record
 class QuasiPolyFit:
     """Eventual fit m_n = slope * floor(n / modulus) + constants[n mod modulus]."""
 
@@ -66,7 +65,7 @@ def certified_fit(profile: DegreeProfile) -> QuasiPolyFit:
     return QuasiPolyFit(modulus, slope, constants, onset, profile.certificate)
 
 
-@dataclass(frozen=True)
+@record
 class MaximaReport:
     """Successive maxima of m_n / n and their eventual closed form.
 

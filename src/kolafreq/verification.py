@@ -9,21 +9,14 @@ mere mismatch, so a failed run can name its witness.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .automaton import (
-    DegreeProfile,
-    EmptyLanguageError,
-    build_automaton,
-    degree_profile,
-    enumerate_brute,
-    weight_poly_dp,
-)
-from .avoided import avoided_set, verify_factor_free
-from .bounds import HALF, best_bound, bound_from_denominator, minratio
+from . import record
+from .automaton import build_automaton, degree_profile, enumerate_brute, weight_poly_dp
+from .avoided import EmptyLanguageError, avoided_set, verify_factor_free
+from .bounds import HALF, DegreeProfile, best_bound, bound_from_denominator, minratio
 from .cluster import series_from_gf, weight_gf, weight_series
 from .polynomials import WeightPoly
 from .quasipoly import certified_fit, semi_rigorous_bound, successive_maxima
@@ -126,7 +119,7 @@ def profile_for_depth(d: int, N: int):
 CheckFn = Callable[[], tuple[bool, str]]
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
     name: str
     ok: bool

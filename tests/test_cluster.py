@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -196,11 +197,15 @@ def test_progress_and_cancellation_hooks():
         series_from_gf(weight_gf(avoided_set(1)), 6, should_cancel=lambda: True)
     seen.clear()
     weight_gf(avoided_set(1), progress=lambda k, total: seen.append((k, total)))
-    # One call per elimination step of each of S_1's four attempts (D = 1, 2, 3, 4).
-    assert seen == [(1, 2), (2, 2)] * 4
+    # One call per elimination step of S_1's one attempt, at the probe's D = 4;
+    # the probe itself reports no progress.
+    assert seen == [(1, 2), (2, 2)]
     calls = []
-    with pytest.raises(ComputationCancelled, match="step 3 of 6"):
+    with pytest.raises(ComputationCancelled, match="step 3 of 6"):  # in the probe
         weight_gf(avoided_set(2), should_cancel=lambda: calls.append(1) or len(calls) > 2)
+    calls.clear()
+    with pytest.raises(ComputationCancelled, match="step 1 of 6"):  # in the first attempt
+        weight_gf(avoided_set(2), should_cancel=lambda: calls.append(1) or len(calls) > 6)
 
 
 def test_gf_s2_minratio_matches_s1():
@@ -318,8 +323,8 @@ def _spy_attempts(monkeypatch) -> list[tuple[int, int]]:
     seen: list[tuple[int, int]] = []
     real = cluster._attempts
 
-    def spy(a_priori, widest):
-        for attempt in real(a_priori, widest):
+    def spy(guess, a_priori, widest):
+        for attempt in real(guess, a_priori, widest):
             seen.append(attempt)
             yield attempt
 
@@ -333,7 +338,8 @@ def test_packed_gf_retries_after_a_corrupted_decode(monkeypatch):
     weight_gf(avoided_set(3))
     clean = tried[:]
     tried.clear()
-    # Corrupt det, the first of the 15 decodes of the attempt that solved S_3.
+    # Corrupt det, the first of the 15 decodes of the attempt that solved S_3:
+    # the next attempt, at the a-priori D, solves it.
     first = (len(clean) - 1) * 15 + 1
     _spy_widths(monkeypatch, corrupt=lambda calls: len(calls) == first)
     assert weight_gf(avoided_set(3)) == expected
@@ -349,16 +355,26 @@ def test_packed_gf_raises_when_no_width_passes_the_identity(monkeypatch):
     assert tried[-1] == (24, 15)  # raised after the last attempt
 
 
-def test_packed_gf_attempt_schedule(monkeypatch):
-    for a_priori, widest in [(1, 8), (4, 8), (15, 24), (52, 64), (171, 160), (7, 1000)]:
-        attempts = list(cluster._attempts(a_priori, widest))
-        assert attempts[-1] == (widest, a_priori)
+def test_packed_gf_attempt_schedule():
+    assert cluster._attempts(4, 4, 8) == [(8, 4)]
+    assert cluster._attempts(24, 52, 64) == [(8, 24), (8, 52), (16, 52), (32, 52), (64, 52)]
+    assert cluster._attempts(63, 171, 160) == [
+        (8, 63), (8, 171), (16, 171), (32, 171), (64, 171), (128, 171), (160, 171)]
+    for guess, a_priori, widest in [(1, 1, 8), (2, 4, 8), (9, 15, 24), (7, 7, 1000)]:
+        attempts = cluster._attempts(guess, a_priori, widest)
+        assert attempts[0] == (8, guess) and attempts[-1] == (widest, a_priori)
         assert all(D <= a_priori and width <= widest for width, D in attempts)
         assert len(set(attempts)) == len(attempts)
-    s1_schedule = list(cluster._attempts(4, 8))
+
+
+# The 30 words of length 5 other than 11111 and 22222: their closed form has
+# x1-degree 5, where a probe at x2 = 1 reads 2.
+MANY = tuple(w for w in map("".join, itertools.product("12", repeat=5)) if len(set(w)) == 2)
+
+
+@pytest.mark.parametrize("S", [avoided_set(d).words for d in (1, 2, 3, 4)] + [MANY],
+                         ids=["S1", "S2", "S3", "S4", "many"])
+def test_packed_gf_solves_at_the_first_elimination(monkeypatch, S):
     tried = _spy_attempts(monkeypatch)
-    weight_gf(avoided_set(1))  # its answer has x1-degree 3, so it needs D = 4
-    assert tried == s1_schedule and tried[-1] == (8, 4)
-    tried.clear()
-    assert weight_gf(avoided_set(3)).denominator.terms == REF_S3_DEN
-    assert tried[-1][1] < 52
+    weight_gf(S)  # a result is returned only once the identity proof holds
+    assert len(tried) == 1 and tried[0][0] == 8

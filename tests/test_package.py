@@ -1,5 +1,6 @@
-"""The package namespace loads each submodule on first use, and the CLI loads
-only the modules a command runs."""
+"""The package namespace loads each submodule on first use, the CLI loads
+only the modules a command runs, and the package's records keep the
+constructor, equality and frozenness of the dataclasses they replaced."""
 
 import importlib
 import json
@@ -7,12 +8,13 @@ import os
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import kolafreq
-from kolafreq import automaton, avoided
+from kolafreq import automaton, avoided, bounds
 
 
 @pytest.fixture
@@ -55,13 +57,42 @@ def test_unknown_names_raise_attribute_error(unloaded):
     assert verification.__name__ == "kolafreq.verification"
 
 
+def test_a_frozen_record_refuses_assignment():
+    bound = kolafreq.Bound(Fraction(1, 6), "x")
+    with pytest.raises(AttributeError, match="'epsilon' of a frozen Bound"):
+        bound.epsilon = Fraction(0)
+    with pytest.raises(AttributeError):
+        del bound.provenance
+    assert bound.epsilon == Fraction(1, 6) and bound == kolafreq.Bound(Fraction(1, 6), "x")
+    s1 = kolafreq.avoided_set(1)
+    with pytest.raises(AttributeError, match="'depth' of a frozen AvoidSet"):
+        s1.depth = 2
+    assert repr(s1) == "AvoidSet(depth=1, words=('111', '222'))"  # no levels
+
+
+def test_records_take_their_fields_by_position_or_keyword():
+    from kolafreq.cli import ReportRow
+
+    row = ReportRow(3, 14, 200, "automaton", error="e")
+    assert row == ReportRow(d=3, set_size=14, N=200, backend="automaton", n=None, error="e")
+    assert (row.n, row.epsilon, row.error) == (None, None, "e")
+    for args, kwargs in [((3, 14, 200), {}), ((3, 14, 200, "a", 1, 2, "e", 0), {}),
+                         ((3, 14, 200, "a"), {"d": 3}), ((3, 14, 200, "a"), {"rows": 1})]:
+        with pytest.raises(TypeError, match="takes the fields d, set_size, N, backend"):
+            ReportRow(*args, **kwargs)
+
+
 def test_empty_language_error_is_one_class():
     assert kolafreq.EmptyLanguageError is avoided.EmptyLanguageError
     assert kolafreq.EmptyLanguageError is automaton.EmptyLanguageError
 
 
+def test_degree_profile_lives_in_bounds_and_automaton_reexports_it():
+    assert kolafreq.DegreeProfile is bounds.DegreeProfile is automaton.DegreeProfile
+
+
 # Imports the package in a fresh interpreter and runs the command given, if
-# any; the last line of its output lists the kolafreq modules it loaded.
+# any; the last line of its output lists every module it loaded.
 _LOADED = (
     "import json, sys\n"
     "import kolafreq\n"
@@ -69,7 +100,7 @@ _LOADED = (
     "if sys.argv[1:]:\n"
     "    from kolafreq.cli import main\n"
     "    code = main(sys.argv[1:])\n"
-    "print(json.dumps(sorted(m for m in sys.modules if m.startswith('kolafreq'))))\n"
+    "print(json.dumps(sorted(sys.modules)))\n"
     "sys.exit(code)\n"
 )
 
@@ -83,19 +114,28 @@ def loaded_modules(*argv: str) -> set[str]:
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
+def ours(modules: set[str]) -> set[str]:
+    return {m for m in modules if m.split(".")[0] == "kolafreq"}
+
+
+@pytest.fixture(scope="module")
+def s3_file(tmp_path_factory) -> str:
+    words = tmp_path_factory.mktemp("words") / "s3.txt"
+    words.write_text("\n".join(kolafreq.avoided_set(3).words) + "\n", encoding="utf-8")
+    return str(words)
+
+
 def test_import_loads_no_submodule():
-    assert loaded_modules() == {"kolafreq"}
+    assert ours(loaded_modules()) == {"kolafreq"}
 
 
 def test_avoided_loads_only_the_cli_and_avoided():
-    assert loaded_modules("avoided", "--d", "1") == {
+    assert ours(loaded_modules("avoided", "--d", "1")) == {
         "kolafreq", "kolafreq.cli", "kolafreq.avoided"}
 
 
-def test_bounds_gf_skips_the_automaton_and_the_checks(tmp_path):
-    words = tmp_path / "s3.txt"
-    words.write_text("\n".join(kolafreq.avoided_set(3).words) + "\n", encoding="utf-8")
-    loaded = loaded_modules("bounds", "--words", str(words), "--gf")
+def test_bounds_gf_skips_the_automaton_and_the_checks(s3_file):
+    loaded = loaded_modules("bounds", "--words", s3_file, "--gf")
     assert "kolafreq.cluster" in loaded
     assert not loaded & {"kolafreq.automaton", "kolafreq.quasipoly", "kolafreq.verification"}
 
@@ -104,3 +144,22 @@ def test_report_skips_the_fits_and_the_checks():
     loaded = loaded_modules("report", "--d", "1-2", "--terms", "50")
     assert "kolafreq.automaton" in loaded
     assert not loaded & {"kolafreq.quasipoly", "kolafreq.verification"}
+
+
+def test_gj_series_report_skips_the_automaton():
+    loaded = loaded_modules("report", "--d", "1-2", "--terms", "50", "--backend", "gj-series")
+    assert "kolafreq.cluster" in loaded
+    assert not loaded & {"kolafreq.automaton", "kolafreq.quasipoly", "kolafreq.verification"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("avoided", "--d", "1"),
+    ("report", "--d", "1-2", "--terms", "50"),
+    ("report", "--d", "1-2", "--terms", "50", "--backend", "gj-series"),
+    ("bounds", "--gf"),
+    ("verify", "--level", "quick"),
+], ids=" ".join)
+def test_commands_load_neither_dataclasses_nor_inspect(argv, s3_file):
+    if argv[0] == "bounds":
+        argv = (*argv, "--words", s3_file)
+    assert not loaded_modules(*argv) & {"dataclasses", "inspect"}
