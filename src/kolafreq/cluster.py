@@ -75,10 +75,10 @@ def weight_gf(
     C = y / det whether or not det is the true determinant.  The decode is
     right once w holds every coefficient and D exceeds every x1-degree; a
     wrong one fails the proof and the next of `_attempts` runs.  The first
-    is at the narrowest width and the D read off det and y at 32 bits per
-    x1-degree by a probe, one elimination at x1 = 2^32, x2 = -2, where every
-    pivot is odd.  The rest double w at the a-priori D = 1 + the sum of the
-    rows' largest x1-degrees, which exceeds the x1-degree of every minor, up
+    is at the narrowest width and a D estimated off det and y, 32 bits a
+    degree, by a probe: one elimination at x1 = 2^32, x2 = -2 (every pivot
+    odd).  The rest double w at the a-priori D = 1 + the sum of the rows'
+    largest x1-degrees, which exceeds the x1-degree of every minor, up
     to the first whole byte past the l1 bound prod_i sum_j |M_ij|_1 on the
     coefficients of the minors, where decoding is exact; a failure there
     raises ArithmeticError.  `progress(k, m)` is called once per elimination
