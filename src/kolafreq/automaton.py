@@ -14,17 +14,20 @@ exactly the words containing no avoided factor.  On top of it sit:
   records digests of the normalised vectors, confirms a hit component by
   component against a replay from a sparse checkpoint, stops there and
   extends the profile exactly (`degree_profile`, which keeps the repeat as
-  `DegreeProfile.certificate`).  It
-  steps a vector of one of two step classes.  `_DelayLine` is a `bytes`
-  of one lane per state laid out as delay lines: the 97-99% of states with
-  one incoming edge hang in chains below a few merge states, and a lane
-  holding v - phi (phi the ones along its chain) is a plain copy of the
-  lane above it.  So a step copies a few byte slices and computes only the
-  merge lanes, as an elementwise minimum on big-integer lanes; once the
-  states that no cycle reaches are dead for good, only the live states are
-  stepped.  `_Lists` steps lists of unbounded entries over every state,
-  unpruned on purpose: it takes over a run whose lanes outgrow a byte, and
-  it is the oracle the lanes and the pruning are tested against;
+  `DegreeProfile.certificate`).  Both step classes take one `CoreGraph`,
+  the automaton's predecessors and chains read in one pass and its live
+  states from one Kahn pass.  `_DelayLine` is a `bytes` of one lane per
+  state laid out as delay lines: the 97-99% of states with one incoming
+  edge hang in chains below a few merge states, and a lane holding
+  v - phi (phi the ones along its chain) is a plain copy of the lane above
+  it.  So a step copies a few byte slices and computes only the merge
+  lanes, as an elementwise minimum on big-integer lanes.  The live chains
+  come first in its one layout, so once the states that no cycle reaches
+  are dead for good, a vector is cut to that prefix and only it is
+  stepped, with nothing laid out anew.  `_Lists` steps lists of unbounded
+  entries over every state, unpruned on purpose: it takes over a run whose
+  lanes outgrow a byte, and it is the oracle the lanes and the pruning are
+  tested against;
 - the most ones per length with no second DP: swapping the letters maps
   the words avoiding S onto those avoiding swap(S), so the most ones at
   length n are n minus the fewest ones avoiding swap(S);
@@ -34,17 +37,20 @@ exactly the words containing no avoided factor.  On top of it sit:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from functools import cache
 from itertools import groupby, zip_longest
-from operator import itemgetter, sub
-from typing import Callable, ClassVar, Iterable, Sequence
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, ClassVar, Iterable
 
 from . import record
 from .avoided import EmptyLanguageError, WordsLike, as_words, checked_trie, checked_words
 from .bounds import DegreeProfile
-from .polynomials import Series, WeightPoly, mpz, unpack_signed
 from .words import swap_closed, swap_letters
+
+if TYPE_CHECKING:
+    from .polynomials import Series, WeightPoly
 
 DEAD = -1
 
@@ -117,54 +123,82 @@ def build_automaton(S: WordsLike) -> AvoidanceAutomaton:
     return AvoidanceAutomaton(words, on_one, on_two)
 
 
-# A digest hit at step n0 is confirmed by replaying at most this many steps
-# minus one from the checkpoint at or before n0.
+# A digest hit at step n0 is confirmed by replaying fewer steps than lie
+# between two checkpoints, from the checkpoint at or before n0.  The first
+# are this many steps apart; past _CHECKPOINTS of them every other one goes
+# and the spacing doubles, so a long run keeps a bounded number of vectors.
 _CHECKPOINT_EVERY = 32
+_CHECKPOINTS = 64
 _UNREACHABLE = float("inf")
 # Byte lanes: entry i of a vector is one byte, and _FAR marks an unreachable
 # state.
 _FAR = 255
 
 
-def _predecessors(auto: AvoidanceAutomaton) -> list[list[int]]:
-    """preds[t] lists the edges into t: q for a 2 from q, ns + q for a 1 from q."""
-    ns = auto.n_states
-    preds: list[list[int]] = [[] for _ in range(ns)]
-    for q in range(ns):
-        if auto.on_one[q] != DEAD:
-            preds[auto.on_one[q]].append(ns + q)
-        if auto.on_two[q] != DEAD:
-            preds[auto.on_two[q]].append(q)
-    return preds
+class CoreGraph:
+    """The automaton's edges read once into flat lists, and one Kahn pass.
 
-
-def _gatherer(idx: list[int]) -> Callable:
-    """Items idx of a sequence, as a tuple even when idx has one index."""
-    return itemgetter(*idx) if len(idx) > 1 else (lambda vec, i=idx[0]: (vec[i],))
-
-
-def _live_states(auto: AvoidanceAutomaton, preds: list[list[int]]) -> tuple[list[int], int]:
-    """The states some cycle reaches, and the longest path to any other state.
-
-    A Kahn pass peels the states whose every predecessor is peeled; the rest
-    are reached from a cycle, so words of every large length can end there.
-    A peeled state is reachable at no length past the longest path L* from
-    the start among the peeled states, and some peeled state is reachable at
-    every length up to L*.  Returns (live states, L*), with L* = -1 when
-    nothing is peeled.
+    An edge into a state is q for a 2 from q and n_states + q for a 1 from
+    q.  `pred[t]` is the first edge into t (DEAD for none); `merges` lists
+    the edges into each state of in-degree 2 or more, so the 97-99% of
+    states with one keep no list.  Those hang in chains: `below[q]` is a
+    state of in-degree 1 entered from q (DEAD for none), and `heads` lists
+    the states that are no state's `below`.  The Kahn pass peels the states
+    whose every predecessor is peeled; the rest, `live`, are reached from a
+    cycle.  A peeled state is reachable at no length past the longest path
+    L* among them (`last_transient`, -1 when none is), and some peeled state
+    at every length up to L*.
     """
-    indegree = [len(p) for p in preds]
-    longest = [0] * auto.n_states
-    peeled = [q for q in range(auto.n_states) if not indegree[q]]
-    for q in peeled:  # grows while it is walked
-        for t in (auto.on_one[q], auto.on_two[q]):
-            if t != DEAD:
-                longest[t] = max(longest[t], longest[q] + 1)
-                indegree[t] -= 1
-                if not indegree[t]:
-                    peeled.append(t)
-    live = [q for q in range(auto.n_states) if indegree[q]]
-    return live, max((longest[q] for q in peeled), default=-1)
+
+    def __init__(self, auto: AvoidanceAutomaton):
+        ns = self.n_states = auto.n_states
+        self.start = auto.start
+        pred, below = [DEAD] * ns, [DEAD] * ns
+        merges: dict[int, list[int]] = {}
+        heads = []  # the second successors of one state, when both have in-degree 1
+        for letter, row in ((0, auto.on_two), (ns, auto.on_one)):
+            for q, t in enumerate(row):
+                if t == DEAD:
+                    continue
+                first = pred[t]
+                if first == DEAD:
+                    pred[t] = letter + q
+                    if below[q] == DEAD:
+                        below[q] = t
+                    else:
+                        heads.append(t)
+                elif t in merges:
+                    merges[t].append(letter + q)
+                else:  # t had looked like a chain state
+                    merges[t] = [first, letter + q]
+                    if below[first % ns] == t:
+                        below[first % ns] = DEAD
+        peeled = []  # the states of in-degree 0, then each state once its predecessors are in
+        for _ in range(pred.count(DEAD)):
+            peeled.append(pred.index(DEAD, peeled[-1] + 1 if peeled else 0))
+        self.heads = [*merges, *peeled, *(t for t in heads if t not in merges)]
+        live, count, longest = bytearray(b"\1") * ns, [0] * ns, [0] * ns
+        for q in peeled:  # grows while it is walked
+            live[q] = 0
+            for t in (auto.on_one[q], auto.on_two[q]):
+                if t != DEAD:
+                    if longest[t] <= longest[q]:
+                        longest[t] = longest[q] + 1
+                    count[t] += 1
+                    if t not in merges or count[t] == len(merges[t]):
+                        peeled.append(t)
+        self.live = bytes(live)
+        self.last_transient = max(_gatherer(peeled)(longest), default=-1)
+        self.pred, self.below, self.merges = pred, below, merges
+
+    def edges(self, t: int) -> list[int]:
+        """The edges into state t."""
+        return self.merges.get(t) or ([] if self.pred[t] == DEAD else [self.pred[t]])
+
+
+def _gatherer(idx: list) -> Callable:
+    """Items idx of a sequence, as a tuple even when idx has one index or none."""
+    return itemgetter(*idx) if len(idx) > 1 else lambda vec: tuple(map(vec.__getitem__, idx))
 
 
 class _Overflow(Exception):
@@ -172,39 +206,37 @@ class _Overflow(Exception):
 
 
 class _Lists:
-    """The min-ones step map T on lists of unbounded entries.
+    """The min-ones step map T on lists of unbounded entries, over every state.
 
     Entry pos[t] of a vector is the fewest ones over the words that end in
     state t; unreachable states hold the one object `_UNREACHABLE`, which no
     arithmetic touches, so it stays a distinct marker.  States are grouped
     by the letters on their incoming edges, so T is, group by group, one
     gather per incoming edge (from v + 1 after a 1, from v after a 2) and
-    one elementwise minimum, concatenated.  Every predecessor of a state in
-    `states` must be in `states`: the list route is never pruned, so it is
-    never relaid.
+    one elementwise minimum, concatenated.
     """
 
-    def __init__(self, auto: AvoidanceAutomaton, preds: list[list[int]],
-                 states: Sequence[int]):
-        ns = auto.n_states
+    def __init__(self, graph: CoreGraph):
+        ns = graph.n_states
 
         def letters(t: int) -> tuple[bool, ...]:
-            return tuple(e >= ns for e in preds[t])
+            return tuple(e >= ns for e in graph.edges(t))
 
-        order = sorted(states, key=letters)
-        self.pos = dict(zip(order, range(len(order))))
-        self._no_preds = [_UNREACHABLE] * sum(not preds[t] for t in order)  # these sort first
+        order = sorted(range(ns), key=letters)
+        self.pos = dict(zip(order, range(ns)))
+        self.start_state = graph.start
+        self._no_preds = [_UNREACHABLE] * graph.pred.count(DEAD)  # these sort first
         self._blocks = []  # per group: (reads v + 1, gatherer) per incoming edge
         for pattern, group in groupby(order, key=letters):
             targets = list(group)
             if pattern:
-                self._blocks.append([(one, _gatherer([self.pos[preds[t][j] % ns] for t in targets]))
+                self._blocks.append([(one, _gatherer([self.pos[graph.edges(t)[j] % ns] for t in targets]))
                                      for j, one in enumerate(pattern)])
 
-    def start(self, state: int) -> tuple:
-        """The vector of length 0: the empty word ends in `state`."""
+    def start(self) -> tuple:
+        """The vector of length 0: the empty word ends in the start state."""
         v = [_UNREACHABLE] * len(self.pos)
-        v[self.pos[state]] = 0
+        v[self.pos[self.start_state]] = 0
         return tuple(v)
 
     def advance(self, v: tuple) -> tuple[tuple, int | None]:
@@ -225,153 +257,150 @@ class _Lists:
 class _DelayLine:
     """The min-ones step map T on byte lanes laid out as delay lines.
 
-    A state with one incoming edge (from the stepped `states`) only copies
-    its predecessor's lane, plus one after a 1.  Such states hang in chains
-    below the merge states: those whose in-degree is not 1, the second
-    successor of a state with two in-degree-1 successors, and one state on
-    each cycle of in-degree-1 states.  Lane i holds v - phi + K for the i-th
-    state of `order`, where v is the fewest ones over the words that end
-    there, phi counts the ones on its chain from the merge state and K is
-    the largest phi; _FAR marks an unreachable state.  Then a chain lane is
-    a plain copy of the lane above it.  The lanes run depth by depth, merge
-    states first, with the chains ordered by falling in-degree of their
-    merge state and then by falling length, so a step copies a few byte
-    slices of the old vector and computes only the merge lanes: an
-    elementwise minimum over their incoming edges, each a gather shifted by
-    the phi of its source plus its letter, on 16-bit lanes of big integers.
+    A state with one incoming edge only copies its predecessor's lane, plus
+    one after a 1: it hangs in a chain below a merge state, a head of the
+    `CoreGraph` or one state on each cycle of in-degree-1 states.  Lane i
+    holds v - phi + K, where v is the fewest ones over the words that end
+    in its state, phi counts the ones on its chain from the merge state and
+    K is the largest phi; _FAR marks an unreachable state.  Then a chain
+    lane is a plain copy of the lane above it.  A chain state's only
+    predecessor is the state above it, so every chain is wholly live or
+    wholly peeled, and the live chains make the first block of lanes.  In
+    each block the lanes run depth by depth, merge states first, with the
+    chains ordered by falling in-degree of their merge state (live edges
+    first) and then by falling length, so a step copies a few byte slices
+    of the old vector and computes only the merge lanes: an elementwise
+    minimum over their incoming edges, each a gather shifted by the phi of
+    its source plus its letter, on 16-bit lanes of big integers.
+
+    The one layout serves the whole run: up to step L* every lane is
+    stepped, then `pruned` cuts a vector to the live block and `advance`
+    steps that block alone, its merge lanes over their live edges only.
     Raises `_Overflow` when K exceeds 253 and the bytes cannot hold the
-    lanes, and from `advance` or `relaid` when a lane would reach _FAR.
+    lanes, and from `advance` when a lane would reach _FAR.
     """
 
-    def __init__(self, auto: AvoidanceAutomaton, preds: list[list[int]],
-                 states: Sequence[int]):
-        ns = auto.n_states
-        edges = preds
-        inside = None
-        if len(states) < ns:
-            edges = list(preds)
-            inside = bytearray(ns)
-            for q in states:
-                inside[q] = 1
-        below = [DEAD] * ns  # the chain successor of each state
-        one = bytearray(ns)  # 1 where a chain state is entered by a 1
-        merges = []
-        for t in states:
-            es = edges[t]
-            if len(es) > 1 and inside:  # a predecessor of a one-edge state is inside
-                es = edges[t] = [e for e in es if inside[e % ns]]
-            if len(es) != 1 or below[es[0] % ns] != DEAD:
-                merges.append(t)
-            else:
-                below[es[0] % ns] = t
-                one[t] = es[0] >= ns
-        chains = [_chain(t, below, one) for t in merges]
-        if sum(len(c) for c, _f in chains) < len(states):  # cycles of in-degree-1 states
-            seen = bytearray(ns)
-            for c, _f in chains:
-                for t in c:
-                    seen[t] = 1
-            for t in states:
-                if not seen[t]:
-                    below[edges[t][0] % ns] = DEAD
-                    chains.append(_chain(t, below, one))
-                    for q in chains[-1][0]:
-                        seen[q] = 1
-        chains.sort(key=lambda c: (-len(edges[c[0][0]]), -len(c[0])))
-        K = max(f[-1] for _c, f in chains)
+    def __init__(self, graph: CoreGraph):
+        ns, pred, below, live = graph.n_states, graph.pred, graph.below, graph.live
+        phi = [0] * ns  # per state, the ones on its chain from its merge state
+
+        def walk(h: int) -> list[int]:
+            """The chain from h down `below`."""
+            states, f, t = [h], 0, below[h]
+            while t != DEAD and t != h:
+                f += pred[t] >= ns
+                phi[t] = f
+                states.append(t)
+                t = below[t]
+            return states
+
+        chains = dict(zip(graph.heads, map(walk, graph.heads)))
+        left = set(range(ns)).difference(*chains.values()) if sum(map(len, chains.values())) < ns else ()
+        for t in sorted(left):  # on cycles of in-degree-1 states, each cut above its first
+            if t in left:
+                chains[t] = walk(t)
+                left.difference_update(chains[t])
+        K = max(phi)
         if K > _FAR - 2:  # so a far lane never reads as a rise of 0 or 1
             raise _Overflow
+        edges = {h: sorted(graph.edges(h), key=lambda e: not live[e % ns]) for h in chains}
+        n_live = {h: sum(live[e % ns] for e in es) for h, es in edges.items()}
 
-        levels = list(zip_longest(*[c for c, _f in chains]))
-        order = [t for level in levels for t in level if t is not None]
-        width = len(order)
-        lane = dict(zip(order, range(width)))
-        floor = bytes(K - f for level in zip_longest(*[f for _c, f in chains])
-                      for f in level if f is not None)
-        sources = [lane[q] for above, level in zip(levels, levels[1:])
-                   for q, t in zip(above, level) if t is not None]
-        copies = []  # slices of the old vector that make the chain lanes
-        done = 0
-        for shift, run in groupby(map(sub, sources, range(len(sources)))):
-            size = len(list(run))
-            copies.append(slice(shift + done, shift + done + size))
-            done += size
-        fed = [t for t in order[:len(chains)] if edges[t]]  # the merge lanes with an edge
-        slots = []  # per incoming edge j: the merge lanes with in-degree > j
-        for j in range(len(edges[fed[0]]) if fed else 0):
-            into = [edges[t][j] for t in fed if len(edges[t]) > j]
-            rise = _widen(bytes(K - floor[lane[e % ns]] + (e >= ns) for e in into))
-            slots.append((_gatherer([lane[e % ns] for e in into]), rise,
-                          (1 << 16 * len(into)) - 1, _lanes(len(into), 0x8000)))
+        def group(h: int) -> tuple[bool, int, int]:
+            return not live[h], -n_live[h], -len(edges[h])
 
-        self.order = order
-        self.lane = lane
-        self.width = width
-        self.floor = floor
-        self._floor = int.from_bytes(floor, "little")
-        self._copy = _gatherer(copies) if copies else None
-        self._slots = slots
-        self._fed = len(fed)
-        self._ones = _lanes(len(fed), 1)
-        self._unfed = bytes([_FAR]) * (len(chains) - len(fed))
+        heads = sorted(chains, key=lambda h: (*group(h), -len(chains[h])))
+        split = sum(map(live.__getitem__, heads))  # the live merge states come first
+        order = []  # the state of each lane
+        blocks = []  # per block: its merge states, and the copies that make its chain lanes
+        for merge_states in (heads[:split], heads[split:]):
+            order += [t for level in zip_longest(*map(chains.get, merge_states), fillvalue=DEAD)
+                      for t in level if t != DEAD]  # depth by depth
+            lengths = [[-len(chains[h]) for h in g] for _key, g in groupby(merge_states, group)]
+            lane = len(order) + sum(map(sum, lengths))  # the block's first lane
+            copies: list[list[int]] = []  # [start, stop) of each run of the old vector
+            for depth in range(1, -min(map(min, lengths), default=0)):
+                for g in lengths:  # level depth of a group copies a prefix of level depth - 1
+                    above, alive = bisect_left(g, 1 - depth), bisect_left(g, -depth)
+                    if copies and copies[-1][1] == lane:
+                        copies[-1][1] += alive
+                    elif alive:
+                        copies.append([lane, lane + alive])
+                    lane += above
+            blocks.append((merge_states, _gatherer([slice(*c) for c in copies]), len(order)))
+        self.width = len(order)
+        self.floor = floor = bytes(_gatherer(order)(phi)).translate(bytes(K - x & 255 for x in range(256)))
+        sources = {e % ns for es in edges.values() for e in es} | {graph.start}
+        lane = {t: i for i, t in enumerate(order) if t in sources}
+        self.start_lane = lane[graph.start]
 
-    def start(self, state: int) -> bytes:
-        """The vector of length 0: the empty word ends in `state`."""
+        def step(merge_states: list[int], copy: Callable, live_only: bool) -> tuple:
+            # A block's share of a step.  Slot j gathers edge j of each merge
+            # lane up to the last with more than j; one with fewer repeats its first.
+            fed = [es[:n_live[h]] if live_only else es for h in merge_states if (es := edges[h])]
+            slots = []
+            for j in range(max(map(len, fed), default=0)):
+                k = 1 + max(i for i, es in enumerate(fed) if len(es) > j)
+                into = [es[j] if len(es) > j else es[0] for es in fed[:k]]
+                rise = _widen(bytes(K - floor[lane[e % ns]] + (e >= ns) for e in into))
+                slots.append((_gatherer([lane[e % ns] for e in into]), rise,
+                              (1 << 16 * k) - 1, _lanes(k, 0x8000)))
+            return (slots, len(fed), _lanes(len(fed), 1),
+                    bytes([_FAR]) * (len(merge_states) - len(fed)), copy)
+
+        (live_heads, live_copy, self._live), (peeled_heads, peeled_copy, _) = blocks
+        self._plans = {  # vector length -> (width, floor, blocks)
+            self.width: (self.width, int.from_bytes(floor, "little"),
+                         [step(live_heads, live_copy, False), step(peeled_heads, peeled_copy, False)]),
+            self._live: (self._live, int.from_bytes(floor[:self._live], "little"),
+                         [step(live_heads, live_copy, True)]),
+        }
+
+    def start(self) -> bytes:
+        """The vector of length 0: the empty word ends in the start state."""
         v = bytearray([_FAR]) * self.width
-        v[self.lane[state]] = self.floor[self.lane[state]]
+        v[self.start_lane] = self.floor[self.start_lane]
         return bytes(v)
 
-    def _merge_lanes(self, v: bytes) -> bytes:
-        """The merge lanes of T(v), before normalising.
-
-        Every 16-bit lane stays below 2^15: a reachable one below 2^9 and a
-        far one in [0x40FF, 0x41FF).  So (low | top) - x borrows across no
-        lane and leaves bit 15 set exactly where low >= x.
-        """
-        (get, rise, _low, _top), *rest = self._slots
-        acc = _widen(bytes(get(v))) + rise
-        for get, rise, low, top in rest:  # acc = min(acc, x) on the lanes x covers
-            x = _widen(bytes(get(v))) + rise
-            low &= acc
-            acc ^= (low ^ x) & (((low | top) - x & top) >> 15) * 0xFFFF
-        ones, far = self._ones, (acc >> 14) & self._ones
-        if (acc + ones) >> 8 & ~far & ones:
-            raise _Overflow
-        return (acc | far * 0xFF).to_bytes(2 * self._fed, "little")[::2] + self._unfed
+    def pruned(self, v: bytes) -> bytes:
+        """The live lanes of v, once no peeled state is reachable."""
+        return v[:self._live]
 
     def advance(self, v: bytes) -> tuple[bytes, int | None]:
         """(T(v) - m, m) for m = min(T(v)), or (T(v), None) if no lane is reachable."""
-        merged = self._merge_lanes(v) if self._slots else self._unfed
-        new = b"".join([merged, *self._copy(memoryview(v))]) if self._copy else merged
-        x = (int.from_bytes(new, "little") - self._floor).to_bytes(self.width, "little")
+        width, floor, blocks = self._plans[len(v)]
+        mv = memoryview(v)
+        pieces = []
+        for slots, fed, ones, unfed, copy in blocks:
+            if slots:
+                pieces.append(_merge_lanes(v, slots, fed, ones))
+            pieces.append(unfed)
+            pieces += copy(mv)
+        new = b"".join(pieces)
+        x = (int.from_bytes(new, "little") - floor).to_bytes(width, "little")
         if b"\0" in x:  # the fewest ones rise by 0 or 1, or else by more
             return new, 0
         m = 1 if b"\1" in x else min((a for a, b in zip(x, new) if b != _FAR), default=None)
         return (new, m) if m is None else (new.translate(_shift_table(-m)), m)
 
-    def relaid(self, v: bytes, other: "_DelayLine") -> bytes:
-        """The vector v of `other` on these lanes."""
-        new = bytearray([_FAR]) * self.width
-        for i, t in enumerate(self.order):
-            j = other.lane[t]
-            if v[j] != _FAR:
-                x = v[j] - other.floor[j] + self.floor[i]
-                if x >= _FAR:
-                    raise _Overflow
-                new[i] = x
-        return bytes(new)
 
+def _merge_lanes(v: bytes, slots: list, fed: int, ones: int) -> bytes:
+    """The fed merge lanes of T(v), before normalising.
 
-def _chain(t: int, below: list[int], one: bytearray) -> tuple[list[int], list[int]]:
-    """The chain of states from t down `below`, and the ones counted on it from t."""
-    chain, phi, f = [t], [0], 0
-    t = below[t]
-    while t != DEAD:
-        f += one[t]
-        chain.append(t)
-        phi.append(f)
-        t = below[t]
-    return chain, phi
+    Every 16-bit lane stays below 2^15: a reachable one below 2^9 and a far
+    one in [0x40FF, 0x41FF).  So (low | top) - x borrows across no lane and
+    leaves bit 15 set exactly where low >= x.
+    """
+    (get, rise, _low, _top), *rest = slots
+    acc = _widen(bytes(get(v))) + rise
+    for get, rise, low, top in rest:  # acc = min(acc, x) on the lanes x covers
+        x = _widen(bytes(get(v))) + rise
+        low &= acc
+        acc ^= (low ^ x) & (((low | top) - x & top) >> 15) * 0xFFFF
+    far = (acc >> 14) & ones
+    if (acc + ones) >> 8 & ~far & ones:
+        raise _Overflow
+    return (acc | far * 0xFF).to_bytes(2 * fed, "little")[::2]
 
 
 def _lanes(k: int, value: int) -> int:
@@ -406,10 +435,9 @@ def _min_ones(auto: AvoidanceAutomaton, N: int) -> tuple[list[int], tuple[int, i
     at most n + K at step n, K below the number of states; when a lane would
     outgrow its byte, the whole run restarts on `_min_ones_lists`.
     """
-    preds = _predecessors(auto)
-    live, last_transient = _live_states(auto, preds)
+    graph = CoreGraph(auto)
     try:
-        return _run(_DelayLine, auto, preds, N, live, last_transient)
+        return _run(_DelayLine(graph), N, graph.last_transient)
     except _Overflow:
         return _min_ones_lists(auto, N)
 
@@ -420,42 +448,38 @@ def _min_ones_lists(auto: AvoidanceAutomaton,
 
     No state is peeled and no lane is bounded, so this is the route when a
     lane of the delay-line kernel outgrows its byte, and the oracle the
-    lane layout and the Kahn pass of `_live_states` are tested against.
+    lane layout and the Kahn pass of `CoreGraph` are tested against.
     """
-    return _run(_Lists, auto, _predecessors(auto), N, [], -1)
+    return _run(_Lists(CoreGraph(auto)), N, -1)
 
 
-def _run(kind: type, auto: AvoidanceAutomaton, preds: list[list[int]], N: int,
-         live: list[int], last_transient: int) -> tuple[list[int], tuple[int, int, int] | None]:
-    """The min-ones kernel on the step class `kind`: `_DelayLine` or `_Lists`.
+def _run(step, N: int, last_transient: int) -> tuple[list[int], tuple[int, int, int] | None]:
+    """The min-ones kernel on a step object: `_DelayLine` or `_Lists`.
 
     The min-plus step T satisfies T(v + c) = T(v) + c, so once the vector
     normalised by its minimum repeats, v_(n0+P) = v_(n0) + c, every later
-    term follows: m_(n+P) = m_n + c for all n >= n0.  A step object built
-    over some states gives the vector of length 0 (`start`) and the next
-    normalised vector with its minimum (`advance`).  A vector is hashable,
-    and two are equal exactly when the normalised vectors are.  Vectors are
-    recorded by digest only; a digest hit is trusted after all entries of
-    v_(n0), replayed from the nearest checkpoint, equal the current vector.
-    The certificate is None when no repeat occurs within N steps.
+    term follows: m_(n+P) = m_n + c for all n >= n0.  The step object gives
+    the vector of length 0 (`start`) and the next normalised vector with its
+    minimum (`advance`).  A vector is hashable, and two are equal exactly
+    when the normalised vectors are.  Vectors are recorded by digest only; a
+    digest hit is trusted after all entries of v_(n0), replayed from the
+    nearest checkpoint, equal the current vector.  The certificate is None
+    when no repeat occurs within N steps.
 
-    Up to step L* = `last_transient` every state is stepped; from step
-    L* + 1 on, only the `live` states are, on a step object built anew, and
-    the vector is carried over by `relaid`.  That leaves the certificate as
-    it was: at every step up to L* some peeled state is reachable and past
-    it none is, so no repeat pairs a step up to L* with a later one, and
-    past L* the peeled states are unreachable.  An empty `live` steps every
-    state throughout.
+    At step L* + 1 = `last_transient` + 1 the vector is cut to the live
+    states (`pruned`) and the digests and checkpoints start afresh.  That
+    leaves the certificate as it was: at every step up to L* some peeled
+    state is reachable and past it none is, so no repeat pairs a step up to
+    L* with a later one, and past L* the peeled states are unreachable.
     """
-    step = kind(auto, preds, range(auto.n_states))
-    v = step.start(auto.start)
+    v = step.start()
     min_ones = [0]
-    base = 0  # the step of checkpoints[0]
+    base, every = 0, _CHECKPOINT_EVERY  # the step of checkpoints[0], and the steps between two
     seen = {hash(v): [0]}
     checkpoints = [v]
 
     def replay(n0: int):
-        k, r = divmod(n0 - base, _CHECKPOINT_EVERY)
+        k, r = divmod(n0 - base, every)
         x = checkpoints[k]
         for _ in range(r):
             x = step.advance(x)[0]
@@ -466,11 +490,9 @@ def _run(kind: type, auto: AvoidanceAutomaton, preds: list[list[int]], N: int,
         if m is None:
             raise EmptyLanguageError(f"no word of length {n} avoids the set")
         min_ones.append(min_ones[-1] + m)
-        if n == last_transient + 1 and live:
-            live_step = kind(auto, preds, live)
-            v = live_step.relaid(v, step)
-            step = live_step
-            base, seen, checkpoints = n, {}, []
+        if n == last_transient + 1:
+            v = step.pruned(v)
+            base, every, seen, checkpoints = n, _CHECKPOINT_EVERY, {}, []
         digest = hash(v)
         for n0 in seen.get(digest, ()):
             if replay(n0) == v:
@@ -479,8 +501,11 @@ def _run(kind: type, auto: AvoidanceAutomaton, preds: list[list[int]], N: int,
                     min_ones.append(min_ones[k - period] + slope)
                 return min_ones, (n0, period, slope)
         seen.setdefault(digest, []).append(n)
-        if (n - base) % _CHECKPOINT_EVERY == 0:
+        if (n - base) % every == 0:
             checkpoints.append(v)
+            if len(checkpoints) > _CHECKPOINTS:
+                del checkpoints[1::2]
+                every *= 2
     return min_ones, None
 
 
@@ -513,6 +538,8 @@ def weight_poly_dp(S: WordsLike, N: int) -> Series:
     whole update at two shift-adds per state per step; the sum over states
     after step n is slice n.
     """
+    from .polynomials import Series, mpz, unpack_signed
+
     if N < 0:
         raise ValueError("N must be >= 0")
     auto = build_automaton(S)
@@ -547,6 +574,8 @@ def enumerate_brute(S: WordsLike, n: int) -> WeightPoly:
     `_BRUTE_FORCE_CHUNK` words are split and grown depth first, which keeps
     memory at O(n * chunk) strings however many words survive.
     """
+    from .polynomials import WeightPoly
+
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > BRUTE_FORCE_LIMIT:

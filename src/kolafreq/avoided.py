@@ -77,6 +77,14 @@ class AvoidSet:
     def __iter__(self):
         return iter(self.words)
 
+    def up_to(self, d: int) -> "AvoidSet":
+        """Levels 1..d of this set, `avoided_set(d)` without expanding again."""
+        if not 1 <= d <= self.depth:
+            raise ValueError(f"d must be in 1..{self.depth}")
+        levels = {k: self.levels[k] for k in range(1, d + 1)}
+        kept = frozenset().union(*levels.values())
+        return AvoidSet(d, tuple(w for w in self.words if w in kept), levels)
+
 
 def avoided_set(d: int) -> AvoidSet:
     """Generate levels 1..d of the avoided-word tree.

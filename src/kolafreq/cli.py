@@ -322,8 +322,9 @@ def cmd_report(args) -> int:
         if min(terms) < 0:
             raise ValueError("--terms must be >= 0")
     rows = []
+    tree = avoided_set(max(depths))  # one expansion serves every depth
     for d, N in zip(depths, terms):
-        words = avoided_set(d).words
+        words = tree.up_to(d).words
         try:
             if args.backend == "automaton":
                 from .automaton import degree_profile

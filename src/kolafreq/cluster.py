@@ -75,10 +75,10 @@ def weight_gf(
     C = y / det whether or not det is the true determinant.  The decode is
     right once w holds every coefficient and D exceeds every x1-degree; a
     wrong one fails the proof and the next of `_attempts` runs.  The first
-    is at the narrowest width and a D estimated off det and y, 32 bits a
-    degree, by a probe: one elimination at x1 = 2^32, x2 = -2 (every pivot
-    odd).  The rest double w at the a-priori D = 1 + the sum of the rows'
-    largest x1-degrees, which exceeds the x1-degree of every minor, up
+    two are at the narrowest width and its double, and a D estimated off det
+    and y, 32 bits a degree, by a probe: one elimination at x1 = 2^32,
+    x2 = -2 (every pivot odd).  The rest double w at the a-priori D = 1 +
+    the sum of the rows' largest x1-degrees, which exceeds the x1-degree of every minor, up
     to the first whole byte past the l1 bound prod_i sum_j |M_ij|_1 on the
     coefficients of the minors, where decoding is exact; a failure there
     raises ArithmeticError.  `progress(k, m)` is called once per elimination
@@ -119,11 +119,12 @@ def weight_gf(
 
 def _attempts(guess: int, a_priori: int, widest: int) -> list[tuple[int, int]]:
     """(width, D) of each packed elimination, each pair once: the narrowest
-    width at the probe's guess of D, then the width doubled at D = a_priori
-    up to widest.  The last attempt is (widest, a_priori)."""
-    doubling = [(_START_WIDTH << k, a_priori) for k in range(widest.bit_length())
-                if _START_WIDTH << k < widest]
-    return list(dict.fromkeys([(_START_WIDTH, guess), *doubling, (widest, a_priori)]))
+    width and the doubled one at the probe's guess of D, then the width
+    doubled from the narrowest at D = a_priori up to widest.  The last
+    attempt is (widest, a_priori)."""
+    widths = [_START_WIDTH << k for k in range(widest.bit_length()) if _START_WIDTH << k < widest]
+    widths.append(widest)
+    return list(dict.fromkeys([*((w, guess) for w in widths[:2]), *((w, a_priori) for w in widths)]))
 
 
 def _bareiss_solve(M: list[list], progress: Progress, should_cancel: Cancel) -> list:

@@ -147,6 +147,19 @@ def test_certificate_survives_digest_collisions(monkeypatch):
     assert (tuple(min_ones), certificate) == (expected.min_ones, (38, 15, 7))
 
 
+def test_certificate_survives_thinned_checkpoints(monkeypatch):
+    # A checkpoint every step and at most four kept: past L* = 10 the
+    # spacing doubles from 1 to 16 before the repeat at step 53, and with
+    # every digest equal each earlier step is replayed from a thinned
+    # checkpoint and rejected component by component.
+    expected = degree_profile(avoided_set(4), 60)
+    monkeypatch.setattr(automaton, "_CHECKPOINT_EVERY", 1)
+    monkeypatch.setattr(automaton, "_CHECKPOINTS", 4)
+    monkeypatch.setattr(automaton, "hash", lambda vector: 0, raising=False)
+    thinned = degree_profile(avoided_set(4), 60)
+    assert (thinned, thinned.certificate) == (expected, (38, 15, 7))
+
+
 def test_certificate_holds_on_the_counting_dp_profile():
     S = avoided_set(4).words
     onset, period, slope = degree_profile(S, 200).certificate
@@ -342,6 +355,12 @@ def _kernel_outcome(kernel, auto, N):
 @example(("112", "21", "222"), 80)  # the fewest ones jump by 3 at n = 4
 @example(("1" * 300,), 400)  # a chain with 299 ones: K leaves no room in a byte
 @example(("1" * 130 + "2",), 200)  # the merge lane of 1^130 outgrows its byte at n = 130
+# State "2" has three incoming edges, from "", "1" and itself; past L* = 1
+# only its loop is live, and it stays a merge lane of that one edge.
+@example(("11", "21"), 80)
+# Up to L* = 1 the merge lane with two live edges of two precedes the one
+# with one live edge of three, and repeats its first edge in the third gather.
+@example(("11", "21221", "21222"), 80)
 def test_byte_lane_kernel_matches_the_list_kernel(S, N):
     auto = build_automaton(S)
     expected = _kernel_outcome(automaton._min_ones_lists, auto, N)
@@ -353,6 +372,46 @@ def test_byte_lane_kernel_matches_the_list_kernel(S, N):
     assert fallback.called == (N + auto.n_states > 255)
 
 
+def _graph_by_definition(auto):
+    """The edges into each state, the live states and L*, read off the transitions.
+
+    An edge into t is q for a 2 from q and n + q for a 1 from q, for n
+    states.  W_k, the states that end a walk of k letters from any state,
+    shrinks with k.  A state is live iff it is in W_n: a walk of n letters
+    passes a cycle, and a state after a cycle ends walks of every length.
+    L* is the last k at which W_k holds a state that is not live, -1 if none.
+    """
+    n = auto.n_states
+    rows = ((auto.on_two, 0), (auto.on_one, n))
+    edges = [sorted(base + q for row, base in rows for q in range(n) if row[q] == t) for t in range(n)]
+    ends = [set(range(n))]
+    while len(ends) <= n:
+        ends.append({row[q] for row, _base in rows for q in ends[-1]} - {automaton.DEAD})
+    live = ends[n]
+    return edges, live, max((k for k, w in enumerate(ends) if w - live), default=-1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(factor_free_sets)
+@example(())  # one state with a loop on each letter
+@example(("1", "2"))  # nothing is live
+@example(("11", "21"))  # a live merge with one live edge
+@example(("11", "22"))  # the live states form one cycle
+@example(avoided_set(3).words)
+def test_core_graph_matches_its_definition(S):
+    auto = build_automaton(S)
+    graph = automaton.CoreGraph(auto)
+    edges, live, last_transient = _graph_by_definition(auto)
+    n = auto.n_states
+    assert [sorted(graph.edges(t)) for t in range(n)] == edges
+    assert set(graph.merges) == {t for t in range(n) if len(edges[t]) > 1}
+    assert ({t for t in range(n) if graph.live[t]}, graph.last_transient) == (live, last_transient)
+    # Each state heads a chain or continues the chain of its one predecessor.
+    chained = {t: q for q, t in enumerate(graph.below) if t != automaton.DEAD}
+    assert sorted([*chained, *graph.heads]) == list(range(n))
+    assert all(edges[t] in ([q], [n + q]) for t, q in chained.items())
+
+
 @pytest.mark.parametrize("d,live,last_transient", [
     (4, 108, 10),
     (5, 324, 17),
@@ -361,9 +420,8 @@ def test_byte_lane_kernel_matches_the_list_kernel(S, N):
     (8, 8748, 70),
 ])
 def test_live_states_of_avoided_sets(d, live, last_transient):
-    auto = build_automaton(avoided_set(d))
-    states, longest = automaton._live_states(auto, automaton._predecessors(auto))
-    assert (len(states), longest) == (live, last_transient)
+    graph = automaton.CoreGraph(build_automaton(avoided_set(d)))
+    assert (sum(graph.live), graph.last_transient) == (live, last_transient)
 
 
 def _walk_letters(auto, word):

@@ -99,6 +99,16 @@ def test_words_sorted_by_length_then_lex():
     assert list(words) == sorted(words, key=lambda w: (len(w), w))
 
 
+def test_lower_levels_of_one_expansion_are_the_smaller_sets():
+    tree = avoided_set(8)
+    for d in range(1, 9):
+        assert tree.up_to(d) == avoided_set(d)
+    with pytest.raises(ValueError):
+        tree.up_to(9)
+    with pytest.raises(ValueError):
+        tree.up_to(0)
+
+
 def test_depth_validation():
     with pytest.raises(ValueError):
         avoided_set(0)

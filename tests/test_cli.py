@@ -6,7 +6,7 @@ from unittest import mock
 
 import pytest
 
-from kolafreq import automaton, avoided_set, cli, cluster, kolakoski_prefix
+from kolafreq import automaton, avoided, avoided_set, cli, cluster, kolakoski_prefix
 from kolafreq.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -225,6 +225,18 @@ def test_report_default_table(capsys):
     assert rows[1] == "1,2,200,3,1/6,automaton"
     assert rows[5] == "5,62,800,762,17/762,automaton"
     assert rows[6] == "6,126,600,555,5/222,automaton"
+
+
+def test_report_rows_avoid_the_sets_of_their_depths(capsys):
+    # One expansion of the deepest level serves every row.
+    with mock.patch.object(automaton, "degree_profile", wraps=automaton.degree_profile) as profile, \
+            mock.patch.object(avoided, "expand", wraps=avoided.expand) as expand:
+        code, out, _ = run(capsys, "report", "--d", "5,2-4,1", "--terms", "30", "--json")
+    assert code == EXIT_OK
+    assert [call.args[0] for call in profile.call_args_list] == [
+        avoided_set(d).words for d in (5, 2, 3, 4, 1)]
+    assert [row["set_size"] for row in json.loads(out)] == [62, 6, 14, 30, 2]
+    assert expand.call_count == 62  # the tree to depth 5, grown once
 
 
 def test_report_is_deterministic(capsys):

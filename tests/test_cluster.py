@@ -313,8 +313,12 @@ def test_packed_gf_retries_when_a_coefficient_outgrows_the_width(monkeypatch):
          "221122", "222")
     monkeypatch.setattr(cluster, "_START_WIDTH", 8)
     widths = _spy_widths(monkeypatch)
+    tried = _spy_attempts(monkeypatch)
     assert weight_gf(S) == _dict_bareiss_gf(S)
     assert widths[0] == 8 and widths[-1] == 16
+    # The probe's D was right: the doubled width at that D solves the system
+    # before the a-priori D (56) is tried.
+    assert tried == [(8, 31), (16, 31)]
 
 
 def _spy_attempts(monkeypatch) -> list[tuple[int, int]]:
@@ -339,10 +343,10 @@ def test_packed_gf_retries_after_a_corrupted_decode(monkeypatch):
     assert tried == [(8, 23)]
     tried.clear()
     # Corrupt det, the first of the 15 decodes of the attempt that solved S_3:
-    # the next attempt, at the a-priori D, solves it.
+    # the next attempt, the doubled width at the probe's D, solves it.
     _spy_widths(monkeypatch, corrupt=lambda calls: len(calls) == 1)
     assert weight_gf(avoided_set(3)) == expected
-    assert tried == [(8, 23), (8, 52)]
+    assert tried == [(8, 23), (16, 23)]
 
 
 def test_packed_gf_raises_when_no_width_passes_the_identity(monkeypatch):
@@ -356,9 +360,11 @@ def test_packed_gf_raises_when_no_width_passes_the_identity(monkeypatch):
 
 def test_packed_gf_attempt_schedule():
     assert cluster._attempts(4, 4, 8) == [(8, 4)]
-    assert cluster._attempts(24, 52, 64) == [(8, 24), (8, 52), (16, 52), (32, 52), (64, 52)]
+    assert cluster._attempts(24, 52, 64) == [
+        (8, 24), (16, 24), (8, 52), (16, 52), (32, 52), (64, 52)]
     assert cluster._attempts(63, 171, 160) == [
-        (8, 63), (8, 171), (16, 171), (32, 171), (64, 171), (128, 171), (160, 171)]
+        (8, 63), (16, 63), (8, 171), (16, 171), (32, 171), (64, 171), (128, 171), (160, 171)]
+    assert cluster._attempts(2, 4, 8) == [(8, 2), (8, 4)]  # no width between 8 and widest
     for guess, a_priori, widest in [(1, 1, 8), (2, 4, 8), (9, 15, 24), (7, 7, 1000)]:
         attempts = cluster._attempts(guess, a_priori, widest)
         assert attempts[0] == (8, guess) and attempts[-1] == (widest, a_priori)

@@ -141,9 +141,18 @@ def test_bounds_gf_skips_the_automaton_and_the_checks(s3_file):
 
 
 def test_report_skips_the_fits_and_the_checks():
+    # The automaton imports the polynomials only in its counting DP and
+    # brute force, so the min-plus route compiles neither them nor the GJ code.
     loaded = loaded_modules("report", "--d", "1-2", "--terms", "50")
     assert "kolafreq.automaton" in loaded
-    assert not loaded & {"kolafreq.quasipoly", "kolafreq.verification"}
+    assert not loaded & {"kolafreq.polynomials", "kolafreq.cluster", "kolafreq.quasipoly",
+                         "kolafreq.verification"}
+
+
+def test_profile_skips_the_polynomials(s3_file):
+    loaded = loaded_modules("profile", "--words", s3_file, "--terms", "30")
+    assert "kolafreq.automaton" in loaded
+    assert not loaded & {"kolafreq.polynomials", "kolafreq.cluster"}
 
 
 def test_gj_series_report_skips_the_automaton():
