@@ -14,20 +14,20 @@ exactly the words containing no avoided factor.  On top of it sit:
   records digests of the normalised vectors, confirms a hit component by
   component against a replay from a sparse checkpoint, stops there and
   extends the profile exactly (`degree_profile`, which keeps the repeat as
-  `DegreeProfile.certificate`).  Both step classes take one `CoreGraph`,
-  the automaton's predecessors and chains read in one pass and its live
-  states from one Kahn pass.  `_DelayLine` is a `bytes` of one lane per
-  state laid out as delay lines: the 97-99% of states with one incoming
-  edge hang in chains below a few merge states, and a lane holding
-  v - phi (phi the ones along its chain) is a plain copy of the lane above
-  it.  So a step copies a few byte slices and computes only the merge
-  lanes, as an elementwise minimum on big-integer lanes.  The live chains
-  come first in its one layout, so once the states that no cycle reaches
-  are dead for good, a vector is cut to that prefix and only it is
-  stepped, with nothing laid out anew.  `_Lists` steps lists of unbounded
-  entries over every state, unpruned on purpose: it takes over a run whose
-  lanes outgrow a byte, and it is the oracle the lanes and the pruning are
-  tested against;
+  `DegreeProfile.certificate`).  Both step classes take one `CoreGraph`
+  and nothing else: the automaton's predecessors read in one pass, its
+  chain cover in one walk (the 97-99% of states with one incoming edge
+  hang in chains below a few heads, phi the ones along each chain) and its
+  live states from one Kahn pass.  `_DelayLine` is a `bytes` of one lane
+  per state laid out as delay lines: a lane holding v - phi is a plain copy
+  of the lane above it, so a step copies a few byte slices and computes
+  only the head lanes, as an elementwise minimum on big-integer lanes.  The
+  live chains come first in its one layout, so once the states that no
+  cycle reaches are dead for good, a vector is cut to that prefix and only
+  it is stepped, with nothing laid out anew.  `_Lists` steps lists of
+  unbounded entries over every state, unpruned on purpose: it takes over a
+  run whose lanes outgrow a byte, on the same graph, and it is the oracle
+  the lanes and the pruning are tested against;
 - the most ones per length with no second DP: swapping the letters maps
   the words avoiding S onto those avoiding swap(S), so the most ones at
   length n are n minus the fewest ones avoiding swap(S);
@@ -37,6 +37,7 @@ exactly the words containing no avoided factor.  On top of it sit:
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections import defaultdict
 from functools import cache
@@ -136,26 +137,30 @@ _FAR = 255
 
 
 class CoreGraph:
-    """The automaton's edges read once into flat lists, and one Kahn pass.
+    """The automaton's edges read once into flat lists, its chain cover and one Kahn pass.
 
     An edge into a state is q for a 2 from q and n_states + q for a 1 from
     q.  `pred[t]` is the first edge into t (DEAD for none); `merges` lists
     the edges into each state of in-degree 2 or more, so the 97-99% of
-    states with one keep no list.  Those hang in chains: `below[q]` is a
-    state of in-degree 1 entered from q (DEAD for none), and `heads` lists
-    the states that are no state's `below`.  The Kahn pass peels the states
-    whose every predecessor is peeled; the rest, `live`, are reached from a
-    cycle.  A peeled state is reachable at no length past the longest path
-    L* among them (`last_transient`, -1 when none is), and some peeled state
-    at every length up to L*.
+    states with one keep no list.  Those hang in chains, walked once here:
+    every state lies in exactly one list of `chains`, keyed by its head,
+    whose states below its head each have one edge, from the state above
+    it.  A head is a merge state, a state of in-degree 0, a one-edge state
+    that its predecessor's chain does not go on into (it goes on into one
+    successor at most), or the least state of a cycle of one-edge states,
+    which is cut there.  `phi[t]` counts the ones on the edges from t's
+    head down to t.  The Kahn pass peels the states whose every predecessor
+    is peeled; the rest, `live`, are reached from a cycle.  A peeled state
+    is reachable at no length past the longest path L* among them
+    (`last_transient`, -1 when none is), and some peeled state at every
+    length up to L*.  The graph keeps no reference to the automaton.
     """
 
     def __init__(self, auto: AvoidanceAutomaton):
         ns = self.n_states = auto.n_states
         self.start = auto.start
-        pred, below = [DEAD] * ns, [DEAD] * ns
+        pred, below = [DEAD] * ns, [DEAD] * ns  # below[q]: the one-edge state entered from q
         merges: dict[int, list[int]] = {}
-        heads = []  # the second successors of one state, when both have in-degree 1
         for letter, row in ((0, auto.on_two), (ns, auto.on_one)):
             for q, t in enumerate(row):
                 if t == DEAD:
@@ -165,35 +170,55 @@ class CoreGraph:
                     pred[t] = letter + q
                     if below[q] == DEAD:
                         below[q] = t
-                    else:
-                        heads.append(t)
                 elif t in merges:
                     merges[t].append(letter + q)
                 else:  # t had looked like a chain state
                     merges[t] = [first, letter + q]
                     if below[first % ns] == t:
                         below[first % ns] = DEAD
-        peeled = []  # the states of in-degree 0, then each state once its predecessors are in
-        for _ in range(pred.count(DEAD)):
-            peeled.append(pred.index(DEAD, peeled[-1] + 1 if peeled else 0))
-        self.heads = [*merges, *peeled, *(t for t in heads if t not in merges)]
-        live, count, longest = bytearray(b"\1") * ns, [0] * ns, [0] * ns
-        for q in peeled:  # grows while it is walked
-            live[q] = 0
-            for t in (auto.on_one[q], auto.on_two[q]):
-                if t != DEAD:
-                    if longest[t] <= longest[q]:
-                        longest[t] = longest[q] + 1
-                    count[t] += 1
-                    if t not in merges or count[t] == len(merges[t]):
-                        peeled.append(t)
-        self.live = bytes(live)
-        self.last_transient = max(_gatherer(peeled)(longest), default=-1)
-        self.pred, self.below, self.merges = pred, below, merges
+        self.live, self.last_transient = _peel(auto, pred, merges)
+        phi = [DEAD] * ns  # DEAD until the state's chain is walked
+        chains: dict[int, array] = {}  # arrays, so no state's int object outlives the automaton
+        for t in range(ns):  # so a cycle of one-edge states is first met at its least state
+            if phi[t] != DEAD:
+                continue
+            h = t  # climb to the head of t's chain, or round its cycle back to t
+            while (p := pred[h]) != DEAD and below[p % ns] == h:
+                h = p % ns
+                if h == t:
+                    break
+            chain, ones, q = [h], 0, below[h]
+            phi[h] = 0
+            while q != DEAD and q != h:
+                ones += pred[q] >= ns
+                phi[q] = ones
+                chain.append(q)
+                q = below[q]
+            chains[h] = array("i", chain)
+        self.pred, self.merges, self.chains, self.phi = pred, merges, chains, phi
 
     def edges(self, t: int) -> list[int]:
         """The edges into state t."""
         return self.merges.get(t) or ([] if self.pred[t] == DEAD else [self.pred[t]])
+
+
+def _peel(auto: AvoidanceAutomaton, pred: list[int], merges: dict[int, list[int]]) -> tuple[bytes, int]:
+    """The Kahn pass of `CoreGraph`, `live` and L*; its lists are freed before the chain walk."""
+    ns = auto.n_states
+    peeled = []  # the states of in-degree 0, then each state once its predecessors are in
+    for _ in range(pred.count(DEAD)):
+        peeled.append(pred.index(DEAD, peeled[-1] + 1 if peeled else 0))
+    live, count, longest = bytearray(b"\1") * ns, [0] * ns, [0] * ns
+    for q in peeled:  # grows while it is walked
+        live[q] = 0
+        for t in (auto.on_one[q], auto.on_two[q]):
+            if t != DEAD:
+                if longest[t] <= longest[q]:
+                    longest[t] = longest[q] + 1
+                count[t] += 1
+                if t not in merges or count[t] == len(merges[t]):
+                    peeled.append(t)
+    return bytes(live), max(_gatherer(peeled)(longest), default=-1)
 
 
 def _gatherer(idx: list) -> Callable:
@@ -213,8 +238,11 @@ class _Lists:
     arithmetic touches, so it stays a distinct marker.  States are grouped
     by the letters on their incoming edges, so T is, group by group, one
     gather per incoming edge (from v + 1 after a 1, from v after a 2) and
-    one elementwise minimum, concatenated.
+    one elementwise minimum, concatenated.  It reads only the graph's
+    edges, and prunes no state: its L* is -1.
     """
+
+    last_transient = -1
 
     def __init__(self, graph: CoreGraph):
         ns = graph.n_states
@@ -225,7 +253,7 @@ class _Lists:
         order = sorted(range(ns), key=letters)
         self.pos = dict(zip(order, range(ns)))
         self.start_state = graph.start
-        self._no_preds = [_UNREACHABLE] * graph.pred.count(DEAD)  # these sort first
+        self._no_preds = [_UNREACHABLE] * sum(not graph.edges(t) for t in order)  # these sort first
         self._blocks = []  # per group: (reads v + 1, gatherer) per incoming edge
         for pattern, group in groupby(order, key=letters):
             targets = list(group)
@@ -257,21 +285,20 @@ class _Lists:
 class _DelayLine:
     """The min-ones step map T on byte lanes laid out as delay lines.
 
-    A state with one incoming edge only copies its predecessor's lane, plus
-    one after a 1: it hangs in a chain below a merge state, a head of the
-    `CoreGraph` or one state on each cycle of in-degree-1 states.  Lane i
-    holds v - phi + K, where v is the fewest ones over the words that end
-    in its state, phi counts the ones on its chain from the merge state and
-    K is the largest phi; _FAR marks an unreachable state.  Then a chain
-    lane is a plain copy of the lane above it.  A chain state's only
-    predecessor is the state above it, so every chain is wholly live or
-    wholly peeled, and the live chains make the first block of lanes.  In
-    each block the lanes run depth by depth, merge states first, with the
-    chains ordered by falling in-degree of their merge state (live edges
-    first) and then by falling length, so a step copies a few byte slices
-    of the old vector and computes only the merge lanes: an elementwise
-    minimum over their incoming edges, each a gather shifted by the phi of
-    its source plus its letter, on 16-bit lanes of big integers.
+    It lays out the chains of the `CoreGraph` and walks none.  Lane i holds
+    v - phi + K, where v is the fewest ones over the words that end in its
+    state, phi the graph's count of the ones on its chain and K the largest
+    phi; _FAR marks an unreachable state.  A chain state's v is that of the
+    state above it, plus one after a 1, so its lane is a plain copy of the
+    lane above it.  A chain state's only predecessor is the state above it,
+    so every chain is wholly live or wholly peeled, and the live chains make
+    the first block of lanes.  In each block the lanes run depth by depth,
+    heads first, with the chains ordered by falling in-degree of their head
+    (live edges first) and then by falling length, so a step copies a few
+    byte slices of the old vector and computes only the head ("merge")
+    lanes: an elementwise minimum over their incoming edges, each a gather
+    shifted by the phi of its source plus its letter, on 16-bit lanes of big
+    integers.
 
     The one layout serves the whole run: up to step L* every lane is
     stepped, then `pruned` cuts a vector to the live block and `advance`
@@ -281,25 +308,7 @@ class _DelayLine:
     """
 
     def __init__(self, graph: CoreGraph):
-        ns, pred, below, live = graph.n_states, graph.pred, graph.below, graph.live
-        phi = [0] * ns  # per state, the ones on its chain from its merge state
-
-        def walk(h: int) -> list[int]:
-            """The chain from h down `below`."""
-            states, f, t = [h], 0, below[h]
-            while t != DEAD and t != h:
-                f += pred[t] >= ns
-                phi[t] = f
-                states.append(t)
-                t = below[t]
-            return states
-
-        chains = dict(zip(graph.heads, map(walk, graph.heads)))
-        left = set(range(ns)).difference(*chains.values()) if sum(map(len, chains.values())) < ns else ()
-        for t in sorted(left):  # on cycles of in-degree-1 states, each cut above its first
-            if t in left:
-                chains[t] = walk(t)
-                left.difference_update(chains[t])
+        ns, live, chains, phi = graph.n_states, graph.live, graph.chains, graph.phi
         K = max(phi)
         if K > _FAR - 2:  # so a far lane never reads as a rise of 0 or 1
             raise _Overflow
@@ -328,7 +337,7 @@ class _DelayLine:
                         copies.append([lane, lane + alive])
                     lane += above
             blocks.append((merge_states, _gatherer([slice(*c) for c in copies]), len(order)))
-        self.width = len(order)
+        self.width, self.last_transient = len(order), graph.last_transient
         self.floor = floor = bytes(_gatherer(order)(phi)).translate(bytes(K - x & 255 for x in range(256)))
         sources = {e % ns for es in edges.values() for e in es} | {graph.start}
         lane = {t: i for i, t in enumerate(order) if t in sources}
@@ -428,32 +437,20 @@ def _shift_table(c: int) -> bytes:
     return bytes(x if x == _FAR else max(x + c, 0) for x in range(256))
 
 
-def _min_ones(auto: AvoidanceAutomaton, N: int) -> tuple[list[int], tuple[int, int, int] | None]:
+def _min_ones(graph: CoreGraph, N: int) -> tuple[list[int], tuple[int, int, int] | None]:
     """Fewest ones per length 0..N, and the certificate (onset, period, slope).
 
     `_run` on `_DelayLine`, past L* only over the live states.  A lane holds
     at most n + K at step n, K below the number of states; when a lane would
-    outgrow its byte, the whole run restarts on `_min_ones_lists`.
+    outgrow its byte, the whole run restarts on `_Lists` over the same graph.
     """
-    graph = CoreGraph(auto)
     try:
-        return _run(_DelayLine(graph), N, graph.last_transient)
+        return _run(_DelayLine(graph), N)
     except _Overflow:
-        return _min_ones_lists(auto, N)
+        return _run(_Lists(graph), N)
 
 
-def _min_ones_lists(auto: AvoidanceAutomaton,
-                    N: int) -> tuple[list[int], tuple[int, int, int] | None]:
-    """`_min_ones` on `_Lists`, stepping every state at every step.
-
-    No state is peeled and no lane is bounded, so this is the route when a
-    lane of the delay-line kernel outgrows its byte, and the oracle the
-    lane layout and the Kahn pass of `CoreGraph` are tested against.
-    """
-    return _run(_Lists(CoreGraph(auto)), N, -1)
-
-
-def _run(step, N: int, last_transient: int) -> tuple[list[int], tuple[int, int, int] | None]:
+def _run(step, N: int) -> tuple[list[int], tuple[int, int, int] | None]:
     """The min-ones kernel on a step object: `_DelayLine` or `_Lists`.
 
     The min-plus step T satisfies T(v + c) = T(v) + c, so once the vector
@@ -466,11 +463,12 @@ def _run(step, N: int, last_transient: int) -> tuple[list[int], tuple[int, int, 
     nearest checkpoint, equal the current vector.  The certificate is None
     when no repeat occurs within N steps.
 
-    At step L* + 1 = `last_transient` + 1 the vector is cut to the live
-    states (`pruned`) and the digests and checkpoints start afresh.  That
-    leaves the certificate as it was: at every step up to L* some peeled
-    state is reachable and past it none is, so no repeat pairs a step up to
-    L* with a later one, and past L* the peeled states are unreachable.
+    At step L* + 1, L* the step object's `last_transient`, the vector is
+    cut to the live states (`pruned`) and the digests and checkpoints start
+    afresh.  That leaves the certificate as it was: at every step up to L*
+    some peeled state is reachable and past it none is, so no repeat pairs
+    a step up to L* with a later one, and past L* the peeled states are
+    unreachable.
     """
     v = step.start()
     min_ones = [0]
@@ -490,7 +488,7 @@ def _run(step, N: int, last_transient: int) -> tuple[list[int], tuple[int, int, 
         if m is None:
             raise EmptyLanguageError(f"no word of length {n} avoids the set")
         min_ones.append(min_ones[-1] + m)
-        if n == last_transient + 1:
+        if n == step.last_transient + 1:
             v = step.pruned(v)
             base, every, seen, checkpoints = n, _CHECKPOINT_EVERY, {}, []
         digest = hash(v)
@@ -512,9 +510,9 @@ def _run(step, N: int, last_transient: int) -> tuple[list[int], tuple[int, int, 
 def degree_profile(S: WordsLike, N: int) -> DegreeProfile:
     """Fewest and most ones per length 0..N over the words avoiding S.
 
-    The fewest come from the min-plus kernel on the automaton of S, which
-    stops at the first repeat of its normalised vector and extends the
-    profile to N exactly; that repeat is kept as the profile's certificate.
+    The fewest come from the min-plus kernel on the `CoreGraph` of S,
+    which stops at the first repeat of its normalised vector and extends
+    the profile to N exactly, keeping that repeat as its certificate.
     The most need no second DP: swapping letters maps the words avoiding S
     onto those avoiding swap(S), so max_ones[n] = n - (fewest ones avoiding
     swap(S) at length n), and a swap-closed S (every S_d) reuses its own run.
@@ -522,11 +520,11 @@ def degree_profile(S: WordsLike, N: int) -> DegreeProfile:
     if N < 0:
         raise ValueError("N must be >= 0")
     words = as_words(S)
-    min_ones, certificate = _min_ones(build_automaton(words), N)
+    min_ones, certificate = _min_ones(CoreGraph(build_automaton(words)), N)
     if swap_closed(words):
         fewest_twos = min_ones
     else:
-        fewest_twos = _min_ones(build_automaton(map(swap_letters, words)), N)[0]
+        fewest_twos = _min_ones(CoreGraph(build_automaton(map(swap_letters, words))), N)[0]
     max_ones = tuple(n - twos for n, twos in enumerate(fewest_twos))
     return DegreeProfile(words, N, tuple(min_ones), max_ones, certificate)
 

@@ -86,6 +86,11 @@ class AvoidSet:
         return AvoidSet(d, tuple(w for w in self.words if w in kept), levels)
 
 
+# Terms per depth of the paper's results table: `report` without --terms
+# computes depth d to this many (200 past the table), and so do the checks.
+DEFAULT_TABLE_TERMS = {1: 200, 2: 200, 3: 200, 4: 500, 5: 800, 6: 600}
+
+
 def avoided_set(d: int) -> AvoidSet:
     """Generate levels 1..d of the avoided-word tree.
 

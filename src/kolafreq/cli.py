@@ -306,13 +306,11 @@ def cmd_quasifit(args) -> int:
 def cmd_report(args) -> int:
     import json
 
-    from .avoided import avoided_set
+    from .avoided import DEFAULT_TABLE_TERMS, avoided_set
     from .bounds import DegreeProfile, best_bound, decimal
 
     depths = _parse_depths(args.d)
     if args.terms is None:
-        from .verification import DEFAULT_TABLE_TERMS
-
         terms = [DEFAULT_TABLE_TERMS.get(d, 200) for d in depths]
     else:
         requested = [int(x) for x in str(args.terms).split(",")]

@@ -15,7 +15,7 @@ from typing import Callable
 
 from . import record
 from .automaton import build_automaton, degree_profile, enumerate_brute, weight_poly_dp
-from .avoided import EmptyLanguageError, avoided_set, verify_factor_free
+from .avoided import DEFAULT_TABLE_TERMS, EmptyLanguageError, avoided_set, verify_factor_free
 from .bounds import HALF, DegreeProfile, best_bound, bound_from_denominator, minratio
 from .cluster import series_from_gf, weight_gf, weight_series
 from .polynomials import WeightPoly
@@ -73,8 +73,6 @@ REF_RESULTS_TABLE = (
     (5, 62, 800, 762, Fraction(17, 762)),
     (6, 126, 600, 555, Fraction(5, 222)),
 )
-
-DEFAULT_TABLE_TERMS = {1: 200, 2: 200, 3: 200, 4: 500, 5: 800, 6: 600}
 
 # Quasi-polynomial fits: d -> (modulus, slope, residue constants).
 REF_QUASIPOLY = {

@@ -149,6 +149,21 @@ def test_report_skips_the_fits_and_the_checks():
                          "kolafreq.verification"}
 
 
+def test_bare_report_skips_the_fits_and_the_checks():
+    # Without --terms the row's N comes from `avoided`, not from the checks.
+    loaded = loaded_modules("report", "--d", "1", "--json")
+    assert ours(loaded) == {"kolafreq", "kolafreq.cli", "kolafreq.avoided", "kolafreq.bounds",
+                            "kolafreq.automaton", "kolafreq.words"}
+
+
+def test_default_table_terms_are_the_n_column_of_the_results_table():
+    from kolafreq import verification
+
+    assert verification.DEFAULT_TABLE_TERMS is avoided.DEFAULT_TABLE_TERMS
+    assert avoided.DEFAULT_TABLE_TERMS == {d: N for d, _size, N, _n, _eps
+                                           in verification.REF_RESULTS_TABLE}
+
+
 def test_profile_skips_the_polynomials(s3_file):
     loaded = loaded_modules("profile", "--words", s3_file, "--terms", "30")
     assert "kolafreq.automaton" in loaded

@@ -11,6 +11,7 @@ from kolafreq import (
     EmptyLanguageError,
     avoided_set,
     best_bound,
+    build_automaton,
     certified_fit,
     degree_profile,
     semi_rigorous_bound,
@@ -155,8 +156,8 @@ def test_verify_runs_the_kernel_once_per_depth():
         for check in (verification.check_results_table, verification.check_quasipoly_fits,
                       verification.check_limits_and_maxima):
             assert check()[0]
-    assert [len(call.args[0].words) for call in kernel.call_args_list] == [
-        len(avoided_set(d).words) for d in range(1, 7)]
+    assert [call.args[0].n_states for call in kernel.call_args_list] == [
+        build_automaton(avoided_set(d)).n_states for d in range(1, 7)]
     # The fit reads the certificate off the profile and runs no kernel.
     profile = verification.profile_for_depth(5, 800)
     with mock.patch.object(automaton, "_min_ones", side_effect=AssertionError("kernel run")):
