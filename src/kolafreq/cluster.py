@@ -23,7 +23,8 @@ take any set that passes `avoided.checked_words`, the empty set included.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from math import log2
+from typing import Callable, Iterator, Optional
 
 from .avoided import WordsLike, checked_words
 from .polynomials import (
@@ -71,18 +72,19 @@ def weight_gf(
     every Bareiss division is exact in Z[x1, x2], so it is exact in Z; no
     pivot is needed, as every leading principal minor has constant term 1,
     so is 1 mod 2^w.  Only det and y = det * C are decoded, then proven by
-    A y == det * rhs with det != 0: A is the identity modulo (x1, x2), so
-    C = y / det whether or not det is the true determinant.  The decode is
-    right once w holds every coefficient and D exceeds every x1-degree; a
-    wrong one fails the proof and the next of `_attempts` runs.  The first
-    two are at the narrowest width and its double, and a D estimated off det
-    and y, 32 bits a degree, by a probe: one elimination at x1 = 2^32,
-    x2 = -2 (every pivot odd).  The rest double w at the a-priori D = 1 +
-    the sum of the rows' largest x1-degrees, which exceeds the x1-degree of every minor, up
-    to the first whole byte past the l1 bound prod_i sum_j |M_ij|_1 on the
-    coefficients of the minors, where decoding is exact; a failure there
-    raises ArithmeticError.  `progress(k, m)` is called once per elimination
-    step of every attempt, `should_cancel()` of the probe too.
+    A y == det * rhs with det != 0, packed afresh as det and y call for
+    (`_solves`): A is the identity modulo (x1, x2), so C = y / det whether
+    or not det is the true determinant.  The decode is right once w holds
+    every coefficient and D exceeds every x1-degree; a wrong one fails the
+    proof and the next of `_attempts` runs.  The first two are at the
+    narrowest width and its double, and a D estimated off det and y, 32
+    bits a degree, by a probe: one elimination at x1 = 2^32, x2 = -2 (every
+    pivot odd).  The rest double w at the a-priori D = 1 + the sum of the
+    rows' largest x1-degrees, which exceeds the x1-degree of every minor,
+    up to the first whole byte past the l1 bound prod_i sum_j |M_ij|_1 on
+    the coefficients of the minors, where decoding is exact; a failure
+    there raises ArithmeticError.  `progress(k, m)` is called once per
+    elimination step of every attempt, `should_cancel()` of the probe too.
     """
     words = checked_words(S)
     one, letters = WeightPoly.one(), WeightPoly.letter_sum()
@@ -112,9 +114,20 @@ def weight_gf(
                         enumerate(unpack_signed(x, x.bit_length() // width + 2, width))})
             for x in _bareiss_solve(packed, progress, should_cancel)
         )
-        if det and all(sum(p * yj for p, yj in zip(row, y)) == det * row[m] for row in M):
+        if det and _solves(M, [*y, -det]):
             return RationalGF.canonical(det, det - det * letters - sum(y))
     raise ArithmeticError(f"cluster system unsolved at the proven width {widest}")
+
+
+def _solves(M: list[list[WeightPoly]], z: list[WeightPoly]) -> bool:
+    """Whether sum_j M_ij z_j = 0 in every row i, packed injectively: 2^w exceeds
+    the bound sum_j |M_ij|_1 |z_j|_inf on their coefficients, D their x1-degrees."""
+    D = 1 + max(a for p in z for a, _ in p.terms) + max(a for r in M for p in r for a, _ in p.terms)
+    sup = [max(map(abs, p.terms.values()), default=0) for p in z]
+    w = max(sum(sum(map(abs, p.terms.values())) * s for p, s in zip(r, sup)) for r in M).bit_length()
+    packed = [sum(mpz(c) << w * (a + D * b) for (a, b), c in p.terms.items()) for p in z]
+    return not any(sum(c * x << w * (a + D * b) for p, x in zip(r, packed) for (a, b), c in p.terms.items())
+                   for r in M)
 
 
 def _attempts(guess: int, a_priori: int, widest: int) -> list[tuple[int, int]]:
@@ -160,13 +173,11 @@ def _exact_div(a, b):
 # integers (one signed digit per x1-exponent).  Packing is evaluation at
 # x1 = 2^width, a ring homomorphism, so multiplying a slice by a monomial
 # x1^a x2^b is a left shift by width * a (x2 is implied by the degree).
-# Width 0 is evaluation at x1 = 1, so the same steps on small integers give
-# the word counts c_n = p_n(1, 1).  Every coefficient of p_n is a count of
-# words, so it lies in [0, c_n]: one spare bit over max(c_n), rounded up to
-# whole bytes, holds every signed digit that is decoded.  The nonzero digits
-# of p_n and of the R_x slices of degree n lie in a narrow band (x1-exponents
-# 115-135 of 251 for S_4 at n = 250), so each is kept divided by x1^base_n,
-# the lowest power they share: a step costs about the band, not n digits.
+# Width 0 is evaluation at x1 = 1, which gives the word counts c_n.  The
+# nonzero digits of p_n and of the R_x slices of degree n lie in a narrow
+# band (x1-exponents 115-135 of 251 for S_4 at n = 250), so each is kept
+# divided by x1^base_n, the lowest power they share: a step costs about the
+# band, not n digits, and only the band is decoded.
 
 
 def weight_series(
@@ -191,52 +202,56 @@ def weight_series(
     word, per overlap length and per (prefix, word) membership, and no
     multiplication.
 
-    The steps run twice: first at x1 = 1 for the word counts c_n, then
-    packed at the narrowest whole-byte width with a sign bit above max(c_n),
-    as the coefficients of p_n are nonnegative and sum to c_n.  A digit that
-    spilled into the next would change the sum of the decoded slice, so
-    each must sum to c_n, or ArithmeticError is raised.  `progress(n, terms)`
-    is called once per degree of the packed pass; `should_cancel()` is
-    polled once per degree of both passes.  The packed pass keeps the
-    slices of degree n divided by the largest power of x1 they share, and
-    only the digits above it are decoded.
+    The steps run packed once, at the whole-byte width that the growth of
+    the word counts c_0..c_k (k = 2 max|v| + 16, at x1 = 1) calls for, plus
+    two bits.  Slice p_n is decoded as it is made, and exactly, as
+    2 c_(n-1) < 2^(width-1) is checked first: its coefficients lie in
+    [0, c_n], and c_n <= 2 c_(n-1) as a prefix of a word avoiding S avoids
+    S.  It must be nonnegative with a sum of at most 2 c_(n-1), or
+    ArithmeticError is raised.  A slice that the width does not cover
+    restarts the pass at a width read off the proven counts, or at N + 2
+    bits in whole bytes, which c_n <= 2^n always covers.  `progress` is
+    called once per proven slice, from 1 again on a restart, `should_cancel`
+    once per degree of the prefix and of each attempt.
     """
     if terms < 0:
         raise ValueError("terms must be >= 0")
     words = checked_words(S)
-    counts = _packed_slices(words, terms, 0, None, should_cancel)
-    width = _digit_width(counts)
-    bases: list[int] = []
-    packed = _packed_slices(words, terms, width, progress, should_cancel, bases)
-    rows = []
-    for n, (x, lo, count) in enumerate(zip(packed, bases, counts)):
-        row = [0] * lo + unpack_signed(x, min(n + 1 - lo, x.bit_length() // width + 2), width)
-        row += [0] * (n + 1 - len(row))
-        if sum(row) != count:
-            raise ArithmeticError(
-                f"slice {n} sums to {sum(row)} at width {width}, not to its {count} words")
-        rows.append(tuple(row))
-    series = Series(tuple(rows))
-    series.validate_counting()
-    return series
+    k = min(terms, 2 * max(map(len, words), default=0) + 16)
+    counts = [1, *(int(c) for c, _ in _packed_slices(words, k, 0, should_cancel))]
+    width = _series_width(counts, terms)
+    while True:
+        rows, count = [(1,)], 1
+        for n, (x, lo) in enumerate(_packed_slices(words, terms, width, should_cancel), 1):
+            if (2 * count).bit_length() >= width:
+                width = _series_width([sum(row) for row in rows], terms)
+                break
+            band = unpack_signed(x, min(n + 1 - lo, x.bit_length() // width + 2), width)
+            if (total := sum(band)) > 2 * count or min(band) < 0:
+                raise ArithmeticError(f"slice {n} at width {width} counts no words")
+            count = total
+            rows.append(tuple([0] * lo + band + [0] * (n + 1 - lo - len(band))))
+            if progress is not None:
+                progress(n, terms)
+        else:
+            return Series(tuple(rows))
 
 
-def _digit_width(counts: list[int]) -> int:
-    """Whole bytes holding every digit in [0, max(counts)] with a sign bit."""
-    return (max(counts).bit_length() + 8) // 8 * 8
+def _series_width(counts: list, terms: int) -> int:
+    """Whole bytes with 2 c_(n-1) < 2^(width-1) at every n <= terms, for the
+    counts c_0..c_m and, past them, c_m grown at its rate over c_(m//2)..c_m;
+    at most terms + 2 bits, as c_(n-1) <= 2^(n-1)."""
+    bits = max((c.bit_length() for c in counts[:terms]), default=0)
+    m = len(counts) - 1
+    if m < terms and counts[m]:
+        rate = (log2(counts[m]) - log2(counts[m // 2])) / (m - m // 2)
+        bits = max(bits, int(log2(counts[m]) + rate * (terms - 1 - m)) + 3)  # 2 bits spare
+    return (min(bits, terms) + 9) // 8 * 8
 
 
-def _packed_slices(
-    words: tuple[str, ...],
-    terms: int,
-    width: int,
-    progress: Progress,
-    should_cancel: Cancel,
-    bases: Optional[list[int]] = None,
-) -> list:
-    """p_0..p_terms evaluated at x1 = 2^width, by the steps of `weight_series`.
-
-    Slice n is returned divided by x1^bases[n], which `bases` receives."""
+def _packed_slices(words: tuple[str, ...], terms: int, width: int,
+                   should_cancel: Cancel) -> Iterator[tuple]:
+    """(p_n at x1 = 2^width divided by x1^base_n, base_n) for n = 1..terms."""
     # The overlap prefixes x = v[:L], each with the words u it sums into R_x.
     members: dict[str, set[int]] = {}
     for v in words:
@@ -261,8 +276,7 @@ def _packed_slices(
     history = [[zero] * ring for _ in sums]
     q = [zero] * len(words)
     packed = [mpz(1)]
-    base = bases if bases is not None else []
-    base.append(0)
+    base = [0]
     for n in range(1, terms + 1):
         if should_cancel is not None and should_cancel():
             raise ComputationCancelled(f"cancelled at degree {n} of {terms}")
@@ -295,9 +309,7 @@ def _packed_slices(
                 h[slot] >>= t * width
         packed.append(acc)
         base.append(b + t)
-        if progress is not None:
-            progress(n, terms)
-    return packed
+        yield acc, b + t
 
 
 def series_from_gf(

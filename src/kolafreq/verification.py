@@ -104,7 +104,10 @@ REF_MAXIMA = {4: (1, 3, 2), 5: (1, 3, 3)}
 
 @lru_cache(maxsize=16)
 def words_for_depth(d: int) -> tuple[str, ...]:
-    return avoided_set(d).words
+    return _avoided_tree(max(d, 8)).up_to(d).words  # one expansion serves S_1..S_8
+
+
+_avoided_tree = lru_cache(maxsize=2)(avoided_set)
 
 
 @lru_cache(maxsize=32)

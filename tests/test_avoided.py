@@ -120,6 +120,14 @@ def test_collision_is_a_hard_error(monkeypatch):
         avoided_set(1)
 
 
+def test_words_for_depth_reads_every_set_off_one_tree():
+    # The checks read S_1..S_8 off one expansion to depth 8; each must be
+    # the set that its own expansion gives, in the same order.
+    for d in range(1, 9):
+        assert words_for_depth(d) == avoided_set(d).words
+    assert words_for_depth(9) == avoided_set(9).words
+
+
 def test_kolakoski_avoids_depth4(kprefix_1m):
     for word in words_for_depth(4):
         assert word not in kprefix_1m

@@ -20,6 +20,7 @@ from kolafreq import (
 )
 from kolafreq import cluster
 from kolafreq.avoided import checked_words
+from kolafreq.polynomials import pack_coefficients
 from kolafreq.verification import REF_S3_DEN, check_gf_s1
 
 words_st = st.text(alphabet="12", min_size=1, max_size=8)
@@ -119,37 +120,68 @@ def test_series_matches_counting_dp_at_depth_4():
     assert weight_series(S, 300) == weight_poly_dp(S, 300)
 
 
-def test_series_width_comes_from_the_word_counts():
-    # The empty set counts 2^n words; {1, 22} admits no word past length 1,
-    # so its width comes from c_0 = 1.  Their slices are checked against
-    # the counting DP in test_series_matches_counting_dp_on_random_sets.
-    counts = cluster._packed_slices((), 40, 0, None, None)
-    assert counts == [2**n for n in range(41)] and cluster._digit_width(counts) == 48
-    counts = cluster._packed_slices(("1", "22"), 40, 0, None, None)
-    assert counts == [1, 1] + [0] * 39 and cluster._digit_width(counts) == 8
+def _spy_passes(mp) -> list[list[int]]:
+    """Record [terms, width, steps taken] of every `_packed_slices` pass."""
+    passes: list[list[int]] = []
+    real = cluster._packed_slices
+
+    def spy(words, terms, width, should_cancel):
+        passes.append(seen := [terms, width, 0])
+        for step in real(words, terms, width, should_cancel):
+            seen[2] += 1
+            yield step
+
+    mp.setattr(cluster, "_packed_slices", spy)
+    return passes
+
+
+def _spy_counts(mp, first_width=None) -> list[list[int]]:
+    """Record the counts that `weight_series` reads each width off;
+    `first_width`, if given, replaces the first width read."""
+    seen: list[list[int]] = []
+    real = cluster._series_width
+
+    def spy(counts, terms):
+        seen.append(list(counts))
+        return first_width if first_width and len(seen) == 1 else real(counts, terms)
+
+    mp.setattr(cluster, "_series_width", spy)
+    return seen
+
+
+def test_series_width_comes_from_the_word_counts(monkeypatch):
+    # The prefix runs at width 0 to k = 2 max|v| + 16.  The empty set counts
+    # 2^n words, whose growth calls for the a-priori N + 2 bits; {1, 22}
+    # admits no word past length 1, so its width comes from c_0 = 1.  Either
+    # runs one packed pass.
+    passes, seen = _spy_passes(monkeypatch), _spy_counts(monkeypatch)
+    assert weight_series((), 40).poly(40) == WeightPoly.letter_sum() ** 40
+    assert seen == [[2**n for n in range(17)]] and passes == [[16, 0, 16], [40, 48, 40]]
+    seen.clear()
+    passes.clear()
+    assert weight_series(("1", "22"), 40).slices[2:] == tuple((0,) * (n + 1) for n in range(2, 41))
+    assert seen == [[1, 1] + [0] * 19] and passes == [[20, 0, 20], [40, 8, 40]]
 
 
 def test_packed_series_keeps_only_the_band_of_nonzero_digits():
     # S_4's slices of degree 250 have nonzero digits only at x1-exponents
     # 115-135; kept whole, p_250 would reach 134 digits of 64 bits.
-    words = avoided_set(4).words
-    assert cluster._digit_width(cluster._packed_slices(words, 250, 0, None, None)) == 64
-    bases: list[int] = []
-    packed = cluster._packed_slices(words, 250, 64, None, None, bases)
-    assert bases[250] == 115
-    assert max(x.bit_length() for x in packed) <= 40 * 64
+    steps = list(cluster._packed_slices(avoided_set(4).words, 250, 64, None))
+    assert steps[-1][1] == 115  # the base of degree 250
+    assert max(x.bit_length() for x, _ in steps) <= 40 * 64
 
 
 def test_packed_series_refuses_a_width_below_its_counts(monkeypatch):
-    # S_1's coefficients reach 137 bits at N = 200 and its counts 140, so
-    # the proven width is 144; at 136 bits digits spill into their
-    # neighbours, and the count check refuses the decode.
-    real = cluster._digit_width
-    monkeypatch.setattr(cluster, "_digit_width", lambda counts: real(counts) - 8)
-    with pytest.raises(ArithmeticError, match="at width 136, not to its"):
-        weight_series(avoided_set(1), 200)
-    monkeypatch.setattr(cluster, "_digit_width", real)
-    assert weight_series(avoided_set(1), 200) == weight_poly_dp(avoided_set(1), 200)
+    # S_1's counts call for 144 bits at N = 200.  At 136 bits, the first
+    # slice the width cannot prove is p_194, as c_193 has 135 bits: the pass
+    # decodes p_1..p_193 and restarts at the width of the proven counts.
+    expected = weight_poly_dp(avoided_set(1), 200)
+    counts = [sum(row) for row in expected.slices]
+    seen = _spy_counts(monkeypatch, first_width=136)
+    widths = _spy_widths(monkeypatch)
+    assert weight_series(avoided_set(1), 200) == expected
+    assert counts[193].bit_length() == 135 and seen[1] == counts[:194]
+    assert widths == [136] * 193 + [144] * 200
 
 
 def test_series_validates_counting_invariants():
@@ -279,17 +311,64 @@ def test_series_matches_counting_dp_on_random_sets(S, N):
     assert weight_series(S, N) == weight_poly_dp(S, N)
 
 
-def _spy_widths(monkeypatch, corrupt=lambda calls: False) -> list[int]:
-    """Record the width of every decode; `corrupt(calls)` adds 1 to its
-    lowest digit."""
+@settings(max_examples=200, deadline=None)
+@given(factor_free_sets, st.integers(min_value=0, max_value=40))
+@example((), 40)
+def test_packed_series_restarts_from_8_bits_on_random_sets(S, N):
+    # 8 bits prove no slice past a count of 2^5, so every set whose words
+    # number more restarts, at a width read off the counts proven so far.
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _spy_counts(mp, first_width=8)
+        assert weight_series(S, N) == weight_poly_dp(S, N)
+    counts = [sum(row) for row in weight_poly_dp(S, N).slices]
+    assert (len(seen) > 1) == any(c.bit_length() > 6 for c in counts[:N])
+
+
+def test_packed_series_ends_at_n_plus_two_bits(monkeypatch):
+    # c_(n-1) <= 2^(n-1) proves every slice at N + 2 bits, in whole bytes:
+    # no width goes past it, and the empty set's counts 2^n need all of it.
+    for terms in (0, 1, 6, 7, 40, 200):
+        last = (terms + 9) // 8 * 8
+        assert cluster._series_width([2**n for n in range(min(terms, 16) + 1)], terms) == last
+        assert cluster._series_width([3**n for n in range(17)], terms) == last
+    _spy_counts(monkeypatch, first_width=8)
+    widths = _spy_widths(monkeypatch)
+    assert weight_series((), 40).poly(40) == WeightPoly.letter_sum() ** 40
+    assert widths == [8] * 6 + [48] * 40  # 2 c_6 = 2^7 needs 9 bits
+
+
+@pytest.mark.parametrize("delta", [-(10**6), 10**6], ids=["negative", "past-2c"])
+def test_packed_series_refuses_a_slice_that_counts_no_words(monkeypatch, delta):
+    # A decode is exact once the width covers it, so only a fault in the
+    # program can give a negative digit or a sum above 2 c_(n-1).
+    _spy_widths(monkeypatch, corrupt=lambda calls: delta if len(calls) == 5 else 0)
+    with pytest.raises(ArithmeticError, match="slice 5 at width 144 counts no words"):
+        weight_series(avoided_set(1), 200)
+
+
+@pytest.mark.parametrize("d, N, width", [(1, 200, 144), (2, 200, 104), (3, 200, 72),
+                                         (4, 250, 64), (4, 500, 112), (5, 800, 120),
+                                         (6, 600, 72)])
+def test_packed_series_runs_once_past_its_prefix(monkeypatch, d, N, width):
+    # The width read off the prefix covers every slice of the paper's sets
+    # (S_6 at N = 1000 at 104 bits is checked in CI): one width-0 prefix of
+    # 2 max|v| + 16 steps and one packed pass, with no step at width 0 past it.
+    passes = _spy_passes(monkeypatch)
+    weight_series(avoided_set(d), N)
+    k = 2 * max(map(len, avoided_set(d).words)) + 16
+    assert passes == [[k, 0, k], [N, width, N]]
+
+
+def _spy_widths(monkeypatch, corrupt=lambda calls: 0) -> list[int]:
+    """Record the width of every decode; `corrupt(calls)` is added to its
+    lowest digit (True adds 1)."""
     widths: list[int] = []
     real = cluster.unpack_signed
 
     def spy(packed, count, width):
         widths.append(width)
         digits = real(packed, count, width)
-        if corrupt(widths):
-            digits[0] += 1
+        digits[0] += corrupt(widths)
         return digits
 
     monkeypatch.setattr(cluster, "unpack_signed", spy)
@@ -345,6 +424,38 @@ def test_packed_gf_retries_after_a_corrupted_decode(monkeypatch):
     # Corrupt det, the first of the 15 decodes of the attempt that solved S_3:
     # the next attempt, the doubled width at the probe's D, solves it.
     _spy_widths(monkeypatch, corrupt=lambda calls: len(calls) == 1)
+    assert weight_gf(avoided_set(3)) == expected
+    assert tried == [(8, 23), (16, 23)]
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_packed_gf_proof_refuses_a_coefficient_moved_by_one(monkeypatch, delta):
+    expected = weight_gf(avoided_set(3))
+    tried = _spy_attempts(monkeypatch)
+    _spy_widths(monkeypatch, corrupt=lambda calls: delta if len(calls) == 2 else 0)  # y_1
+    assert weight_gf(avoided_set(3)) == expected
+    assert tried == [(8, 23), (16, 23)]
+
+
+def test_packed_gf_proof_width_comes_from_det_and_y(monkeypatch):
+    # y_1 of the first attempt gets 2^8 at its lowest coefficient, far past
+    # the elimination's 8-bit digits, and -1 at the next: at x1 = 2^8 it packs
+    # to the same integer, so only a proof at a width that det and y call for
+    # sees the change.
+    expected = weight_gf(avoided_set(3))
+    tried = _spy_attempts(monkeypatch)
+    real, calls = cluster.unpack_signed, []
+
+    def alias(packed, count, width):
+        digits = real(packed, count, width)
+        calls.append(width)
+        if len(calls) == 2:
+            digits[0] += 1 << width
+            digits[1] -= 1
+            assert pack_coefficients(digits, width) == packed
+        return digits
+
+    monkeypatch.setattr(cluster, "unpack_signed", alias)
     assert weight_gf(avoided_set(3)) == expected
     assert tried == [(8, 23), (16, 23)]
 
