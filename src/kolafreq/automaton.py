@@ -5,6 +5,7 @@ compiled in and word ends dropped, is a deterministic automaton over {1, 2}
 on the proper prefixes of the words, whose paths from the empty prefix spell
 exactly the words containing no avoided factor.  On top of it sit:
 
+- a walk over the chunks of a word, in C but for new (state, chunk) pairs (`accepts`);
 - an exact counting DP for the weight series slices (`weight_poly_dp`);
 - a min-plus kernel for the fewest ones per length.  Its step map T is
   min-plus linear, T(v + c) = T(v) + c, so once the state vector normalised
@@ -28,21 +29,19 @@ exactly the words containing no avoided factor.  On top of it sit:
   unbounded entries over every state, unpruned on purpose: it takes over a
   run whose lanes outgrow a byte, on the same graph, and it is the oracle
   the lanes and the pruning are tested against;
-- the most ones per length with no second DP: swapping the letters maps
-  the words avoiding S onto those avoiding swap(S), so the most ones at
-  length n are n minus the fewest ones avoiding swap(S);
-- brute-force enumeration for small lengths, sharing no code with the
-  automaton, as an independent oracle (`enumerate_brute`).
+- the most ones per length, n minus the fewest ones avoiding swap(S), with
+  no second DP (`degree_profile`);
+- one brute-force growth pass for the slices up to a small length, an
+  independent oracle sharing no code with the automaton (`enumerate_brute`).
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections import defaultdict
-from functools import cache
+from functools import cache, reduce
 from itertools import groupby, zip_longest
-from operator import itemgetter
+from operator import add, getitem, itemgetter
 from typing import TYPE_CHECKING, Callable, ClassVar, Iterable
 
 from . import record
@@ -51,7 +50,7 @@ from .bounds import DegreeProfile
 from .words import swap_closed, swap_letters
 
 if TYPE_CHECKING:
-    from .polynomials import Series, WeightPoly
+    from .polynomials import Series
 
 DEAD = -1
 
@@ -81,32 +80,41 @@ class AvoidanceAutomaton:
         """True iff the word contains none of the tracked factors.
 
         A `str` is cut into chunks of `_ACCEPT_CHUNK` letters; any other
-        iterable is of chunks already, such as `kolakoski_pieces`.  The walk
-        goes through a memo kept for this call, one dict per state from a
-        chunk to the state after it: a long word repeats few (state, chunk)
-        pairs (3 028 for the 10^7 Kolakoski letters in their pieces through
-        S_6), so most chunks cost two lookups.  A letter other than 1 or 2
-        raises ValueError when its chunk is first walked."""
+        iterable is of chunks already, such as `kolakoski_pieces`.  One `reduce`
+        walks them in C through a `_Memo` per state, kept for this call: a long
+        word repeats few (state, chunk) pairs (3 028 for the 10^7 Kolakoski
+        letters in their pieces through S_6), and only a new one is walked
+        letter by letter.  No chunk is pulled past the one that dies; a letter
+        other than 1 or 2 raises ValueError."""
         chunks = word if not isinstance(word, str) else (
             word[i:i + _ACCEPT_CHUNK] for i in range(0, len(word), _ACCEPT_CHUNK))
-        memo: defaultdict[int, dict[str, int]] = defaultdict(dict)
-        state = self.start
-        for chunk in chunks:
-            after = memo[state]
-            nxt = after.get(chunk)
-            if nxt is None:  # a new pair: walk its letters until one dies
-                if chunk.strip("12"):
-                    raise ValueError(f"letter {chunk.strip('12')[0]!r} is neither 1 nor 2")
-                nxt = state
-                for ch in chunk:
-                    nxt = (self.on_one if ch == "1" else self.on_two)[nxt]
-                    if nxt == DEAD:
-                        break
-                after[chunk] = nxt
-            if nxt == DEAD:
-                return False
-            state = nxt
+        try:
+            reduce(getitem, chunks, _Memo(self, self.start, {}))
+        except _Dead:
+            return False
         return True
+
+
+class _Dead(Exception):
+    """A chunk of an `accepts` walk reached DEAD."""
+
+
+class _Memo(dict):
+    """A state's memo in an `accepts` walk: a chunk -> the `_Memo` of the state after it."""
+
+    def __init__(self, auto: AvoidanceAutomaton, state: int, memos: dict):
+        self.auto, self.state, self.memos = auto, state, memos
+        memos[state] = self
+
+    def __missing__(self, chunk: str) -> _Memo:
+        if chunk.strip("12"):
+            raise ValueError(f"letter {chunk.strip('12')[0]!r} is neither 1 nor 2")
+        q, auto, memos = self.state, self.auto, self.memos
+        for ch in chunk:
+            q = (auto.on_one if ch == "1" else auto.on_two)[q]
+            if q == DEAD:
+                raise _Dead
+        return self.setdefault(chunk, memos[q] if q in memos else _Memo(auto, q, memos))
 
 
 def build_automaton(S: WordsLike) -> AvoidanceAutomaton:
@@ -453,9 +461,8 @@ def _min_ones(graph: CoreGraph, N: int) -> tuple[list[int], tuple[int, int, int]
 def _run(step, N: int) -> tuple[list[int], tuple[int, int, int] | None]:
     """The min-ones kernel on a step object: `_DelayLine` or `_Lists`.
 
-    The min-plus step T satisfies T(v + c) = T(v) + c, so once the vector
-    normalised by its minimum repeats, v_(n0+P) = v_(n0) + c, every later
-    term follows: m_(n+P) = m_n + c for all n >= n0.  The step object gives
+    As T(v + c) = T(v) + c, a repeat of the normalised vector, v_(n0+P) =
+    v_(n0) + c, gives m_(n+P) = m_n + c for all n >= n0.  The step object gives
     the vector of length 0 (`start`) and the next normalised vector with its
     minimum (`advance`).  A vector is hashable, and two are equal exactly
     when the normalised vectors are.  Vectors are recorded by digest only; a
@@ -563,31 +570,34 @@ def weight_poly_dp(S: WordsLike, N: int) -> Series:
     return Series(tuple(slices))
 
 
-def enumerate_brute(S: WordsLike, n: int) -> WeightPoly:
-    """Ground-truth oracle: grow the survivors one letter at a time.
+def enumerate_brute(S: WordsLike, n: int) -> Series:
+    """Ground-truth oracle: the slices p_0..p_n from one growth pass.
 
     A word avoids S iff none of its prefixes ends with a word of S, so the
     survivors of length k + 1 are the one-letter extensions of the survivors
-    of length k that do not end with a word of S.  Levels longer than
-    `_BRUTE_FORCE_CHUNK` words are split and grown depth first, which keeps
-    memory at O(n * chunk) strings however many words survive.
+    of length k that do not end with a word of S.  Grouped by their ones,
+    level k gives slice k as its group sizes.  A level of more than
+    `_BRUTE_FORCE_CHUNK` words is halved group by group (the smaller halves
+    wait, counted, at its length) and grown depth first: memory stays at
+    O(n * chunk) strings.
     """
-    from .polynomials import WeightPoly
+    from .polynomials import Series
 
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > BRUTE_FORCE_LIMIT:
         raise TooLargeError(f"brute force capped at n <= {BRUTE_FORCE_LIMIT}")
     words = checked_words(S)
-    counts = [0] * (n + 1)
-    pending = [[""]]
+    slices = [[1]] + [[0] * (k + 1) for k in range(1, n + 1)]
+    pending = [[[""]]]  # parts of levels, each a group per count of ones: k + 1 at length k
     while pending:
-        level = pending.pop()
-        while level and len(level[0]) < n:
-            if len(level) > _BRUTE_FORCE_CHUNK:
-                pending.append(level[_BRUTE_FORCE_CHUNK:])
-                level = level[:_BRUTE_FORCE_CHUNK]
-            level = [x for w in level for x in (w + "1", w + "2") if not x.endswith(words)]
-        for w in level:
-            counts[w.count("1")] += 1
-    return WeightPoly({(a, n - a): c for a, c in enumerate(counts) if c})
+        groups = pending.pop()
+        while (k := len(groups)) <= n:
+            if sum(map(len, groups)) > _BRUTE_FORCE_CHUNK:  # half of each group waits, counted
+                pending.append([g[(len(g) + 1) // 2:] for g in groups])
+                groups = [g[:(len(g) + 1) // 2] for g in groups]
+            groups = [[x for w in same if not (x := w + "2").endswith(words)]
+                      + [x for w in fewer if not (x := w + "1").endswith(words)]
+                      for same, fewer in zip(groups + [[]], [[]] + groups)]
+            slices[k] = list(map(add, slices[k], map(len, groups)))
+    return Series(tuple(map(tuple, slices)))

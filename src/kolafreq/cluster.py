@@ -239,13 +239,16 @@ def weight_series(
 
 def _series_width(counts: list, terms: int) -> int:
     """Whole bytes with 2 c_(n-1) < 2^(width-1) at every n <= terms, for the
-    counts c_0..c_m and, past them, c_m grown at its rate over c_(m//2)..c_m;
-    at most terms + 2 bits, as c_(n-1) <= 2^(n-1)."""
+    counts c_0..c_m and, past them, c_m grown at its rate over c_(m//2)..c_m
+    (in log n if its log grows by less than 1.5 times as much as over
+    c_(m//4)..c_(m//2)), plus 2 bits; at most terms + 2, as c_(n-1) <= 2^(n-1)."""
     bits = max((c.bit_length() for c in counts[:terms]), default=0)
     m = len(counts) - 1
     if m < terms and counts[m]:
-        rate = (log2(counts[m]) - log2(counts[m // 2])) / (m - m // 2)
-        bits = max(bits, int(log2(counts[m]) + rate * (terms - 1 - m)) + 3)  # 2 bits spare
+        low, mid, top = (log2(counts[i]) for i in (m // 4, m // 2, m))
+        poly = top - mid < 1.5 * (mid - low)  # an exponential c: log c gains about twice as much
+        rate = (top - mid) / (log2(m / (m // 2)) if poly else m - m // 2)
+        bits = max(bits, int(top + rate * (log2((terms - 1) / m) if poly else terms - 1 - m)) + 3)
     return (min(bits, terms) + 9) // 8 * 8
 
 

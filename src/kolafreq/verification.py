@@ -1,9 +1,10 @@
 """Named end-to-end verification checks shared by the CLI and the test suite.
 
-Each check recomputes a published quantity from scratch and compares it with
-the frozen reference value, or cross-checks two independent computation
-routes against each other.  Checks return (ok, detail) and never raise on a
-mere mismatch, so a failed run can name its witness.
+Each check recomputes a published quantity and compares it with the frozen
+reference value, or cross-checks two independent routes; they share each
+set, profile and series through the `*_for_depth` caches.  Checks return
+(ok, detail) and never raise on a mere mismatch, so a failed run can name
+its witness.
 """
 
 from __future__ import annotations
@@ -115,6 +116,11 @@ def profile_for_depth(d: int, N: int):
     return degree_profile(words_for_depth(d), N)
 
 
+@lru_cache(maxsize=32)
+def series_for_depth(d: int, N: int):
+    return weight_series(words_for_depth(d), N)
+
+
 # -- checks --------------------------------------------------------------------
 
 CheckFn = Callable[[], tuple[bool, str]]
@@ -137,9 +143,7 @@ def check_gf_s1(gf=None) -> tuple[bool, str]:
         return False, f"denominator mismatch: {gf.denominator}"
     if gf.numerator.terms != num.terms:
         return False, f"numerator mismatch: {gf.numerator}"
-    expanded = series_from_gf(gf, 12)
-    direct = weight_series(words_for_depth(1), 12)
-    if expanded != direct:
+    if series_from_gf(gf, 12) != series_for_depth(1, 12):
         return False, "series expansion of the closed form disagrees with direct series"
     return True, "numerator, denominator, and series cross-check agree"
 
@@ -160,21 +164,20 @@ def check_gf_s3() -> tuple[bool, str]:
 
 def check_series_s1() -> tuple[bool, str]:
     """First six slices of the depth-1 series match the reference."""
-    series = weight_series(words_for_depth(1), 5)
+    series = series_for_depth(1, 5)
     if series.slices != REF_S1_SERIES_5:
         return False, f"series mismatch: {series.slices}"
     return True, "slices through t^5 match"
 
 
 def check_triple_oracle(max_d: int = 3, max_n: int = 18) -> tuple[bool, str]:
-    """Cluster series, automaton counting DP, and brute force agree."""
+    """Cluster series, automaton counting DP, and brute force agree, one `Series` each."""
     for d in range(1, max_d + 1):
-        words = words_for_depth(d)
-        series = weight_series(words, max_n)
+        words, series = words_for_depth(d), series_for_depth(d, max_n)
         if series != weight_poly_dp(words, max_n):
             return False, f"cluster series and counting DP disagree at d={d}"
-        for n in range(max_n + 1):
-            if series.poly(n) != enumerate_brute(words, n):
+        for n, (row, brute) in enumerate(zip(series.slices, enumerate_brute(words, max_n).slices)):
+            if row != brute:
                 return False, f"oracle disagreement at d={d}, n={n}"
     return True, f"three oracles agree for d <= {max_d}, n <= {max_n}"
 
@@ -196,7 +199,7 @@ def check_results_table_gj(max_d: int = 3, N: int = 200) -> tuple[bool, str]:
     for d, _size, _N, n_ref, eps_ref in REF_RESULTS_TABLE[:max_d]:
         words = words_for_depth(d)
         try:
-            prof = DegreeProfile.from_series(words, weight_series(words, N))
+            prof = DegreeProfile.from_series(words, series_for_depth(d, N))
         except EmptyLanguageError as exc:
             return False, f"d={d}: {exc}"
         if prof != profile_for_depth(d, N):
@@ -246,7 +249,7 @@ def check_limits_and_maxima() -> tuple[bool, str]:
 
 def check_d6_anomaly() -> tuple[bool, str]:
     """Depth-5 and depth-6 min-ones sequences differ only at n = 62."""
-    p5 = profile_for_depth(5, 600)
+    p5 = profile_for_depth(5, DEFAULT_TABLE_TERMS[5])
     p6 = profile_for_depth(6, 600)
     diffs = [n for n in range(601) if p5.min_ones[n] != p6.min_ones[n]]
     if diffs != [62]:
@@ -258,15 +261,16 @@ def check_properties() -> tuple[bool, str]:
     """Structural invariants: symmetry, counts, factor-freeness, avoidance.
 
     Swap-closure of S_d is the premise under which `degree_profile` reads
-    max-ones off min-ones: max_ones[n] = n - min_ones[n].
+    max_ones[n] = n - min_ones[n].  One factor-free pass on S_8 covers its
+    subsets S_d; only a failure runs one per S_d, to name the least d.
     """
+    all_free, s8 = verify_factor_free(words_for_depth(8))[0], set(words_for_depth(8))
     for d in range(1, 9):
         words = words_for_depth(d)
         if len(words) != 2 ** (d + 1) - 2:
             return False, f"|S_{d}| = {len(words)} != {2 ** (d + 1) - 2}"
-        ok, witness = verify_factor_free(words)
-        if not ok:
-            return False, f"S_{d} not factor-free: {witness}"
+        if not (all_free and s8.issuperset(words)) and not (free := verify_factor_free(words))[0]:
+            return False, f"S_{d} not factor-free: {free[1]}"
         if not swap_closed(words):
             return False, f"S_{d} is not closed under swapping the letters"
     if not build_automaton(words_for_depth(6)).accepts(kolakoski_pieces(10**7)):
@@ -274,7 +278,7 @@ def check_properties() -> tuple[bool, str]:
         bad = [w for w in words_for_depth(6) if w in prefix]
         return False, f"avoided words found in the 10^7 prefix: {bad[:3]}"
     for d in (1, 2, 3):
-        series = weight_series(words_for_depth(d), 18)
+        series = series_for_depth(d, 18)
         try:
             series.validate_counting()
         except AssertionError as exc:

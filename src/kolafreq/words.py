@@ -8,7 +8,7 @@ scan over the pieces (`AvoidanceAutomaton.accepts`) never holds it whole.
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import chain, groupby
 from typing import Iterable, Iterator
 
 _SWAP = str.maketrans("12", "21")
@@ -48,31 +48,32 @@ def kolakoski_pieces(n: int, first_letter: int | str = 2) -> Iterator[str]:
     per lookup in a memo of the chunks met so far (782 distinct chunks in
     the first 10^7 letters).  Past the seed, each piece is the memo's own
     expansion of a chunk, a string shared by every occurrence, except the
-    one cut at n.  Only the letters not yet read back are kept: a window
-    from the read position on, re-joined with the pieces made since when
-    the reader runs short, about a third of the letters made.
+    one cut at n, chained in C from lists of up to _BATCH.  Only the letters
+    not yet read back are kept: a window from the read position on,
+    re-joined with the pieces made since when the reader runs short, about
+    a third of the letters made.  Bad arguments raise on the first `next`.
     """
+    return chain.from_iterable(_batches(n, first_letter))
+
+
+def _batches(n: int, first_letter: int | str) -> Iterator[list[str]]:
+    """The pieces of `kolakoski_pieces`, a list at a time."""
     first = str(first_letter)
     if first not in ("1", "2"):
         raise ValueError("first_letter must be 1 or 2")
     if n < 0:
         raise ValueError("n must be >= 0")
     if first == "1" and n:
-        yield "1"
+        yield ["1"]
         n -= 1
     # Seed: self-reading two-pointer construction, the read pointer trailing
     # the write position.
     seq = [2, 2]
-    read = 1
-    while read < _SEED:
-        letter = 3 - seq[-1]
-        seq.append(letter)
-        if seq[read] == 2:
-            seq.append(letter)
-        read += 1
+    for read in range(1, _SEED):
+        seq += [3 - seq[-1]] * seq[read]
     word = bytes(seq).translate(_DIGITS).decode("ascii")
     if n:
-        yield word[:n]
+        yield [word[:n]]
     # The seed's 33 unread letters fill a chunk, and a chunk read gives at
     # least as many letters as it takes, so the window never runs dry.
     memo: dict[str, str] = {}
@@ -96,7 +97,7 @@ def kolakoski_pieces(n: int, first_letter: int | str = 2) -> Iterator[str]:
             total -= len(new.pop())
         if total > n:
             new[-1] = new[-1][:n - total]
-        yield from new
+        yield new
 
 
 def run_lengths(word: str) -> list[int]:

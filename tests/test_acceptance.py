@@ -7,6 +7,7 @@ or, equivalently, `kolafreq verify --level full`.
 """
 
 import time
+from collections import Counter
 from fractions import Fraction
 
 from kolafreq import avoided_set, kolakoski_pieces, verification, weight_series
@@ -98,6 +99,32 @@ def test_properties_names_an_avoided_word_in_the_prefix(monkeypatch):
     assert not ok
     assert detail == f"avoided words found in the 10^7 prefix: {[word]}"
     assert calls == [10**7, 10**7]  # the walk, then the rebuild that names it
+
+
+def test_full_run_makes_each_object_once(monkeypatch):
+    # Brute force runs once per depth of triple-oracle, the factor-free pass
+    # once on S_8, and the series once per (set, N): the checks share them.
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(verification, name)
+
+        def call(words, *args):
+            calls[(name, tuple(words), *args)] += 1
+            return real(words, *args)
+
+        monkeypatch.setattr(verification, name, call)
+
+    for name in ("enumerate_brute", "verify_factor_free", "weight_series"):
+        counted(name)
+    for cache in (verification.words_for_depth, verification._avoided_tree,
+                  verification.profile_for_depth, verification.series_for_depth):
+        cache.cache_clear()
+    assert all(r.ok for r in verification.run_checks("full"))
+    per_name = Counter(name for name, *_ in calls)
+    assert per_name == {"enumerate_brute": 3, "verify_factor_free": 1, "weight_series": 8}
+    assert set(calls.values()) == {1}
+    assert ("verify_factor_free", verification.words_for_depth(8)) in calls
 
 
 def test_headline_bound_reproduced_exactly():

@@ -2,6 +2,7 @@ import gc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import comb
 from unittest import mock
 
 import pytest
@@ -199,12 +200,18 @@ def test_counting_dp_examples():
 
 
 def test_brute_force_examples():
-    assert enumerate_brute(avoided_set(1), 2) == WeightPoly(
-        {(2, 0): 1, (1, 1): 2, (0, 2): 1}
-    )
-    assert enumerate_brute([], 4) == WeightPoly.letter_sum() ** 4
+    assert enumerate_brute(avoided_set(1), 2).slices == ((1,), (1, 1), (1, 2, 1))
+    assert enumerate_brute(avoided_set(1), 3).poly(3) == WeightPoly({(2, 1): 3, (1, 2): 3})
+    assert enumerate_brute([], 4).poly(4) == WeightPoly.letter_sum() ** 4
+    assert enumerate_brute(["1", "2"], 3).slices == ((1,), (0, 0), (0, 0, 0), (0, 0, 0, 0))
+    assert enumerate_brute(avoided_set(1), 0).slices == ((1,),)
+    # The refusals are raises, so they hold under python -O too.
     with pytest.raises(TooLargeError):
         enumerate_brute(avoided_set(1), 25)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        enumerate_brute(avoided_set(1), -1)
+    with pytest.raises(NotFactorFreeError):
+        enumerate_brute(("11", "111"), 3)
 
 
 @pytest.mark.parametrize("S", [
@@ -216,21 +223,31 @@ def test_brute_force_examples():
     tuple(avoided_set(3).words),
 ])
 def test_brute_force_matches_literal_enumeration(S):
+    brute = enumerate_brute(S, 10)
+    assert brute.order == 10
     for n in range(11):
         counts = Counter(
             w.count("1") for w in map("".join, product("12", repeat=n))
             if not contains_any_factor(w, S)
         )
-        assert enumerate_brute(S, n) == WeightPoly({(a, n - a): c for a, c in counts.items()})
+        assert brute.slices[n] == tuple(counts[a] for a in range(n + 1)), n
 
 
 def test_brute_force_splits_large_levels():
-    # Length 15 has 2^15 survivors, more than one chunk of the level.
-    assert enumerate_brute([], 16) == WeightPoly.letter_sum() ** 16
+    # Lengths 15 and 16 have 2^15 and 2^16 survivors, more than one chunk of
+    # 2^14: a level counted twice after its split, or a part lost, breaks a row.
+    brute = enumerate_brute([], 16)
+    assert brute.slices == tuple(tuple(comb(n, a) for a in range(n + 1)) for n in range(17))
 
 
 def test_cross_oracle_s2_n10():
-    assert weight_poly_dp(avoided_set(2), 10).poly(10) == enumerate_brute(avoided_set(2), 10)
+    assert weight_poly_dp(avoided_set(2), 10) == enumerate_brute(avoided_set(2), 10)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_brute_force_equals_counting_dp_at_the_cap(d):
+    words = avoided_set(d).words
+    assert enumerate_brute(words, 24) == weight_poly_dp(words, 24)
 
 
 def test_profile_consistent_with_series_extremes():
@@ -310,8 +327,7 @@ def test_oracles_agree_on_random_factor_free_sets(S):
     series = weight_series(S, N)
     assert series == weight_poly_dp(S, N)
     assert series_from_gf(weight_gf(S), N) == series
-    for n in range(11):
-        assert series.poly(n) == enumerate_brute(S, n)
+    assert enumerate_brute(S, N) == series
     try:
         expected = degree_profile(S, N)
     except EmptyLanguageError:
@@ -319,6 +335,18 @@ def test_oracles_agree_on_random_factor_free_sets(S):
             DegreeProfile.from_series(S, series)
     else:
         assert DegreeProfile.from_series(S, series) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor_free_sets, st.integers(min_value=0, max_value=12))
+@example((), 12)  # 2^12 words; every part of more than 4 is halved
+@example(("11", "22"), 9)
+@example(("1",), 12)  # one word a level: a chunk holds them all
+@example(("12",), 12)  # one word per count of ones: halving moves no word aside
+def test_brute_force_split_into_tiny_chunks_counts_every_word_once(S, n):
+    whole = enumerate_brute(S, n)
+    with mock.patch.object(automaton, "_BRUTE_FORCE_CHUNK", 4):
+        assert enumerate_brute(S, n) == whole
 
 
 @settings(max_examples=60, deadline=None)
@@ -558,10 +586,42 @@ def test_accepts_pieces_as_the_joined_word(S, pieces):
     ("1x1", "x"),
     ("12" * 20 + "0", "0"),  # in the second chunk
     (["12", "12", "1 2"], " "),  # in a piece
+    # In a later chunk or piece, after the walk has memoised others:
+    (["12", "12", "12", "1213"], "3"),
+    (["12"] * 3 + ["3"], "3"),
+    ("12" * 40 + "3", "3"),  # the third chunk of a str
+    ("12" * 47 + "13", "3"),  # a chunk one letter off one walked twice
 ])
 def test_accepts_refuses_letters_other_than_1_and_2(word, letter):
     with pytest.raises(ValueError, match=repr(letter)):
         build_automaton(["11", "22"]).accepts(word)
+
+
+def test_accepts_pulls_no_chunk_past_the_one_that_dies():
+    pulled = []
+
+    def chunks():
+        for chunk in ["12", "21", "1221", "12", "2212", "2", "1"]:  # 222 ends in the fifth
+            pulled.append(chunk)
+            yield chunk
+
+    assert not build_automaton(["111", "222"]).accepts(chunks())
+    assert pulled == ["12", "21", "1221", "12", "2212"]
+
+
+def test_accepts_walks_each_new_state_and_piece_once(monkeypatch):
+    # The 10^7 Kolakoski letters through S_6 come in 208 333 pieces, but
+    # only 3 028 (state, piece) pairs are distinct: only those walk letters.
+    walked = Counter()
+    real = automaton._Memo.__missing__
+
+    def spy(memo, chunk):
+        walked[memo.state, chunk] += 1
+        return real(memo, chunk)
+
+    monkeypatch.setattr(automaton._Memo, "__missing__", spy)
+    assert build_automaton(avoided_set(6)).accepts(kolakoski_pieces(10**7))
+    assert sum(walked.values()) == len(walked) == 3028
 
 
 def _karp_min_cycle_mean(auto):

@@ -110,9 +110,7 @@ def test_series_of_empty_set_is_binomial():
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_series_agrees_with_brute_force(d):
-    series = weight_series(avoided_set(d), 12)
-    for n in range(13):
-        assert series.poly(n) == enumerate_brute(avoided_set(d), n), f"n={n}"
+    assert weight_series(avoided_set(d), 12) == enumerate_brute(avoided_set(d), 12)
 
 
 def test_series_matches_counting_dp_at_depth_4():
@@ -322,6 +320,32 @@ def test_packed_series_restarts_from_8_bits_on_random_sets(S, N):
         assert weight_series(S, N) == weight_poly_dp(S, N)
     counts = [sum(row) for row in weight_poly_dp(S, N).slices]
     assert (len(seen) > 1) == any(c.bit_length() > 6 for c in counts[:N])
+
+
+@pytest.mark.parametrize("S,N,width", [
+    (1, 200, 144), (2, 200, 104), (3, 200, 72), (4, 250, 64), (4, 500, 112),
+    (5, 800, 120), (6, 600, 72), (6, 1000, 104),
+    (("111",), 400, 360),
+    # Counts that grow polynomially (n + 1 for {12}) are extrapolated in
+    # log n; in n, as if exponential, they took 104 bits.
+    (("12",), 1000, 16), (("112", "221"), 1000, 16),
+])
+def test_series_width_read_off_the_prefix_counts(S, N, width):
+    words = avoided_set(S).words if isinstance(S, int) else S
+    k = 2 * max(map(len, words)) + 16  # the prefix that weight_series counts
+    counts = [1, *(int(c) for c, _ in cluster._packed_slices(words, k, 0, None))]
+    assert cluster._series_width(counts, N) == width
+
+
+@pytest.mark.parametrize("S", [("12",), ("112", "221")])
+def test_polynomial_counts_run_one_narrow_pass(monkeypatch, S):
+    passes = _spy_passes(monkeypatch)
+    series = weight_series(S, 1000)
+    k = 2 * max(map(len, S)) + 16
+    assert passes == [[k, 0, k], [1000, 16, 1000]]  # no restart
+    assert series.slices[:25] == enumerate_brute(S, 24).slices
+    if S == ("12",):  # the words 2^b 1^a, one for each count of ones
+        assert all(row == (1,) * (n + 1) for n, row in enumerate(series.slices))
 
 
 def test_packed_series_ends_at_n_plus_two_bits(monkeypatch):

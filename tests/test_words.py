@@ -119,6 +119,11 @@ def test_rejects_bad_arguments():
         kolakoski_prefix(-1, 2)
     with pytest.raises(ValueError):
         kolakoski_prefix(10, 3)
+    # The pieces are a lazy iterator: a bad argument raises on the first next.
+    for args in ((-1, 2), (10, 3)):
+        pieces = kolakoski_pieces(*args)
+        with pytest.raises(ValueError):
+            next(pieces)
 
 
 @pytest.mark.parametrize(
