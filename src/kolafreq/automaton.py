@@ -88,10 +88,14 @@ class AvoidanceAutomaton:
         other than 1 or 2 raises ValueError."""
         chunks = word if not isinstance(word, str) else (
             word[i:i + _ACCEPT_CHUNK] for i in range(0, len(word), _ACCEPT_CHUNK))
+        memos: dict[int, _Memo] = {}
         try:
-            reduce(getitem, chunks, _Memo(self, self.start, {}))
+            reduce(getitem, chunks, _Memo(self, self.start, memos))
         except _Dead:
             return False
+        finally:  # the memos hold cycles: free them now, not at a collection
+            while memos:
+                memos.popitem()[1].clear()
         return True
 
 

@@ -11,11 +11,12 @@ length-L prefix of v, and the full enumerator is
 
     weight(W) = 1 / (1 - (x1 + x2) t - sum_v C_v).
 
-Two evaluation strategies are provided.  The closed form (small S) solves
-the system by Bareiss elimination on integers that pack the polynomials,
-and proves the decoded solution by substituting it back; the series
-(large S and N) multiplies the equations through by the enumerator and
-steps degree by degree on packed slices with shifts and additions only.
+The closed form (small S) solves the system by Bareiss elimination on
+integers that pack the polynomials, and proves the decoded solution by
+substituting it back; its matrix needs every pair (v, u), so it scans the
+pairs.  The series (large S and N) multiplies the equations through by the
+enumerator and steps degree by degree on packed slices with shifts and
+additions only, reading the words u of each prefix x off a suffix index.
 `series_from_gf` expands a closed form slice by slice in plain integers,
 so it checks the packed series without sharing its encoding.  Both routes
 take any set that passes `avoided.checked_words`, the empty set included.
@@ -255,29 +256,24 @@ def _series_width(counts: list, terms: int) -> int:
 def _packed_slices(words: tuple[str, ...], terms: int, width: int,
                    should_cancel: Cancel) -> Iterator[tuple]:
     """(p_n at x1 = 2^width divided by x1^base_n, base_n) for n = 1..terms."""
-    # The overlap prefixes x = v[:L], each with the words u it sums into R_x.
-    members: dict[str, set[int]] = {}
-    for v in words:
-        for iu, u in enumerate(words):
-            for L in overlap_suffix_lengths(u, v):
-                members.setdefault(v[:L], set()).add(iu)
-    prefix_index = {x: i for i, x in enumerate(members)}
+    # ends[x]: the words R_x sums, ascending, read off the proper suffixes.
+    ends: dict[str, list[int]] = {}
+    for iu, u in enumerate(words):
+        for L in range(1, len(u)):
+            ends.setdefault(u[-L:], []).append(iu)
+    prefix_index: dict[str, int] = {}
     equations = []
     for v in words:
-        tails = [
-            (prefix_index[v[:L]], len(v) - L, width * v[L:].count("1"))
-            for L in range(1, len(v))
-            if v[:L] in prefix_index
-        ]
+        tails = [(prefix_index.setdefault(v[:L], len(prefix_index)), len(v) - L, width * v[L:].count("1"))
+                 for L in range(1, len(v)) if v[:L] in ends]
         equations.append((len(v), width * v.count("1"), tails))
-    sums = [sorted(m) for m in members.values()]
+    sums = [ends[x] for x in prefix_index]
     # R_x is read back at most max|v| - 1 degrees later, and every read of a
     # step comes before its write: a ring of max|v| - 1 slices per prefix,
     # where slots of degrees <= 0 hold zero.
     ring = max([1] + [len(w) - 1 for w in words])
-    zero = mpz(0)
-    history = [[zero] * ring for _ in sums]
-    q = [zero] * len(words)
+    history = [[mpz(0)] * ring for _ in sums]
+    q = [mpz(0)] * len(words)
     packed = [mpz(1)]
     base = [0]
     for n in range(1, terms + 1):

@@ -624,6 +624,28 @@ def test_accepts_walks_each_new_state_and_piece_once(monkeypatch):
     assert sum(walked.values()) == len(walked) == 3028
 
 
+@pytest.mark.parametrize("S,word,accepted", [
+    (6, None, True),  # the 10^7 Kolakoski letters in their pieces
+    (("111", "222"), "12" * 40 + "111" + "2", False),  # dies inside the third chunk
+    (("11", "22"), "12" * 40 + "3", None),  # refuses the '3' in the third chunk
+])
+def test_accepts_frees_its_memos_on_the_way_out(S, word, accepted):
+    # The memos map chunks to memos, in cycles; with the cyclic collector
+    # off, none may outlive the walk, whether it passes, dies or raises.
+    auto = build_automaton(avoided_set(S) if isinstance(S, int) else S)
+    gc.collect()
+    gc.disable()
+    try:
+        if accepted is None:
+            with pytest.raises(ValueError):
+                auto.accepts(word)
+        else:
+            assert auto.accepts(word or kolakoski_pieces(10**7)) is accepted
+        assert not any(isinstance(o, automaton._Memo) for o in gc.get_objects())
+    finally:
+        gc.enable()
+
+
 def _karp_min_cycle_mean(auto):
     """Karp (1978): the least mean ones-weight of a cycle reachable from the start.
 

@@ -182,6 +182,18 @@ def test_packed_series_refuses_a_width_below_its_counts(monkeypatch):
     assert widths == [136] * 193 + [144] * 200
 
 
+def test_series_scans_no_pairs_for_overlaps(monkeypatch):
+    # The words each R_x sums come off one index of suffixes; only the
+    # closed form's matrix reads overlap_suffix_lengths, pair by pair.
+    def refuse(u, v):
+        raise AssertionError(f"overlap_suffix_lengths({u!r}, {v!r}) called")
+
+    monkeypatch.setattr(cluster, "overlap_suffix_lengths", refuse)
+    assert weight_series(avoided_set(6), 40) == weight_poly_dp(avoided_set(6), 40)
+    with pytest.raises(AssertionError, match="called"):
+        weight_gf(avoided_set(1))
+
+
 def test_series_validates_counting_invariants():
     weight_series(avoided_set(3), 40).validate_counting()
 
@@ -305,6 +317,9 @@ def test_packed_gf_matches_dict_bareiss(S):
 @given(factor_free_sets, st.integers(min_value=0, max_value=40))
 @example((), 40)
 @example(("1", "22"), 40)
+# Many words of S_6 and S_7 share each prefix x, so each R_x sums many words.
+@example(avoided_set(6).words, 30)
+@example(avoided_set(7).words, 30)
 def test_series_matches_counting_dp_on_random_sets(S, N):
     assert weight_series(S, N) == weight_poly_dp(S, N)
 
