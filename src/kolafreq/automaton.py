@@ -25,10 +25,11 @@ exactly the words containing no avoided factor.  On top of it sit:
   only the head lanes, as an elementwise minimum on big-integer lanes.  The
   live chains come first in its one layout, so once the states that no
   cycle reaches are dead for good, a vector is cut to that prefix and only
-  it is stepped, with nothing laid out anew.  `_Lists` steps lists of
-  unbounded entries over every state, unpruned on purpose: it takes over a
-  run whose lanes outgrow a byte, on the same graph, and it is the oracle
-  the lanes and the pruning are tested against;
+  it is stepped, with nothing laid out anew.  `_Lists` is T as defined, a
+  minimum per state over its edges on tuples (+inf where no word ends), and
+  steps every state, unpruned on purpose: it takes over a run whose lanes
+  outgrow a byte, on the same graph, and is the oracle of the lanes and the
+  pruning;
 - the most ones per length, n minus the fewest ones avoiding swap(S), with
   no second DP (`degree_profile`);
 - one brute-force growth pass for the slices up to a small length, an
@@ -243,55 +244,36 @@ class _Overflow(Exception):
 
 
 class _Lists:
-    """The min-ones step map T on lists of unbounded entries, over every state.
+    """The min-ones step map T on tuples of unbounded entries, over every state.
 
-    Entry pos[t] of a vector is the fewest ones over the words that end in
-    state t; unreachable states hold the one object `_UNREACHABLE`, which no
-    arithmetic touches, so it stays a distinct marker.  States are grouped
-    by the letters on their incoming edges, so T is, group by group, one
-    gather per incoming edge (from v + 1 after a 1, from v after a 2) and
-    one elementwise minimum, concatenated.  It reads only the graph's
-    edges, and prunes no state: its L* is -1.
+    Entry t of a vector is the fewest ones over the words that end in state
+    t, and +inf where no word does; inf + 1 is inf, so no entry needs a
+    branch.  T(v)[t] is the minimum over the edges into t of the source's
+    entry, plus one after a 1: with an edge numbered q for a 2 from q and
+    n_states + q for a 1 from q, that is entry e of v followed by v + 1.
+    It reads only the graph's edges, and prunes no state: its L* is -1.
     """
 
     last_transient = -1
 
     def __init__(self, graph: CoreGraph):
-        ns = graph.n_states
-
-        def letters(t: int) -> tuple[bool, ...]:
-            return tuple(e >= ns for e in graph.edges(t))
-
-        order = sorted(range(ns), key=letters)
-        self.pos = dict(zip(order, range(ns)))
-        self.start_state = graph.start
-        self._no_preds = [_UNREACHABLE] * sum(not graph.edges(t) for t in order)  # these sort first
-        self._blocks = []  # per group: (reads v + 1, gatherer) per incoming edge
-        for pattern, group in groupby(order, key=letters):
-            targets = list(group)
-            if pattern:
-                self._blocks.append([(one, _gatherer([self.pos[graph.edges(t)[j] % ns] for t in targets]))
-                                     for j, one in enumerate(pattern)])
+        self.n_states, self.start_state = graph.n_states, graph.start
+        self.edges = [graph.edges(t) for t in range(graph.n_states)]
 
     def start(self) -> tuple:
         """The vector of length 0: the empty word ends in the start state."""
-        v = [_UNREACHABLE] * len(self.pos)
-        v[self.pos[self.start_state]] = 0
+        v = [_UNREACHABLE] * self.n_states
+        v[self.start_state] = 0
         return tuple(v)
 
     def advance(self, v: tuple) -> tuple[tuple, int | None]:
         """(T(v) - m, m) for m = min(T(v)), or (T(v), None) if no state is reachable."""
-        u = [x + 1 if x is not _UNREACHABLE else x for x in v]
-        new = self._no_preds.copy()
-        for columns in self._blocks:
-            gathered = [get(u if one else v) for one, get in columns]
-            new += gathered[0] if len(gathered) == 1 else map(min, *gathered)
+        get = (v + tuple([x + 1 for x in v])).__getitem__
+        new = [min(map(get, es)) if es else _UNREACHABLE for es in self.edges]
         m = min(new)
-        if m is _UNREACHABLE:
+        if m == _UNREACHABLE:
             return tuple(new), None
-        if m:
-            new = [x - m if x is not _UNREACHABLE else x for x in new]
-        return tuple(new), m
+        return tuple([x - m for x in new]) if m else tuple(new), m
 
 
 class _DelayLine:

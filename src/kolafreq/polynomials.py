@@ -169,53 +169,25 @@ class WeightPoly:
         return out
 
     def exact_div(self, divisor: "WeightPoly") -> "WeightPoly":
-        """Divide by a polynomial known to divide exactly (graded-lex long division)."""
+        """Divide by a polynomial known to divide exactly: graded-lex long division,
+        cancelling the remainder's leading term until the remainder is empty."""
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero():
-            return WeightPoly()
-        if len(divisor.terms) == 1 and (0, 0) in divisor.terms:
-            c = divisor.terms[(0, 0)]
-            if c == 1:
-                return self
-            if any(v % c for v in self.terms.values()):
-                raise InexactDivisionError(f"coefficients not divisible by {c}")
-            return WeightPoly({k: v // c for k, v in self.terms.items()})
         d_lead = max(divisor.terms, key=_grlex)
-        d_lc = divisor.terms[d_lead]
-        da, db = d_lead
-        rem = dict(self.terms)
-        quo: dict[Key, int] = {}
-        # Graded-lex is a monomial order, so every term a step adds to the
-        # remainder lies below the lead it removes: a max-heap of the keys,
-        # pushed on insertion, yields the leads in order.  A popped key that
-        # has since cancelled is skipped.  heapq is imported here, not at
-        # the top, so that commands that never divide do not load it.
-        import heapq
-
-        heap = [(-(a + b), -a, b) for a, b in rem]
-        heapq.heapify(heap)
+        (da, db), d_lc = d_lead, divisor.terms[d_lead]
+        rem, quo = dict(self.terms), {}
         while rem:
-            _, neg_a, lb = heapq.heappop(heap)
-            la = -neg_a
-            lead = (la, lb)
-            lc = rem.get(lead)
-            if lc is None:
-                continue
+            lead = max(rem, key=_grlex)
+            (la, lb), lc = lead, rem[lead]
             if la < da or lb < db or lc % d_lc:
                 raise InexactDivisionError(f"{lead} not divisible by {d_lead}")
-            qk = (la - da, lb - db)
-            qc = lc // d_lc
-            quo[qk] = qc
+            qa, qb, qc = la - da, lb - db, lc // d_lc
+            quo[qa, qb] = qc
             for (a, b), c in divisor.terms.items():
-                k = (a + qk[0], b + qk[1])
-                prior = rem.get(k)
-                v = (prior or 0) - qc * c
-                if v:
+                k = (a + qa, b + qb)
+                if v := rem.get(k, 0) - qc * c:
                     rem[k] = v
-                    if prior is None:
-                        heapq.heappush(heap, (-(k[0] + k[1]), -k[0], k[1]))
-                elif prior is not None:
+                else:
                     del rem[k]
         return WeightPoly(quo)
 

@@ -380,6 +380,9 @@ def _kernel_outcome(kernel, *args):
         return str(exc)
 
 
+_KOLAKOSKI = kolakoski_prefix(60)
+
+
 @settings(max_examples=60, deadline=None)
 @given(factor_free_sets, st.just(80))
 @example((), 80)
@@ -389,6 +392,9 @@ def _kernel_outcome(kernel, *args):
 @example(("112", "21", "222"), 80)  # the fewest ones jump by 3 at n = 4
 @example(("1" * 300,), 400)  # a chain with 299 ones: K leaves no room in a byte
 @example(("1" * 130 + "2",), 200)  # the merge lane of 1^130 outgrows its byte at n = 130
+# Eight words 1^260 w, w the 40-letter factors of the Kolakoski word at its
+# first eight 2s: 547 states, and a chain of 256 ones leaves no room in a byte.
+@example(tuple("1" * 260 + _KOLAKOSKI[p:p + 40] for p in range(14) if _KOLAKOSKI[p] == "2"), 400)
 # State "2" has three incoming edges, from "", "1" and itself; past L* = 1
 # only its loop is live, and it stays a merge lane of that one edge.
 @example(("11", "21"), 80)

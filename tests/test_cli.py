@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+import re
 import sys
 from unittest import mock
 
@@ -10,6 +11,7 @@ from kolafreq import automaton, avoided, avoided_set, cli, cluster, kolakoski_pr
 from kolafreq.cli import (
     EXIT_OK,
     EXIT_USAGE,
+    EXIT_VERIFY_FAILED,
     main,
 )
 from kolafreq.verification import DEFAULT_TABLE_TERMS, REF_QUASIPOLY
@@ -78,6 +80,28 @@ def test_series_command_json(capsys, s1_file):
     assert slices[3] == [[1, 2, "3"], [2, 1, "3"]]
 
 
+def test_series_command_text(capsys, s1_file):
+    code, out, _ = run(capsys, "series", "--words", s1_file, "--terms", "3")
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        "t^0: 1",
+        "t^1: x2*t + x1*t",
+        "t^2: x2^2*t^2 + 2*x1*x2*t^2 + x1^2*t^2",
+        "t^3: 3*x1*x2^2*t^3 + 3*x1^2*x2*t^3",
+    ]
+
+
+def test_profile_command_text(capsys, s1_file):
+    code, out, _ = run(capsys, "profile", "--words", s1_file, "--terms", "3")
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        "n=0: min_ones=0 max_ones=0",
+        "n=1: min_ones=0 max_ones=1",
+        "n=2: min_ones=0 max_ones=2",
+        "n=3: min_ones=1 max_ones=2",
+    ]
+
+
 def test_profile_command_json_and_csv(capsys, s1_file):
     code, out, _ = run(capsys, "profile", "--words", s1_file, "--terms", "4", "--json")
     assert code == EXIT_OK
@@ -94,6 +118,16 @@ def test_bounds_command(capsys, s1_file):
     code, out, _ = run(capsys, "bounds", "--words", s1_file, "--profile-terms", "50", "--json")
     data = json.loads(out)
     assert data["epsilon"] == "1/6" and data["n"] == 3
+
+
+def test_bounds_command_profile_terms_text(capsys, s1_file):
+    code, out, _ = run(capsys, "bounds", "--words", s1_file, "--profile-terms", "50")
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        "best term: n = 3",
+        "epsilon = 1/6 (0.166667), 1/3 <= freq <= 2/3 "
+        "[rigorous; series-term(3); valid provided the limiting frequency exists]",
+    ]
 
 
 @pytest.fixture
@@ -261,6 +295,16 @@ def test_report_zero_terms_yields_error_row(capsys):
     assert "error" in row
 
 
+def test_report_text_names_the_error_of_a_row(capsys):
+    code, out, _ = run(capsys, "report", "--d", "1-2", "--terms", "0,20")
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        " d  |S_d|     N     n    epsilon     decimal  backend",
+        " 1      2     0     -          -           -  automaton (profile must cover at least length 1)",
+        " 2      6    20     3        1/6    0.166667  automaton",
+    ]
+
+
 @pytest.mark.parametrize("backend", ["automaton", "gj-series"])
 @pytest.mark.parametrize("terms", ["-1", "5,-1"])
 def test_report_refuses_negative_terms(capsys, backend, terms):
@@ -286,6 +330,20 @@ def test_verify_quick(capsys):
     assert code == EXIT_OK
     assert "gf-s1: PASS" in out
     assert "triple-oracle: PASS" in out
+
+
+def test_verify_prints_the_failed_check_and_exits_1(capsys, monkeypatch):
+    from kolafreq import verification
+
+    rows = tuple((d, 7 if d == 2 else size, *rest) for d, size, *rest in verification.REF_RESULTS_TABLE)
+    monkeypatch.setattr(verification, "REF_RESULTS_TABLE", rows)
+    code, out, _ = run(capsys, "verify", "--level", "full")
+    assert code == EXIT_VERIFY_FAILED
+    *checks, summary = out.splitlines()
+    assert [line.split(":")[0] for line in checks] == [name for name, _ in verification.FULL_CHECKS]
+    assert [line for line in checks if "PASS" not in line] == [checks[4]]
+    assert re.fullmatch(r"results-table: FAIL \(\d+\.\d\ds\) - d=2: set size 6 != 7", checks[4])
+    assert summary == "1 of 10 checks failed: results-table"
 
 
 def test_verify_names_failing_check(capsys):
