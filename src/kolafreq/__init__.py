@@ -9,7 +9,7 @@ eventual period of the fewest ones as `DegreeProfile.certificate`;
 profile off a series (`DegreeProfile.from_series`), turn the results into
 exact rational bounds (`bound_from_denominator`, `best_bound`), and sharpen
 them with the eventual quasi-polynomial structure that the certificate
-proves (`certified_fit`, `semi_rigorous_bound`).
+proves (`certified_fit` and its `QuasiPolyFit.bound`).
 
 Submodules load on first use: `import kolafreq` imports none of them, and
 the first read of a public name imports only the submodule that defines it
@@ -40,10 +40,7 @@ _EXPORTS = {
         "weight_series",
     ),
     "polynomials": ("InexactDivisionError", "RationalGF", "Series", "WeightPoly"),
-    "quasipoly": (
-        "MaximaReport", "QuasiPolyFit", "certified_fit", "semi_rigorous_bound",
-        "successive_maxima",
-    ),
+    "quasipoly": ("MaximaReport", "QuasiPolyFit", "certified_fit", "successive_maxima"),
     "words": ("kolakoski_pieces", "kolakoski_prefix", "run_lengths", "swap_letters"),
 }
 _HOMES = {name: home for home, names in _EXPORTS.items() for name in names}

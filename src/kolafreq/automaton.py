@@ -15,21 +15,22 @@ exactly the words containing no avoided factor.  On top of it sit:
   records digests of the normalised vectors, confirms a hit component by
   component against a replay from a sparse checkpoint, stops there and
   extends the profile exactly (`degree_profile`, which keeps the repeat as
-  `DegreeProfile.certificate`).  Both step classes take one `CoreGraph`
-  and nothing else: the automaton's predecessors read in one pass, its
-  chain cover in one walk (the 97-99% of states with one incoming edge
-  hang in chains below a few heads, phi the ones along each chain) and its
-  live states from one Kahn pass.  `_DelayLine` is a `bytes` of one lane
+  `DegreeProfile.certificate`).  `_DelayLine` takes one `CoreGraph` and
+  nothing else: the automaton's chain cover from one walk of its
+  predecessors (the 97-99% of states with one incoming edge hang in chains
+  below a few heads, phi the ones along each chain), the edges into the
+  heads and the live states from one Kahn pass.  It is a `bytes` of one lane
   per state laid out as delay lines: a lane holding v - phi is a plain copy
   of the lane above it, so a step copies a few byte slices and computes
   only the head lanes, as an elementwise minimum on big-integer lanes.  The
   live chains come first in its one layout, so once the states that no
   cycle reaches are dead for good, a vector is cut to that prefix and only
-  it is stepped, with nothing laid out anew.  `_Lists` is T as defined, a
-  minimum per state over its edges on tuples (+inf where no word ends), and
-  steps every state, unpruned on purpose: it takes over a run whose lanes
-  outgrow a byte, on the same graph, and is the oracle of the lanes and the
-  pruning;
+  it is stepped, with nothing laid out anew.  `_Lists` is T as defined on
+  the automaton, a minimum per state over the edges its transitions give,
+  on tuples (+inf where no word ends), and steps every state, unpruned on
+  purpose: it takes over a run whose lanes outgrow a byte, from the
+  automaton built again, and is the oracle of the lanes, the chain cover
+  and the pruning;
 - the most ones per length, n minus the fewest ones avoiding swap(S), with
   no second DP (`degree_profile`);
 - one brute-force growth pass for the slices up to a small length, an
@@ -150,30 +151,29 @@ _FAR = 255
 
 
 class CoreGraph:
-    """The automaton's edges read once into flat lists, its chain cover and one Kahn pass.
+    """The automaton's chain cover and one Kahn pass, off its edges read once.
 
     An edge into a state is q for a 2 from q and n_states + q for a 1 from
-    q.  `pred[t]` is the first edge into t (DEAD for none); `merges` lists
-    the edges into each state of in-degree 2 or more, so the 97-99% of
-    states with one keep no list.  Those hang in chains, walked once here:
-    every state lies in exactly one list of `chains`, keyed by its head,
+    q.  Every state lies in exactly one list of `chains`, keyed by its head,
     whose states below its head each have one edge, from the state above
-    it.  A head is a merge state, a state of in-degree 0, a one-edge state
+    it.  A head is a state of in-degree 0 or of 2 or more, a one-edge state
     that its predecessor's chain does not go on into (it goes on into one
     successor at most), or the least state of a cycle of one-edge states,
-    which is cut there.  `phi[t]` counts the ones on the edges from t's
-    head down to t.  The Kahn pass peels the states whose every predecessor
-    is peeled; the rest, `live`, are reached from a cycle.  A peeled state
-    is reachable at no length past the longest path L* among them
-    (`last_transient`, -1 when none is), and some peeled state at every
+    which is cut there.  `heads` maps each head to the edges into it,
+    ascending; the 97-99% of states below a head keep no list, and no
+    predecessor outlives the constructor.  `phi[t]` counts the ones on the
+    edges from t's head down to t.  The Kahn pass peels the states whose
+    every predecessor is peeled; the rest, `live`, are reached from a cycle.
+    A peeled state is reachable at no length past the longest path L* among
+    them (`last_transient`, -1 when none is), and some peeled state at every
     length up to L*.  The graph keeps no reference to the automaton.
     """
 
     def __init__(self, auto: AvoidanceAutomaton):
         ns = self.n_states = auto.n_states
         self.start = auto.start
-        pred, below = [DEAD] * ns, [DEAD] * ns  # below[q]: the one-edge state entered from q
-        merges: dict[int, list[int]] = {}
+        pred, below = [DEAD] * ns, [DEAD] * ns  # the first edge into t; the one-edge state below q
+        merges: dict[int, list[int]] = {}  # the edges into each state of in-degree 2 or more
         for letter, row in ((0, auto.on_two), (ns, auto.on_one)):
             for q, t in enumerate(row):
                 if t == DEAD:
@@ -208,11 +208,8 @@ class CoreGraph:
                 chain.append(q)
                 q = below[q]
             chains[h] = array("i", chain)
-        self.pred, self.merges, self.chains, self.phi = pred, merges, chains, phi
-
-    def edges(self, t: int) -> list[int]:
-        """The edges into state t."""
-        return self.merges.get(t) or ([] if self.pred[t] == DEAD else [self.pred[t]])
+        self.chains, self.phi = chains, phi
+        self.heads = {h: merges.get(h) or ([] if pred[h] == DEAD else [pred[h]]) for h in chains}
 
 
 def _peel(auto: AvoidanceAutomaton, pred: list[int], merges: dict[int, list[int]]) -> tuple[bytes, int]:
@@ -251,14 +248,18 @@ class _Lists:
     branch.  T(v)[t] is the minimum over the edges into t of the source's
     entry, plus one after a 1: with an edge numbered q for a 2 from q and
     n_states + q for a 1 from q, that is entry e of v followed by v + 1.
-    It reads only the graph's edges, and prunes no state: its L* is -1.
+    It reads the edges off the automaton's transitions, sharing none of the
+    chain cover it checks, and prunes no state: its L* is -1.
     """
 
     last_transient = -1
 
-    def __init__(self, graph: CoreGraph):
-        self.n_states, self.start_state = graph.n_states, graph.start
-        self.edges = [graph.edges(t) for t in range(graph.n_states)]
+    def __init__(self, auto: AvoidanceAutomaton):
+        self.n_states, self.start_state = auto.n_states, auto.start
+        self.edges = [[] for _ in range(auto.n_states)]  # ascending
+        for e, t in enumerate(auto.on_two + auto.on_one):
+            if t != DEAD:
+                self.edges[t].append(e)
 
     def start(self) -> tuple:
         """The vector of length 0: the empty word ends in the start state."""
@@ -306,7 +307,7 @@ class _DelayLine:
         K = max(phi)
         if K > _FAR - 2:  # so a far lane never reads as a rise of 0 or 1
             raise _Overflow
-        edges = {h: sorted(graph.edges(h), key=lambda e: not live[e % ns]) for h in chains}
+        edges = {h: sorted(es, key=lambda e: not live[e % ns]) for h, es in graph.heads.items()}
         n_live = {h: sum(live[e % ns] for e in es) for h, es in edges.items()}
 
         def group(h: int) -> tuple[bool, int, int]:
@@ -431,17 +432,20 @@ def _shift_table(c: int) -> bytes:
     return bytes(x if x == _FAR else max(x + c, 0) for x in range(256))
 
 
-def _min_ones(graph: CoreGraph, N: int) -> tuple[list[int], tuple[int, int, int] | None]:
+def _min_ones(words: tuple[str, ...], N: int) -> tuple[list[int], tuple[int, int, int] | None]:
     """Fewest ones per length 0..N, and the certificate (onset, period, slope).
 
-    `_run` on `_DelayLine`, past L* only over the live states.  A lane holds
-    at most n + K at step n, K below the number of states; when a lane would
-    outgrow its byte, the whole run restarts on `_Lists` over the same graph.
+    `_run` on `_DelayLine` of the words' automaton's `CoreGraph`, past L*
+    only over the live states.  A lane holds at most n + K at step n, K
+    below the number of states; when a lane would outgrow its byte, the
+    whole run restarts on `_Lists` of the automaton built again, after the
+    failed lanes and graph are freed.
     """
     try:
-        return _run(_DelayLine(graph), N)
+        return _run(_DelayLine(CoreGraph(build_automaton(words))), N)
     except _Overflow:
-        return _run(_Lists(graph), N)
+        pass
+    return _run(_Lists(build_automaton(words)), N)
 
 
 def _run(step, N: int) -> tuple[list[int], tuple[int, int, int] | None]:
@@ -513,11 +517,11 @@ def degree_profile(S: WordsLike, N: int) -> DegreeProfile:
     if N < 0:
         raise ValueError("N must be >= 0")
     words = as_words(S)
-    min_ones, certificate = _min_ones(CoreGraph(build_automaton(words)), N)
+    min_ones, certificate = _min_ones(words, N)
     if swap_closed(words):
         fewest_twos = min_ones
     else:
-        fewest_twos = _min_ones(CoreGraph(build_automaton(map(swap_letters, words))), N)[0]
+        fewest_twos = _min_ones(tuple(map(swap_letters, words)), N)[0]
     max_ones = tuple(n - twos for n, twos in enumerate(fewest_twos))
     return DegreeProfile(words, N, tuple(min_ones), max_ones, certificate)
 

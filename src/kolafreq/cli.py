@@ -15,43 +15,13 @@ import argparse
 import sys
 from typing import TYPE_CHECKING, Sequence
 
-from . import record
-
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     from .bounds import DegreeProfile
     from .polynomials import RationalGF, Series
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
-
-
-@record
-class ReportRow:
-    """One depth of the results table."""
-
-    d: int
-    set_size: int
-    N: int
-    backend: str
-    n: int | None = None
-    epsilon: Fraction | None = None
-    error: str | None = None
-
-    def to_json(self) -> dict:
-        out = {
-            "d": self.d,
-            "set_size": self.set_size,
-            "N": self.N,
-            "n": self.n,
-            "epsilon": None if self.epsilon is None else str(self.epsilon),
-            "backend": self.backend,
-        }
-        if self.error is not None:
-            out["error"] = self.error
-        return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,8 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="per-length min/max ones-counts")
     p.add_argument("--words", required=True, metavar="FILE")
     p.add_argument("--terms", type=int, required=True, metavar="N")
-    p.add_argument("--json", action="store_true", help="emit JSON")
-    p.add_argument("--csv", action="store_true", help="emit CSV")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--json", action="store_true", help="emit JSON")
+    group.add_argument("--csv", action="store_true", help="emit CSV")
 
     p = sub.add_parser("bounds", help="frequency bound for a word set")
     p.add_argument("--words", required=True, metavar="FILE")
@@ -103,8 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of N per depth (default: table values)")
     p.add_argument("--backend", choices=("automaton", "gj-series"),
                    default="automaton")
-    p.add_argument("--json", action="store_true", help="emit JSON")
-    p.add_argument("--csv", action="store_true", help="emit CSV")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--json", action="store_true", help="emit JSON")
+    group.add_argument("--csv", action="store_true", help="emit CSV")
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
@@ -143,7 +115,7 @@ def _progress_printer(label: str):
 
     def hook(done: int, total: int) -> None:
         nonlocal last
-        if done < last:  # only weight_gf restarts, at its next packing
+        if done < last:  # weight_gf restarts at its next packing, weight_series at its next width
             print(f"{label}: packing failed its proof, retrying", file=sys.stderr)
         last = done
         if total and (done % -(-total // 20) == 0 or done == total):
@@ -278,7 +250,7 @@ def cmd_quasifit(args) -> int:
 
     from .automaton import degree_profile
     from .avoided import checked_words, read_word_file
-    from .quasipoly import certified_fit, semi_rigorous_bound, successive_maxima
+    from .quasipoly import certified_fit, successive_maxima
     from .words import swap_closed
 
     words = checked_words(read_word_file(args.words))
@@ -287,7 +259,7 @@ def cmd_quasifit(args) -> int:
     profile = degree_profile(words, args.terms)
     fit = certified_fit(profile)
     maxima = successive_maxima(profile.min_ones, fit)
-    bound = semi_rigorous_bound(fit)
+    bound = fit.bound
     print(json.dumps({
         "modulus": fit.modulus,
         "slope": fit.slope,
@@ -305,6 +277,7 @@ def cmd_quasifit(args) -> int:
 
 def cmd_report(args) -> int:
     import json
+    from fractions import Fraction
 
     from .avoided import DEFAULT_TABLE_TERMS, avoided_set
     from .bounds import DegreeProfile, best_bound, decimal
@@ -323,6 +296,8 @@ def cmd_report(args) -> int:
     tree = avoided_set(max(depths))  # one expansion serves every depth
     for d, N in zip(depths, terms):
         words = tree.up_to(d).words
+        row = {"d": d, "set_size": len(words), "N": N, "n": None, "epsilon": None,
+               "backend": args.backend}
         try:
             if args.backend == "automaton":
                 from .automaton import degree_profile
@@ -335,27 +310,26 @@ def cmd_report(args) -> int:
                     words, N, progress=_progress_printer(f"series d={d}"))
                 profile = DegreeProfile.from_series(words, series)
             n, bound = best_bound(profile)
-            row = ReportRow(d, len(words), N, args.backend, n, bound.epsilon)
+            row.update(n=n, epsilon=str(bound.epsilon))
         except ValueError as exc:
-            row = ReportRow(d, len(words), N, args.backend, error=str(exc))
+            row["error"] = str(exc)
         rows.append(row)
     if args.json:
-        print(json.dumps([r.to_json() for r in rows]))
+        print(json.dumps(rows))
     elif args.csv:
-        print("d,set_size,N,n,epsilon,backend")
+        columns = ("d", "set_size", "N", "n", "epsilon", "backend")
+        print(",".join(columns))
         for r in rows:
-            eps = "" if r.epsilon is None else str(r.epsilon)
-            n = "" if r.n is None else r.n
-            print(f"{r.d},{r.set_size},{r.N},{n},{eps},{r.backend}")
+            print(",".join("" if r[k] is None else str(r[k]) for k in columns))
     else:
         print(f"{'d':>2} {'|S_d|':>6} {'N':>5} {'n':>5} {'epsilon':>10} {'decimal':>11}  backend")
         for r in rows:
-            if r.epsilon is None:
-                print(f"{r.d:>2} {r.set_size:>6} {r.N:>5} {'-':>5} {'-':>10} "
-                      f"{'-':>11}  {r.backend} ({r.error or 'no bound'})")
+            if "error" in r:
+                print(f"{r['d']:>2} {r['set_size']:>6} {r['N']:>5} {'-':>5} {'-':>10} "
+                      f"{'-':>11}  {r['backend']} ({r['error']})")
             else:
-                print(f"{r.d:>2} {r.set_size:>6} {r.N:>5} {r.n:>5} "
-                      f"{str(r.epsilon):>10} {decimal(r.epsilon):>11}  {r.backend}")
+                print(f"{r['d']:>2} {r['set_size']:>6} {r['N']:>5} {r['n']:>5} "
+                      f"{r['epsilon']:>10} {decimal(Fraction(r['epsilon'])):>11}  {r['backend']}")
     return EXIT_OK
 
 

@@ -323,7 +323,9 @@ def series_from_gf(
     With den = 1 + sum_k den_k, slice n is num_n - sum_k den_k * slice_(n-k),
     products of homogeneous slices taken coefficient by coefficient in plain
     integers.  Works for any well-formed rational function, and shares no
-    encoding with the packed series routes that it checks.
+    encoding with the packed series routes that it checks.  `progress` is
+    called once per slice 1..terms, as by `weight_series`, `should_cancel`
+    once per degree.
     """
     if terms < 0:
         raise ValueError("terms must be >= 0")
@@ -345,6 +347,6 @@ def series_from_gf(
                     for j, p in enumerate(prev):
                         acc[i + j] -= c * p
         slices.append(tuple(acc))
-        if progress is not None:
+        if progress is not None and n:
             progress(n, terms)
     return Series(tuple(slices))

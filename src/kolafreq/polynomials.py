@@ -232,13 +232,6 @@ def format_terms(terms: Sequence[tuple[Key, int]]) -> str:
 # coefficients to fit in a signed digit, whose width is whole bytes.
 
 
-def pack_coefficients(coeffs: Sequence[int], width: int):
-    acc = mpz(0)
-    for c in reversed(coeffs):
-        acc = (acc << width) + c
-    return acc
-
-
 def unpack_signed(packed, count: int, width: int) -> list[int]:
     """The `count` signed `width`-bit digits of `packed`, lowest first.
 

@@ -4,7 +4,8 @@ The per-length minimum ones-count m_n of the words avoiding a factor set
 settles into m_n = c * floor(n / M) + k_(n mod M) from some onset on.
 `certified_fit` reads M, c, the onset and k off a profile and its kernel
 certificate, which proves the structure for every n, so the limit c/M gives
-a rigorous bound.  The successive maxima of m_n / n follow in closed form.
+a rigorous bound (`QuasiPolyFit.bound`).  The successive maxima of m_n / n
+follow in closed form.
 """
 
 from __future__ import annotations
@@ -31,6 +32,20 @@ class QuasiPolyFit:
     def limit(self) -> Fraction:
         """Limiting ones-ratio slope/modulus."""
         return Fraction(self.slope, self.modulus)
+
+    @property
+    def bound(self) -> Bound:
+        """Bound |freq - 1/2| <= |1/2 - c/M| from the limit c/M.
+
+        The paper calls this bound semi-rigorous, as it rested on a guessed
+        quasi-polynomial; the certificate makes it rigorous.  Every factor
+        of length n of the Kolakoski word has at least m_n ones, so freq >=
+        m_n / n for every n and hence freq >= lim m_n / n = c/M, and the
+        swap-closed set mirrors that into freq <= 1 - c/M.
+        """
+        n0, period, slope = self.certificate
+        return Bound(abs(HALF - self.limit),
+                     provenance=f"certified-limit(n0={n0}, P={period}, c={slope})")
 
     def predict(self, n: int) -> int:
         return self.slope * (n // self.modulus) + self.constants[n % self.modulus]
@@ -128,17 +143,3 @@ def successive_maxima(m: Sequence[int], fit: QuasiPolyFit) -> MaximaReport:
         first_j=(records[tail_start][0] - residue) // fit.modulus,
         attained=any(r == fit.limit for _n, r in records),
     )
-
-
-def semi_rigorous_bound(fit: QuasiPolyFit) -> Bound:
-    """Bound |freq - 1/2| <= |1/2 - c/M| from the fit's limit c/M.
-
-    The paper calls this bound semi-rigorous, as it rested on a guessed
-    quasi-polynomial; the certificate makes it rigorous.  Every factor of
-    length n of the Kolakoski word has at least m_n ones, so freq >= m_n / n
-    for every n and hence freq >= lim m_n / n = c/M, and the swap-closed set
-    mirrors that into freq <= 1 - c/M.
-    """
-    n0, period, slope = fit.certificate
-    return Bound(abs(HALF - fit.limit),
-                 provenance=f"certified-limit(n0={n0}, P={period}, c={slope})")

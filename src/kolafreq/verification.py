@@ -20,7 +20,7 @@ from .avoided import DEFAULT_TABLE_TERMS, EmptyLanguageError, avoided_set, verif
 from .bounds import HALF, DegreeProfile, best_bound, bound_from_denominator, minratio
 from .cluster import series_from_gf, weight_gf, weight_series
 from .polynomials import WeightPoly
-from .quasipoly import certified_fit, semi_rigorous_bound, successive_maxima
+from .quasipoly import certified_fit, successive_maxima
 from .words import kolakoski_pieces, swap_closed
 
 # -- frozen reference values --------------------------------------------------
@@ -231,7 +231,7 @@ def check_limits_and_maxima() -> tuple[bool, str]:
         if fit.limit != limit_ref:
             return False, f"d={d}: limit {fit.limit} != {limit_ref}"
         maxima = successive_maxima(profile.min_ones, fit)
-        bound = semi_rigorous_bound(fit)
+        bound = fit.bound
         if (bound.epsilon, bound.rigor) != (REF_EPSILONS[d], "rigorous"):
             return False, f"d={d}: {bound.rigor} epsilon {bound.epsilon} != {REF_EPSILONS[d]}"
         if d in REF_MAXIMA:

@@ -370,7 +370,7 @@ def test_profile_past_the_period_matches_counting_dp(S):
 
 def _list_kernel(S, N):
     """The min-ones kernel on `_Lists`: every state stepped, no lane bounded."""
-    return automaton._run(automaton._Lists(automaton.CoreGraph(build_automaton(S))), N)
+    return automaton._run(automaton._Lists(build_automaton(S)), N)
 
 
 def _kernel_outcome(kernel, *args):
@@ -405,15 +405,17 @@ def test_byte_lane_kernel_matches_the_list_kernel(S, N):
     auto = build_automaton(S)
     expected = _kernel_outcome(_list_kernel, S, N)
     with mock.patch.object(automaton, "_Lists", wraps=automaton._Lists) as fallback:
-        assert _kernel_outcome(automaton._min_ones, automaton.CoreGraph(auto), N) == expected
+        assert _kernel_outcome(automaton._min_ones, S, N) == expected
     # A lane holds v - phi + K <= n + K, and K, the most ones on a chain, is
     # less than the number of states, so only N + states > 255 can overflow.
     assert fallback.called == (N + auto.n_states > 255)
 
 
-def _automata_alive() -> int:
+def _alive(*classes) -> list[int]:
+    """How many instances of each class the collector finds."""
     gc.collect()
-    return sum(isinstance(o, automaton.AvoidanceAutomaton) for o in gc.get_objects())
+    objects = gc.get_objects()
+    return [sum(isinstance(o, cls) for o in objects) for cls in classes]
 
 
 class _CountedGraph(automaton.CoreGraph):
@@ -426,22 +428,37 @@ class _CountedGraph(automaton.CoreGraph):
         super().__init__(auto)
 
 
+class _CountedLists(automaton._Lists):
+    """A `_Lists` that counts its constructions; unlike a mock, it keeps no automaton."""
+
+    built = 0
+
+    def __init__(self, auto):
+        _CountedLists.built += 1
+        super().__init__(auto)
+
+
 def test_one_core_graph_per_kernel_run_and_no_automaton_while_it_steps(monkeypatch):
     # {1^300} is not swap-closed, so its profile runs the kernel on it and on
     # {2^300}; the chain of 299 ones leaves no room in a byte, so the first
-    # run steps the lists, on the graph the lanes refused.
-    run, alive, before = automaton._run, [], _automata_alive()
+    # run steps the lists, on the automaton built again.
+    kept = (automaton.AvoidanceAutomaton, automaton.CoreGraph, automaton._DelayLine)
+    run, alive, before = automaton._run, [], _alive(*kept)
 
     def checked_run(step, N):
-        alive.append(_automata_alive() - before)
+        alive.append((type(step), [now - was for now, was in zip(_alive(*kept), before)]))
         return run(step, N)
 
     monkeypatch.setattr(automaton, "CoreGraph", _CountedGraph)
     monkeypatch.setattr(_CountedGraph, "built", 0)
-    with mock.patch.object(automaton, "_Lists", wraps=automaton._Lists) as lists, \
-            mock.patch.object(automaton, "_run", side_effect=checked_run):
-        prof = degree_profile(("1" * 300,), 400)
-    assert (_CountedGraph.built, lists.call_count, alive) == (2, 1, [0, 0])
+    monkeypatch.setattr(automaton, "_Lists", _CountedLists)
+    monkeypatch.setattr(_CountedLists, "built", 0)
+    monkeypatch.setattr(automaton, "_run", checked_run)
+    prof = degree_profile(("1" * 300,), 400)
+    assert (_CountedGraph.built, _CountedLists.built) == (2, 1)
+    # While a kernel steps, no automaton or graph is alive, and no lanes but
+    # the step's own: the refused graph and lanes are freed before the lists run.
+    assert alive == [(_CountedLists, [0, 0, 0]), (automaton._DelayLine, [0, 0, 1])]
     assert prof.certificate == (299, 1, 0) and prof.max_ones[400] == 399
 
 
@@ -477,8 +494,8 @@ def test_core_graph_matches_its_definition(S):
     graph = automaton.CoreGraph(auto)
     edges, live, last_transient = _graph_by_definition(auto)
     n = auto.n_states
-    assert [sorted(graph.edges(t)) for t in range(n)] == edges
-    assert set(graph.merges) == {t for t in range(n) if len(edges[t]) > 1}
+    assert automaton._Lists(auto).edges == edges
+    assert graph.heads == {h: edges[h] for h in graph.chains}
     assert ({t for t in range(n) if graph.live[t]}, graph.last_transient) == (live, last_transient)
     # The chains partition the states.  Below its head, a chain state's one
     # edge comes from the state above it, and phi counts the ones from the head.

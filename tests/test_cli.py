@@ -172,6 +172,28 @@ def test_gf_progress_says_when_the_count_restarts(capsys, many):
         counts + ["gf: packing failed its proof, retrying"] + counts) + "\n")
 
 
+def test_series_progress_says_when_the_count_restarts(capsys, monkeypatch, tmp_path):
+    # weight_series counts its slices from 1 again when its width cannot
+    # prove a slice.  From 8 bits S_4 fails at slice 13, and the width read
+    # off the counts proven so far, 24 bits, fails at slice 89.
+    s4 = tmp_path / "s4.txt"
+    s4.write_text("".join(w + "\n" for w in avoided_set(4).words), encoding="utf-8")
+    argv = ("series", "--words", str(s4), "--terms", "200", "--json")
+    code, out, err = run(capsys, *argv)
+    real, widths = cluster._series_width, []
+
+    def narrow_first(counts, terms):
+        widths.append(8 if not widths else real(counts, terms))
+        return widths[-1]
+
+    monkeypatch.setattr(cluster, "_series_width", narrow_first)
+    restarted = run(capsys, *argv)
+    counts = [f"series: {n}/200" for n in range(10, 201, 10)]
+    retry = "series: packing failed its proof, retrying"
+    assert widths == [8, 24, 56] and err.splitlines() == counts
+    assert restarted == (code, out, "\n".join(counts[:1] + [retry] + counts[:8] + [retry] + counts) + "\n")
+
+
 def test_progress_prints_at_most_21_lines_per_count(capsys, many):
     # A stride of total // 20 is 1 below 40 steps, which printed all 30
     # steps of the 30-word set.
@@ -249,6 +271,18 @@ def test_empty_language_is_a_usage_error(capsys, tmp_path, command):
     code, out, err = run(capsys, command[0], "--words", str(words_path), *command[1:])
     assert code == EXIT_USAGE and out == ""
     assert err == "error: no word of length 1 avoids the set\n"
+
+
+@pytest.mark.parametrize("command", ["profile", "report"])
+def test_json_and_csv_cannot_be_combined(capsys, s1_file, command):
+    argv = [command, "--json", "--csv"]
+    if command == "profile":
+        argv += ["--words", s1_file, "--terms", "4"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == EXIT_USAGE and out == ""
+    assert err.startswith("usage: ") and "argument --csv: not allowed with argument --json" in err
 
 
 def test_report_default_table(capsys):

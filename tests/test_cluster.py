@@ -20,7 +20,6 @@ from kolafreq import (
 )
 from kolafreq import cluster
 from kolafreq.avoided import checked_words
-from kolafreq.polynomials import pack_coefficients
 from kolafreq.verification import REF_S3_DEN, check_gf_s1
 
 words_st = st.text(alphabet="12", min_size=1, max_size=8)
@@ -232,6 +231,9 @@ def test_series_from_gf_large_coefficients():
 def test_progress_and_cancellation_hooks():
     seen = []
     weight_series(avoided_set(1), 6, progress=lambda n, total: seen.append((n, total)))
+    assert seen == [(n, 6) for n in range(1, 7)]
+    seen.clear()  # the expansion of a closed form reports the same slices 1..6
+    series_from_gf(weight_gf(avoided_set(1)), 6, progress=lambda n, total: seen.append((n, total)))
     assert seen == [(n, 6) for n in range(1, 7)]
     with pytest.raises(ComputationCancelled):
         weight_series(avoided_set(1), 6, should_cancel=lambda: True)
@@ -491,7 +493,7 @@ def test_packed_gf_proof_width_comes_from_det_and_y(monkeypatch):
         if len(calls) == 2:
             digits[0] += 1 << width
             digits[1] -= 1
-            assert pack_coefficients(digits, width) == packed
+            assert sum(c << width * i for i, c in enumerate(digits)) == packed
         return digits
 
     monkeypatch.setattr(cluster, "unpack_signed", alias)

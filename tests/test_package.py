@@ -71,15 +71,16 @@ def test_a_frozen_record_refuses_assignment():
 
 
 def test_records_take_their_fields_by_position_or_keyword():
-    from kolafreq.cli import ReportRow
-
-    row = ReportRow(3, 14, 200, "automaton", error="e")
-    assert row == ReportRow(d=3, set_size=14, N=200, backend="automaton", n=None, error="e")
-    assert (row.n, row.epsilon, row.error) == (None, None, "e")
-    for args, kwargs in [((3, 14, 200), {}), ((3, 14, 200, "a", 1, 2, "e", 0), {}),
-                         ((3, 14, 200, "a"), {"d": 3}), ((3, 14, 200, "a"), {"rows": 1})]:
-        with pytest.raises(TypeError, match="takes the fields d, set_size, N, backend"):
-            ReportRow(*args, **kwargs)
+    # A DegreeProfile's certificate defaults to None.
+    words, DegreeProfile = ("111", "222"), kolafreq.DegreeProfile
+    profile = DegreeProfile(words, 1, (0, 0), (0, 1), certificate=(0, 1, 0))
+    assert profile == DegreeProfile(words=words, N=1, min_ones=(0, 0), max_ones=(0, 1))
+    assert (profile.certificate, DegreeProfile(words, 1, (0, 0), (0, 1)).certificate) == ((0, 1, 0), None)
+    for args, kwargs in [((words, 1, (0, 0)), {}), ((words, 1, (0, 0), (0, 1), None, 0), {}),
+                         ((words, 1, (0, 0), (0, 1)), {"words": words}),
+                         ((words, 1, (0, 0), (0, 1)), {"rows": 1})]:
+        with pytest.raises(TypeError, match="takes the fields words, N, min_ones, max_ones, certificate"):
+            DegreeProfile(*args, **kwargs)
 
 
 def test_empty_language_error_is_one_class():

@@ -14,7 +14,6 @@ from kolafreq import polynomials
 from kolafreq.polynomials import (
     _coprime_on_line,
     format_terms,
-    pack_coefficients,
     unpack_signed,
 )
 
@@ -102,6 +101,11 @@ def test_format_reconstructs_t():
     assert format_terms(p.sorted_terms()) == "1 - x1*x2*t^2 - x1^2*x2^2*t^4"
     assert str(WeightPoly.zero()) == "0"
     assert str(WeightPoly.constant(-7)) == "-7"
+
+
+def pack_coefficients(coeffs, width):
+    """The reference encoder: evaluation at x1 = 2^width, one signed digit a coefficient."""
+    return sum(c << width * i for i, c in enumerate(coeffs))
 
 
 @given(st.lists(st.integers(-(2**20), 2**20), min_size=1, max_size=40))

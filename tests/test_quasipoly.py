@@ -11,10 +11,8 @@ from kolafreq import (
     EmptyLanguageError,
     avoided_set,
     best_bound,
-    build_automaton,
     certified_fit,
     degree_profile,
-    semi_rigorous_bound,
     successive_maxima,
     swap_letters,
     weight_series,
@@ -89,7 +87,7 @@ def test_semi_rigorous_bound_values():
     for d, eps in ((1, Fraction(1, 6)), (3, Fraction(1, 18)), (4, Fraction(1, 30)),
                    (5, Fraction(1, 46))):
         N = {4: 500, 5: 800}.get(d, 150)
-        bound = semi_rigorous_bound(certified_fit(degree_profile(avoided_set(d), N)))
+        bound = certified_fit(degree_profile(avoided_set(d), N)).bound
         assert (bound.epsilon, bound.rigor) == (eps, "rigorous")
     assert bound.provenance == "certified-limit(n0=79, P=69, c=33)"
 
@@ -102,7 +100,7 @@ def test_semi_rigorous_bound_values():
 def test_certified_fits_beyond_the_table(d, N, fit, eps):
     certified = certified_fit(degree_profile(avoided_set(d), N))
     assert (certified.certificate, certified.modulus, certified.slope) == (fit, *fit[1:])
-    bound = semi_rigorous_bound(certified)
+    bound = certified.bound
     assert (bound.epsilon, bound.rigor) == (eps, "rigorous")
 
 
@@ -156,8 +154,8 @@ def test_verify_runs_the_kernel_once_per_depth():
         for check in (verification.check_results_table, verification.check_quasipoly_fits,
                       verification.check_limits_and_maxima):
             assert check()[0]
-    assert [call.args[0].n_states for call in kernel.call_args_list] == [
-        build_automaton(avoided_set(d)).n_states for d in range(1, 7)]
+    assert [call.args[0] for call in kernel.call_args_list] == [
+        avoided_set(d).words for d in range(1, 7)]
     # The fit reads the certificate off the profile and runs no kernel.
     profile = verification.profile_for_depth(5, 800)
     with mock.patch.object(automaton, "_min_ones", side_effect=AssertionError("kernel run")):
@@ -171,5 +169,5 @@ def test_depth9_bounds_from_one_profile():
     assert kernel.call_count == 1
     n, bound = best_bound(profile)
     assert (n, bound.epsilon) == (1695, Fraction(7, 678))
-    bound = semi_rigorous_bound(certified_fit(profile))
+    bound = certified_fit(profile).bound
     assert (bound.rigor, bound.epsilon) == ("rigorous", Fraction(1, 102))
