@@ -78,8 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--json", action="store_true", help="emit JSON")
     group.add_argument("--csv", action="store_true", help="emit CSV")
 
-    p = sub.add_parser("verify", help="run the verification suite")
-    p.add_argument("--level", choices=("quick", "full"), default="quick")
+    p = sub.add_parser("verify", help="run the ten checks of the verification suite")
+    p.add_argument("--level", choices=("full",), default="full",
+                   help="the one suite; the flag is kept for scripts that pass it")
 
     return parser
 
@@ -336,7 +337,7 @@ def cmd_report(args) -> int:
 def cmd_verify(args) -> int:
     from .verification import run_checks
 
-    results = run_checks(args.level)
+    results = run_checks()
     failed = [r for r in results if not r.ok]
     for r in results:
         status = "PASS" if r.ok else "FAIL"

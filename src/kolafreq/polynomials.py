@@ -141,9 +141,6 @@ class WeightPoly:
             out[k] = out.get(k, 0) - c
         return WeightPoly(out)
 
-    def __rsub__(self, other: int) -> "WeightPoly":
-        return WeightPoly.constant(other) - self
-
     def __mul__(self, other: "WeightPoly | int") -> "WeightPoly":
         if isinstance(other, int):
             if other == 0:

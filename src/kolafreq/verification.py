@@ -134,10 +134,9 @@ class CheckResult:
     seconds: float
 
 
-def check_gf_s1(gf=None) -> tuple[bool, str]:
+def check_gf_s1() -> tuple[bool, str]:
     """Closed-form enumerator for {111, 222} matches the reference exactly."""
-    if gf is None:
-        gf = weight_gf(words_for_depth(1))
+    gf = weight_gf(words_for_depth(1))
     num = WeightPoly(REF_S1_NUM_FACTORS[0]) * WeightPoly(REF_S1_NUM_FACTORS[1])
     if gf.denominator.terms != REF_S1_DEN:
         return False, f"denominator mismatch: {gf.denominator}"
@@ -170,16 +169,16 @@ def check_series_s1() -> tuple[bool, str]:
     return True, "slices through t^5 match"
 
 
-def check_triple_oracle(max_d: int = 3, max_n: int = 18) -> tuple[bool, str]:
+def check_triple_oracle() -> tuple[bool, str]:
     """Cluster series, automaton counting DP, and brute force agree, one `Series` each."""
-    for d in range(1, max_d + 1):
-        words, series = words_for_depth(d), series_for_depth(d, max_n)
-        if series != weight_poly_dp(words, max_n):
+    for d in (1, 2, 3):
+        words, series = words_for_depth(d), series_for_depth(d, 18)
+        if series != weight_poly_dp(words, 18):
             return False, f"cluster series and counting DP disagree at d={d}"
-        for n, (row, brute) in enumerate(zip(series.slices, enumerate_brute(words, max_n).slices)):
+        for n, (row, brute) in enumerate(zip(series.slices, enumerate_brute(words, 18).slices)):
             if row != brute:
                 return False, f"oracle disagreement at d={d}, n={n}"
-    return True, f"three oracles agree for d <= {max_d}, n <= {max_n}"
+    return True, "three oracles agree for d <= 3, n <= 18"
 
 
 def check_results_table() -> tuple[bool, str]:
@@ -194,9 +193,9 @@ def check_results_table() -> tuple[bool, str]:
     return True, "all six rows match"
 
 
-def check_results_table_gj(max_d: int = 3, N: int = 200) -> tuple[bool, str]:
-    """Same table rows for small depths, but via the cluster series backend."""
-    for d, _size, _N, n_ref, eps_ref in REF_RESULTS_TABLE[:max_d]:
+def check_results_table_gj() -> tuple[bool, str]:
+    """Rows d <= 3 of the table, at their N = 200, via the cluster series backend."""
+    for d, _size, N, n_ref, eps_ref in REF_RESULTS_TABLE[:3]:
         words = words_for_depth(d)
         try:
             prof = DegreeProfile.from_series(words, series_for_depth(d, N))
@@ -207,7 +206,7 @@ def check_results_table_gj(max_d: int = 3, N: int = 200) -> tuple[bool, str]:
         n, bound = best_bound(prof)
         if (n, bound.epsilon) != (n_ref, eps_ref):
             return False, f"d={d}: got (n={n}, eps={bound.epsilon}), want (n={n_ref}, eps={eps_ref})"
-    return True, f"rows d <= {max_d} reproduced from the series backend"
+    return True, "rows d <= 3 reproduced from the series backend"
 
 
 def check_quasipoly_fits() -> tuple[bool, str]:
@@ -312,18 +311,10 @@ FULL_CHECKS: tuple[tuple[str, CheckFn], ...] = (
     ("properties", check_properties),
 )
 
-QUICK_CHECKS: tuple[tuple[str, CheckFn], ...] = (
-    ("gf-s1", check_gf_s1),
-    ("triple-oracle", lambda: check_triple_oracle(max_d=2, max_n=12)),
-)
 
-
-def run_checks(level: str = "quick") -> list[CheckResult]:
-    if level not in ("quick", "full"):
-        raise ValueError("level must be 'quick' or 'full'")
-    checks = QUICK_CHECKS if level == "quick" else FULL_CHECKS
+def run_checks() -> list[CheckResult]:
     results = []
-    for name, fn in checks:
+    for name, fn in FULL_CHECKS:
         start = time.perf_counter()
         try:
             ok, detail = fn()

@@ -3,75 +3,46 @@
 Each test recomputes one published result from scratch through the library
 (no tolerances anywhere; everything is exact integer/rational equality) and
 prints a one-line summary.  Run with `pytest tests/test_acceptance.py -v`
-or, equivalently, `kolafreq verify --level full`.
+or, equivalently, `kolafreq verify`.
 """
 
 import time
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
 from kolafreq import avoided_set, kolakoski_pieces, verification, weight_series
-from kolafreq.verification import (
-    check_d6_anomaly,
-    check_gf_s1,
-    check_gf_s3,
-    check_limits_and_maxima,
-    check_properties,
-    check_quasipoly_fits,
-    check_results_table,
-    check_results_table_gj,
-    check_series_s1,
-    check_triple_oracle,
-)
+
+# The gate: each check's name and its budget in seconds.  The slowest check,
+# properties, takes about 0.1 s on a 2-core machine.
+BUDGETS = {
+    "gf-s1": 1.0,
+    "gf-s3": 10.0,
+    "series-s1": 1.0,
+    "triple-oracle": 10.0,
+    "results-table": 10.0,
+    "results-table-gj": 10.0,
+    "quasipoly-fits": 10.0,
+    "limits-and-maxima": 10.0,
+    "d6-anomaly": 10.0,
+    "properties": 10.0,
+}
 
 
-def _run(name, fn, budget_seconds):
+def test_the_gate_is_the_ten_checks():
+    assert [name for name, _ in verification.FULL_CHECKS] == list(BUDGETS)
+
+
+@pytest.mark.parametrize("name, check", verification.FULL_CHECKS,
+                         ids=[name for name, _ in verification.FULL_CHECKS])
+def test_check_passes_within_its_budget(name, check):
     start = time.perf_counter()
-    ok, detail = fn()
+    ok, detail = check()
     elapsed = time.perf_counter() - start
     print(f"{name}: {'PASS' if ok else 'FAIL'} ({elapsed:.2f}s) - {detail}")
     assert ok, f"{name}: {detail}"
-    assert elapsed < budget_seconds, f"{name} took {elapsed:.2f}s (budget {budget_seconds}s)"
-
-
-def test_s1_generating_function_exact():
-    _run("gf-s1", check_gf_s1, budget_seconds=1.0)
-
-
-def test_s3_denominator_minratio_and_epsilon():
-    _run("gf-s3", check_gf_s3, budget_seconds=30.0)
-
-
-def test_s1_series_first_terms_exact():
-    _run("series-s1", check_series_s1, budget_seconds=1.0)
-
-
-def test_triple_oracle_agreement():
-    _run("triple-oracle", check_triple_oracle, budget_seconds=300.0)
-
-
-def test_results_table_automaton_backend():
-    _run("results-table", check_results_table, budget_seconds=30.0)
-
-
-def test_results_table_series_backend_small_depths():
-    _run("results-table-gj", check_results_table_gj, budget_seconds=600.0)
-
-
-def test_quasipolynomial_fits():
-    _run("quasipoly-fits", check_quasipoly_fits, budget_seconds=60.0)
-
-
-def test_limits_maxima_and_semi_rigorous_bounds():
-    _run("limits-and-maxima", check_limits_and_maxima, budget_seconds=60.0)
-
-
-def test_depth6_anomaly_at_62():
-    _run("d6-anomaly", check_d6_anomaly, budget_seconds=30.0)
-
-
-def test_structural_property_suite():
-    _run("properties", check_properties, budget_seconds=300.0)
+    assert elapsed < BUDGETS[name], f"{name} took {elapsed:.2f}s (budget {BUDGETS[name]}s)"
 
 
 def test_properties_walks_ten_million_letters_of_pieces(monkeypatch):
@@ -120,7 +91,7 @@ def test_full_run_makes_each_object_once(monkeypatch):
     for cache in (verification.words_for_depth, verification._avoided_tree,
                   verification.profile_for_depth, verification.series_for_depth):
         cache.cache_clear()
-    assert all(r.ok for r in verification.run_checks("full"))
+    assert all(r.ok for r in verification.run_checks())
     per_name = Counter(name for name, *_ in calls)
     assert per_name == {"enumerate_brute": 3, "verify_factor_free": 1, "weight_series": 8}
     assert set(calls.values()) == {1}

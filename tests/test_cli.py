@@ -359,11 +359,27 @@ def test_usage_errors(capsys):
     assert exc.value.code == EXIT_USAGE
 
 
-def test_verify_quick(capsys):
-    code, out, _ = run(capsys, "verify", "--level", "quick")
-    assert code == EXIT_OK
-    assert "gf-s1: PASS" in out
-    assert "triple-oracle: PASS" in out
+def test_verify_runs_the_ten_checks(capsys):
+    want = [
+        "gf-s1: PASS - numerator, denominator, and series cross-check agree",
+        "gf-s3: PASS - 18-term denominator, minratio 4/9, epsilon 1/18",
+        "series-s1: PASS - slices through t^5 match",
+        "triple-oracle: PASS - three oracles agree for d <= 3, n <= 18",
+        "results-table: PASS - all six rows match",
+        "results-table-gj: PASS - rows d <= 3 reproduced from the series backend",
+        "quasipoly-fits: PASS - fits for d = 1, 2, 3, 4, 5 match",
+        "limits-and-maxima: PASS - limits 1/3, 4/9, 7/15, 33/69; epsilons 1/6, 1/18, 1/30, 1/46",
+        "d6-anomaly: PASS - sequences agree on n <= 600 except n = 62",
+        "properties: PASS - counts, factor-freeness, avoidance, symmetry, and steps all hold",
+        "all 10 checks passed",
+    ]
+    for argv in (("verify",), ("verify", "--level", "full")):
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert re.sub(r" \(\d+\.\d\ds\)", "", out).splitlines() == want
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--level", "quick"])
+    assert exc.value.code == EXIT_USAGE
 
 
 def test_verify_prints_the_failed_check_and_exits_1(capsys, monkeypatch):
@@ -380,14 +396,14 @@ def test_verify_prints_the_failed_check_and_exits_1(capsys, monkeypatch):
     assert summary == "1 of 10 checks failed: results-table"
 
 
-def test_verify_names_failing_check(capsys):
-    from kolafreq import RationalGF, WeightPoly
-    from kolafreq.verification import check_gf_s1
+def test_verify_names_failing_check(monkeypatch):
+    from kolafreq import RationalGF, WeightPoly, verification
 
     perturbed = RationalGF(
         WeightPoly.one(), WeightPoly({(0, 0): 1, (1, 1): -2})
     )
-    ok, detail = check_gf_s1(gf=perturbed)
+    monkeypatch.setattr(verification, "weight_gf", lambda words: perturbed)
+    ok, detail = verification.check_gf_s1()
     assert not ok
     assert "denominator mismatch" in detail
 

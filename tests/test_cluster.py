@@ -18,9 +18,9 @@ from kolafreq import (
     weight_poly_dp,
     weight_series,
 )
-from kolafreq import cluster
+from kolafreq import cluster, verification
 from kolafreq.avoided import checked_words
-from kolafreq.verification import REF_S3_DEN, check_gf_s1
+from kolafreq.verification import REF_S3_DEN
 
 words_st = st.text(alphabet="12", min_size=1, max_size=8)
 
@@ -421,7 +421,9 @@ def test_packed_gf_from_the_narrowest_width(monkeypatch):
     widths = _spy_widths(monkeypatch)
     assert weight_gf(avoided_set(3)).denominator.terms == REF_S3_DEN
     assert set(widths) == {8}
-    check = check_gf_s1(weight_gf(avoided_set(1)))
+    gf = weight_gf(avoided_set(1))
+    monkeypatch.setattr(verification, "weight_gf", lambda words: gf)
+    check = verification.check_gf_s1()
     assert check[0], check[1]
 
 

@@ -163,6 +163,7 @@ def test_default_table_terms_are_the_n_column_of_the_results_table():
     assert verification.DEFAULT_TABLE_TERMS is avoided.DEFAULT_TABLE_TERMS
     assert avoided.DEFAULT_TABLE_TERMS == {d: N for d, _size, N, _n, _eps
                                            in verification.REF_RESULTS_TABLE}
+    assert list(avoided.DEFAULT_TABLE_TERMS) == [1, 2, 3, 4, 5, 6]
 
 
 def test_profile_skips_the_polynomials(s3_file):
@@ -182,7 +183,7 @@ def test_gj_series_report_skips_the_automaton():
     ("report", "--d", "1-2", "--terms", "50"),
     ("report", "--d", "1-2", "--terms", "50", "--backend", "gj-series"),
     ("bounds", "--gf"),
-    ("verify", "--level", "quick"),
+    ("verify",),
 ], ids=" ".join)
 def test_commands_load_neither_dataclasses_nor_inspect(argv, s3_file):
     if argv[0] == "bounds":

@@ -174,7 +174,7 @@ def test_run_checks_reports_a_check_that_raises_as_a_failure(monkeypatch):
         raise RuntimeError("counting DP refused")
 
     monkeypatch.setattr(verification, "weight_poly_dp", refuse)
-    results = verification.run_checks("full")
+    results = verification.run_checks()
     assert [r.name for r in results] == list(CHECKS)
     assert [(r.name, r.detail) for r in results if not r.ok] == [
         ("triple-oracle", "RuntimeError: counting DP refused")]
