@@ -97,7 +97,7 @@ def bound_from_denominator(gf: RationalGF) -> Bound:
     """Asymptotic bound from the denominator 1 - D: the extreme ones-ratios of
     D's monomials bound every sufficiently deep series term."""
     d = gf.d_poly()
-    if d.is_zero():
+    if not d:
         raise DegenerateDenominatorError("denominator is 1; no monomials to bound with")
     eps = max(HALF - minratio(d), maxratio(d) - HALF)
     return Bound(eps, provenance="denominator")

@@ -86,16 +86,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_depths(spec: str) -> list[int]:
+    """Depths from parts such as 3 or 1-4, joined by commas; each is at least 1."""
     depths: list[int] = []
     for part in spec.split(","):
-        part = part.strip()
-        if "-" in part:
-            lo, hi = part.split("-", 1)
-            depths.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            depths.append(int(part))
-    if not depths or any(d < 1 for d in depths):
-        raise ValueError(f"bad depth spec {spec!r}")
+        lo, dash, hi = part.partition("-")
+        try:
+            span = range(int(lo), int(hi if dash else lo) + 1)
+        except ValueError:
+            span = range(0)
+        if not span or span[0] < 1:
+            raise ValueError(f"bad depth spec {spec!r}")
+        depths.extend(span)
     return depths
 
 

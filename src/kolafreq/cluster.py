@@ -89,8 +89,6 @@ def weight_gf(
     """
     words = checked_words(S)
     one, letters = WeightPoly.one(), WeightPoly.letter_sum()
-    if not words:
-        return RationalGF.canonical(one, one - letters)
     m = len(words)
     M = [[WeightPoly.zero()] * m + [-WeightPoly.from_word(v)] for v in words]
     for i, v in enumerate(words):
@@ -123,9 +121,11 @@ def weight_gf(
 def _solves(M: list[list[WeightPoly]], z: list[WeightPoly]) -> bool:
     """Whether sum_j M_ij z_j = 0 in every row i, packed injectively: 2^w exceeds
     the bound sum_j |M_ij|_1 |z_j|_inf on their coefficients, D their x1-degrees."""
-    D = 1 + max(a for p in z for a, _ in p.terms) + max(a for r in M for p in r for a, _ in p.terms)
+    D = 1 + max(a for p in z for a, _ in p.terms) + max(
+        (a for r in M for p in r for a, _ in p.terms), default=0)
     sup = [max(map(abs, p.terms.values()), default=0) for p in z]
-    w = max(sum(sum(map(abs, p.terms.values())) * s for p, s in zip(r, sup)) for r in M).bit_length()
+    w = max((sum(sum(map(abs, p.terms.values())) * s for p, s in zip(r, sup)) for r in M),
+            default=0).bit_length()
     packed = [sum(mpz(c) << w * (a + D * b) for (a, b), c in p.terms.items()) for p in z]
     return not any(sum(c * x << w * (a + D * b) for p, x in zip(r, packed) for (a, b), c in p.terms.items())
                    for r in M)

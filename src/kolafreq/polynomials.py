@@ -22,7 +22,7 @@ Key = tuple[int, int]
 
 
 class InexactDivisionError(ArithmeticError):
-    """Polynomial division left a remainder where none was expected."""
+    """A division expected to be exact, such as a Bareiss step, left a remainder."""
 
 
 def _grlex(key: Key) -> tuple[int, int]:
@@ -75,9 +75,6 @@ class WeightPoly:
         return cls({(1, 0): 1, (0, 1): 1})
 
     # -- accessors ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -164,29 +161,6 @@ class WeightPoly:
         for _ in range(e):
             out = out * self
         return out
-
-    def exact_div(self, divisor: "WeightPoly") -> "WeightPoly":
-        """Divide by a polynomial known to divide exactly: graded-lex long division,
-        cancelling the remainder's leading term until the remainder is empty."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        d_lead = max(divisor.terms, key=_grlex)
-        (da, db), d_lc = d_lead, divisor.terms[d_lead]
-        rem, quo = dict(self.terms), {}
-        while rem:
-            lead = max(rem, key=_grlex)
-            (la, lb), lc = lead, rem[lead]
-            if la < da or lb < db or lc % d_lc:
-                raise InexactDivisionError(f"{lead} not divisible by {d_lead}")
-            qa, qb, qc = la - da, lb - db, lc // d_lc
-            quo[qa, qb] = qc
-            for (a, b), c in divisor.terms.items():
-                k = (a + qa, b + qb)
-                if v := rem.get(k, 0) - qc * c:
-                    rem[k] = v
-                else:
-                    del rem[k]
-        return WeightPoly(quo)
 
     # -- display -----------------------------------------------------------
 
@@ -301,7 +275,7 @@ class RationalGF:
     @classmethod
     def canonical(cls, num: WeightPoly, den: WeightPoly) -> "RationalGF":
         """Reduce to lowest terms and scale so the denominator's constant is +1."""
-        if den.is_zero():
+        if not den:
             raise ZeroDivisionError("zero denominator")
         if den.constant_term == 0:
             raise ValueError("denominator must have a nonzero constant term")
@@ -309,10 +283,8 @@ class RationalGF:
         if c > 1:
             num = WeightPoly({k: v // c for k, v in num.terms.items()})
             den = WeightPoly({k: v // c for k, v in den.terms.items()})
-        g = _poly_gcd(num, den)
-        if g.t_degree() > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
+        if num and not _coprime_on_line(num, den):  # 0 has no degree to keep on the line
+            num, den = _sympy_cofactors(num, den)
         if den.constant_term < 0:
             num, den = -num, -den
         if den.constant_term != 1:
@@ -322,9 +294,6 @@ class RationalGF:
     def d_poly(self) -> WeightPoly:
         """D in the 1 - D form of the denominator."""
         return WeightPoly.one() - self.denominator
-
-    def __str__(self) -> str:
-        return f"({self.numerator}) / ({self.denominator})"
 
 
 _P = 2**61 - 1  # a Mersenne prime
@@ -362,18 +331,12 @@ def _coprime_on_line(f: WeightPoly, g: WeightPoly) -> bool:
     return len(a) == 1
 
 
-def _poly_gcd(f: WeightPoly, g: WeightPoly) -> WeightPoly:
-    """Gcd of two polynomials: 1 when `_coprime_on_line` proves it, else symbolic."""
-    if f.is_zero() or g.is_zero() or _coprime_on_line(f, g):
-        return WeightPoly.one()
-    return _sympy_gcd(f, g)
-
-
-def _sympy_gcd(f: WeightPoly, g: WeightPoly) -> WeightPoly:
+def _sympy_cofactors(f: WeightPoly, g: WeightPoly) -> tuple[WeightPoly, WeightPoly]:
+    """f and g divided by their gcd: sympy finds the gcd and cancels it in one call."""
     import sympy
 
     x1, x2 = sympy.symbols("x1 x2")
-    fp = sympy.Poly.from_dict(dict(f.terms), x1, x2)
-    gp = sympy.Poly.from_dict(dict(g.terms), x1, x2)
-    h = fp.gcd(gp)
-    return WeightPoly({(int(a), int(b)): int(c) for (a, b), c in h.as_dict().items()})
+    fp, gp = (sympy.Poly.from_dict(dict(p.terms), x1, x2) for p in (f, g))
+    fq, gq = (WeightPoly({(int(a), int(b)): int(c) for (a, b), c in q.as_dict().items()})
+              for q in fp.cofactors(gp)[1:])
+    return fq, gq

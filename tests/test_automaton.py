@@ -197,6 +197,8 @@ def test_certificate_of_a_non_swap_closed_set_is_the_fewest_ones_side():
 def test_counting_dp_examples():
     assert weight_poly_dp(avoided_set(1), 3).poly(3) == WeightPoly({(2, 1): 3, (1, 2): 3})
     assert weight_poly_dp(avoided_set(1), 0).poly(0) == WeightPoly.one()
+    with pytest.raises(ValueError, match="N must be >= 0"):
+        weight_poly_dp(avoided_set(1), -1)
 
 
 def test_brute_force_examples():

@@ -75,6 +75,10 @@ def test_bound_fields_are_exact_and_symmetric():
     assert b.rigor == "rigorous"
     assert "series-term(762)" in b.provenance
     assert "limiting frequency exists" in b.render()
+    with pytest.raises(ValueError, match="epsilon out of range"):
+        Bound(Fraction(-1, 6), "x")
+    with pytest.raises(ValueError, match="epsilon out of range"):
+        Bound(Fraction(2, 3), "x")
 
 
 def test_rigor_is_a_constant_and_not_a_field():

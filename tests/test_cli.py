@@ -349,9 +349,19 @@ def test_report_refuses_negative_terms(capsys, backend, terms):
     assert err == "error: --terms must be >= 0\n"
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["--d", "0"], "bad depth spec '0'"),
+    (["--d", "3-1"], "bad depth spec '3-1'"),
+    (["--d", "1-"], "bad depth spec '1-'"),
+    (["--d", "x"], "bad depth spec 'x'"),
+    (["--d", "1", "--terms", "200,300"], "--terms must list one value, or one per depth"),
+])
+def test_report_refuses_bad_depths_and_terms(capsys, argv, error):
+    code, out, err = run(capsys, "report", *argv)
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {error}\n")
+
+
 def test_usage_errors(capsys):
-    code, _, err = run(capsys, "report", "--d", "zero")
-    assert code == EXIT_USAGE
     code, _, err = run(capsys, "gf", "--words", "/nonexistent/words.txt")
     assert code == EXIT_USAGE
     with pytest.raises(SystemExit) as exc:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from kolafreq import (
     ComputationCancelled,
+    InexactDivisionError,
     NotFactorFreeError,
     RationalGF,
     WeightPoly,
@@ -228,6 +229,15 @@ def test_series_from_gf_large_coefficients():
     assert series.slices[64][64] == 3**64
 
 
+def test_series_routes_refuse_bad_input():
+    with pytest.raises(ValueError, match="terms must be >= 0"):
+        weight_series(avoided_set(1), -1)
+    with pytest.raises(ValueError, match="terms must be >= 0"):
+        series_from_gf(weight_gf(avoided_set(1)), -1)
+    with pytest.raises(ValueError, match="constant term must be 1"):
+        series_from_gf(RationalGF(WeightPoly.one(), WeightPoly.constant(2)), 3)
+
+
 def test_progress_and_cancellation_hooks():
     seen = []
     weight_series(avoided_set(1), 6, progress=lambda n, total: seen.append((n, total)))
@@ -261,10 +271,69 @@ def test_gf_s2_minratio_matches_s1():
 # -- packed closed form -------------------------------------------------------
 
 
+def _grlex(key):
+    a, b = key
+    return (a + b, a)
+
+
+def _long_div(f: WeightPoly, divisor: WeightPoly) -> WeightPoly:
+    """f / divisor when it divides exactly: graded-lex long division,
+    cancelling the remainder's leading term until the remainder is empty."""
+    if not divisor:
+        raise ZeroDivisionError("polynomial division by zero")
+    d_lead = max(divisor.terms, key=_grlex)
+    (da, db), d_lc = d_lead, divisor.terms[d_lead]
+    rem, quo = dict(f.terms), {}
+    while rem:
+        lead = max(rem, key=_grlex)
+        (la, lb), lc = lead, rem[lead]
+        if la < da or lb < db or lc % d_lc:
+            raise InexactDivisionError(f"{lead} not divisible by {d_lead}")
+        qa, qb, qc = la - da, lb - db, lc // d_lc
+        quo[qa, qb] = qc
+        for (a, b), c in divisor.terms.items():
+            k = (a + qa, b + qb)
+            if v := rem.get(k, 0) - qc * c:
+                rem[k] = v
+            else:
+                del rem[k]
+    return WeightPoly(quo)
+
+
+polys = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)), st.integers(-9, 9), max_size=6
+).map(WeightPoly)
+wide_polys = st.dictionaries(
+    st.tuples(st.integers(0, 9), st.integers(0, 9)), st.integers(-99, 99), max_size=20
+).map(WeightPoly)
+
+
+@given(polys, polys.filter(bool))
+def test_exact_division_roundtrip(f, g):
+    assert _long_div(f * g, g) == f
+
+
+@given(wide_polys, wide_polys.filter(lambda p: p.t_degree() > 0), st.integers(-9, 9).filter(bool))
+def test_exact_division_of_wide_products(f, g, c):
+    assert _long_div(f * g, g) == f
+    # g divides f*g + c only if it divides the constant c, and g is not constant.
+    with pytest.raises(InexactDivisionError):
+        _long_div(f * g + c, g)
+
+
+def test_inexact_division_raises():
+    x1 = WeightPoly.monomial(1, 0)
+    x2 = WeightPoly.monomial(0, 1)
+    with pytest.raises(InexactDivisionError):
+        _long_div(x1, x2)
+    with pytest.raises(InexactDivisionError):
+        _long_div(WeightPoly.constant(3), WeightPoly.constant(2))
+
+
 def _dict_bareiss_gf(S) -> RationalGF:
     """The closed form by Bareiss elimination on `WeightPoly` dicts: an
-    oracle that shares no packing, width loop or identity check with
-    `weight_gf`."""
+    oracle that shares no packing, width loop, identity check or division
+    with `weight_gf`."""
     words = checked_words(S)
     one, letters = WeightPoly.one(), WeightPoly.letter_sum()
     if not words:
@@ -281,7 +350,7 @@ def _dict_bareiss_gf(S) -> RationalGF:
         for i in range(k + 1, m):
             for j in range(k + 1, m + 1):
                 lhs = M[k][k] * M[i][j] - M[i][k] * M[k][j]
-                M[i][j] = lhs.exact_div(prev) if lhs else zero
+                M[i][j] = _long_div(lhs, prev) if lhs else zero
         prev = M[k][k]
     det = M[m - 1][m - 1]
     y = [zero] * m
@@ -289,7 +358,7 @@ def _dict_bareiss_gf(S) -> RationalGF:
         acc = det * M[i][m]
         for j in range(i + 1, m):
             acc = acc - M[i][j] * y[j]
-        y[i] = acc.exact_div(M[i][i]) if acc else zero
+        y[i] = _long_div(acc, M[i][i]) if acc else zero
     cluster_sum = zero
     for yi in y:
         cluster_sum = cluster_sum + yi

@@ -3,7 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kolafreq import (
-    InexactDivisionError,
     RationalGF,
     Series,
     WeightPoly,
@@ -19,7 +18,7 @@ from kolafreq.polynomials import (
 
 keys = st.tuples(st.integers(0, 5), st.integers(0, 5))
 polys = st.dictionaries(keys, st.integers(-9, 9), max_size=6).map(WeightPoly)
-nonzero_polys = polys.filter(lambda p: not p.is_zero())
+nonzero_polys = polys.filter(bool)
 
 
 def test_basic_arithmetic():
@@ -61,34 +60,6 @@ def test_multiplication_commutes(f, g):
 @given(polys, polys, polys)
 def test_distributivity(f, g, h):
     assert f * (g + h) == f * g + f * h
-
-
-@given(polys, nonzero_polys)
-def test_exact_division_roundtrip(f, g):
-    assert (f * g).exact_div(g) == f
-
-
-wide_polys = st.dictionaries(
-    st.tuples(st.integers(0, 9), st.integers(0, 9)), st.integers(-99, 99), max_size=20
-).map(WeightPoly)
-non_constant_polys = wide_polys.filter(lambda p: p.t_degree() > 0)
-
-
-@given(wide_polys, non_constant_polys, st.integers(-9, 9).filter(bool))
-def test_exact_division_of_wide_products(f, g, c):
-    assert (f * g).exact_div(g) == f
-    # g divides f*g + c only if it divides the constant c, and g is not constant.
-    with pytest.raises(InexactDivisionError):
-        (f * g + c).exact_div(g)
-
-
-def test_inexact_division_raises():
-    x1 = WeightPoly.monomial(1, 0)
-    x2 = WeightPoly.monomial(0, 1)
-    with pytest.raises(InexactDivisionError):
-        x1.exact_div(x2)
-    with pytest.raises(InexactDivisionError):
-        WeightPoly.constant(3).exact_div(WeightPoly.constant(2))
 
 
 def test_slices_are_dense_by_degree():
@@ -152,6 +123,8 @@ def test_series_validation():
         Series(((1,), (1, -1))).validate_counting()
     with pytest.raises(AssertionError):
         Series(((1,), (3, 0))).validate_counting()
+    with pytest.raises(AssertionError, match="not homogeneous"):
+        Series(((1,), (1,))).validate_counting()
 
 
 def test_rational_gf_canonicalization():
@@ -166,9 +139,9 @@ def test_rational_gf_canonicalization():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_closed_forms_of_avoided_sets_need_no_symbolic_gcd(monkeypatch, d):
     def refuse(f, g):
-        raise AssertionError("symbolic gcd reached")
+        raise AssertionError("symbolic cofactors reached")
 
-    monkeypatch.setattr(polynomials, "_sympy_gcd", refuse)
+    monkeypatch.setattr(polynomials, "_sympy_cofactors", refuse)
     assert weight_gf(avoided_set(d)).denominator.constant_term == 1
 
 
@@ -183,6 +156,17 @@ def test_real_common_factor_still_reduces():
     assert not _coprime_on_line(gf.numerator * factor, gf.denominator * factor)
 
 
+def test_a_factor_that_loses_degree_on_the_line_still_reduces():
+    # h(x, 3x) = 1, so the restrictions of f and g have lost h's degree: the
+    # line proves nothing, and Euclid there would meet a zero top coefficient.
+    h = WeightPoly({(0, 0): 1, (0, 1): 1, (1, 0): -3})
+    one_plus_x1 = WeightPoly({(0, 0): 1, (1, 0): 1})
+    one_minus_x2 = WeightPoly({(0, 0): 1, (0, 1): -1})
+    f, g = h * one_plus_x1, h * one_minus_x2
+    assert not _coprime_on_line(f, g)
+    assert RationalGF.canonical(f, g) == RationalGF(one_plus_x1, one_minus_x2)
+
+
 @given(nonzero_polys, nonzero_polys, polys.filter(lambda p: p.t_degree() > 0))
 def test_line_restriction_never_hides_a_shared_factor(f, g, h):
     assert not _coprime_on_line(f * h, g * h)
@@ -195,6 +179,9 @@ def test_rational_gf_sign_and_content_normalization():
     assert gf.denominator.constant_term == 1
     assert gf.denominator == WeightPoly({(0, 0): 1, (1, 1): -1})
     assert gf.numerator == WeightPoly({(1, 0): 1})
+    # A zero numerator skips the reduction; the denominator is still normalized.
+    assert RationalGF.canonical(WeightPoly.zero(), den) == RationalGF(
+        WeightPoly.zero(), WeightPoly({(0, 0): 1, (1, 1): -1}))
 
 
 def test_rational_gf_rejects_zero_constant_denominator():

@@ -72,6 +72,10 @@ def test_maxima_closed_form_depth4():
     assert report.value(2) == Fraction(15, 33)
     for n, r in report.records:
         assert r <= fit.limit
+    with pytest.raises(ValueError, match="window too short"):
+        successive_maxima(profile.min_ones[:17], fit)
+    with pytest.raises(ValueError, match="record at n=486 disagrees"):  # S_5's records
+        successive_maxima(degree_profile(avoided_set(5), 800).min_ones[:501], fit)
 
 
 def test_maxima_record_values_match_closed_form():
@@ -83,7 +87,7 @@ def test_maxima_record_values_match_closed_form():
     assert report.value(11) == Fraction(364, 762)
 
 
-def test_semi_rigorous_bound_values():
+def test_certified_bounds_of_the_table_depths():
     for d, eps in ((1, Fraction(1, 6)), (3, Fraction(1, 18)), (4, Fraction(1, 30)),
                    (5, Fraction(1, 46))):
         N = {4: 500, 5: 800}.get(d, 150)
