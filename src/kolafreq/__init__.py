@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 # Home submodule -> the public names it defines.
 _EXPORTS = {
     "automaton": (
-        "AvoidanceAutomaton", "TooLargeError", "build_automaton", "degree_profile",
+        "AvoidanceAutomaton", "build_automaton", "degree_profile",
         "enumerate_brute", "weight_poly_dp",
     ),
     "avoided": (

@@ -33,7 +33,7 @@ exactly the words containing no avoided factor.  On top of it sit:
   and the pruning;
 - the most ones per length, n minus the fewest ones avoiding swap(S), with
   no second DP (`degree_profile`);
-- one brute-force growth pass for the slices up to a small length, an
+- one brute-force growth pass for the slices up to any length, an
   independent oracle sharing no code with the automaton (`enumerate_brute`).
 """
 
@@ -56,13 +56,8 @@ if TYPE_CHECKING:
 
 DEAD = -1
 
-BRUTE_FORCE_LIMIT = 24
 _ACCEPT_CHUNK = 32
 _BRUTE_FORCE_CHUNK = 1 << 14
-
-
-class TooLargeError(ValueError):
-    """Brute-force enumeration refused for oversized lengths."""
 
 
 @record
@@ -148,6 +143,8 @@ _UNREACHABLE = float("inf")
 # Byte lanes: entry i of a vector is one byte, and _FAR marks an unreachable
 # state.
 _FAR = 255
+# `bytes.translate` table giving the high byte of a lane that `_widen` widens.
+_FAR_HIGH = bytes(0x40 if x == _FAR else 0 for x in range(256))
 
 
 class CoreGraph:
@@ -416,14 +413,8 @@ def _widen(lanes: bytes) -> int:
     """Byte lanes as 16-bit lanes of one integer, _FAR raised above every reachable sum."""
     wide = bytearray(2 * len(lanes))
     wide[::2] = lanes
-    wide[1::2] = lanes.translate(_far_high())
+    wide[1::2] = lanes.translate(_FAR_HIGH)
     return int.from_bytes(wide, "little")
-
-
-@cache
-def _far_high() -> bytes:
-    """`bytes.translate` table giving the high byte of a widened lane."""
-    return bytes(0x40 if x == _FAR else 0 for x in range(256))
 
 
 @cache
@@ -575,8 +566,6 @@ def enumerate_brute(S: WordsLike, n: int) -> Series:
 
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > BRUTE_FORCE_LIMIT:
-        raise TooLargeError(f"brute force capped at n <= {BRUTE_FORCE_LIMIT}")
     words = checked_words(S)
     slices = [[1]] + [[0] * (k + 1) for k in range(1, n + 1)]
     pending = [[[""]]]  # parts of levels, each a group per count of ones: k + 1 at length k

@@ -208,9 +208,10 @@ def checked_words(S: WordsLike) -> tuple[str, ...]:
 
 
 def read_word_file(path: str | os.PathLike) -> tuple[str, ...]:
-    """Parse a word-set file: one word per line, '#' starts a comment line."""
+    """Parse a word-set file: one word per line, '#' starts a comment line.
+    The file is UTF-8 text; a leading byte-order mark is skipped."""
     words = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             s = line.strip()
             if not s or s.startswith("#"):

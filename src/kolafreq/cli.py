@@ -157,7 +157,6 @@ def cmd_gf(args) -> int:
     import json
 
     from .avoided import read_word_file
-    from .polynomials import format_terms
 
     gf = _gf(read_word_file(args.words))
     if args.json:
@@ -165,8 +164,8 @@ def cmd_gf(args) -> int:
             {"numerator": _poly_json(gf.numerator),
              "denominator": _poly_json(gf.denominator)}))
     else:
-        print(f"numerator   = {format_terms(gf.numerator.sorted_terms())}")
-        print(f"denominator = {format_terms(gf.denominator.sorted_terms())}")
+        print(f"numerator   = {gf.numerator}")
+        print(f"denominator = {gf.denominator}")
     return EXIT_OK
 
 
@@ -288,7 +287,10 @@ def cmd_report(args) -> int:
     if args.terms is None:
         terms = [DEFAULT_TABLE_TERMS.get(d, 200) for d in depths]
     else:
-        requested = [int(x) for x in str(args.terms).split(",")]
+        try:
+            requested = [int(x) for x in args.terms.split(",")]
+        except ValueError:
+            raise ValueError(f"bad terms spec {args.terms!r}") from None
         terms = requested * len(depths) if len(requested) == 1 else requested
         if len(terms) != len(depths):
             raise ValueError("--terms must list one value, or one per depth")
@@ -326,12 +328,10 @@ def cmd_report(args) -> int:
     else:
         print(f"{'d':>2} {'|S_d|':>6} {'N':>5} {'n':>5} {'epsilon':>10} {'decimal':>11}  backend")
         for r in rows:
-            if "error" in r:
-                print(f"{r['d']:>2} {r['set_size']:>6} {r['N']:>5} {'-':>5} {'-':>10} "
-                      f"{'-':>11}  {r['backend']} ({r['error']})")
-            else:
-                print(f"{r['d']:>2} {r['set_size']:>6} {r['N']:>5} {r['n']:>5} "
-                      f"{r['epsilon']:>10} {decimal(Fraction(r['epsilon'])):>11}  {r['backend']}")
+            n, eps, dec, note = ("-", "-", "-", f" ({r['error']})") if "error" in r else (
+                r["n"], r["epsilon"], decimal(Fraction(r["epsilon"])), "")
+            print(f"{r['d']:>2} {r['set_size']:>6} {r['N']:>5} {n:>5} {eps:>10} {dec:>11}  "
+                  f"{r['backend']}{note}")
     return EXIT_OK
 
 

@@ -9,7 +9,7 @@ integers; nothing in this module touches floating point.
 from __future__ import annotations
 
 from math import gcd
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import record
 
@@ -23,11 +23,6 @@ Key = tuple[int, int]
 
 class InexactDivisionError(ArithmeticError):
     """A division expected to be exact, such as a Bareiss step, left a remainder."""
-
-
-def _grlex(key: Key) -> tuple[int, int]:
-    a, b = key
-    return (a + b, a)
 
 
 class WeightPoly:
@@ -88,7 +83,8 @@ class WeightPoly:
         return max((a + b for a, b in self.terms), default=-1)
 
     def sorted_terms(self) -> list[tuple[Key, int]]:
-        return sorted(self.terms.items(), key=lambda kv: _grlex(kv[0]))
+        """Terms in graded-lex order: by t-degree a + b, then by a."""
+        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0][0]))
 
     def content(self) -> int:
         g = 0
@@ -165,32 +161,28 @@ class WeightPoly:
     # -- display -----------------------------------------------------------
 
     def __str__(self) -> str:
-        return format_terms(self.sorted_terms())
+        """Human-readable sum with the t variable reconstructed from a + b."""
+        if not self.terms:
+            return "0"
+        pieces = []
+        for (a, b), c in self.sorted_terms():
+            factors = []
+            if abs(c) != 1 or (a, b) == (0, 0):
+                factors.append(str(abs(c)))
+            for name, e in (("x1", a), ("x2", b), ("t", a + b)):
+                if e == 1:
+                    factors.append(name)
+                elif e > 1:
+                    factors.append(f"{name}^{e}")
+            body = "*".join(factors)
+            if not pieces:
+                pieces.append(body if c > 0 else f"-{body}")
+            else:
+                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(pieces)
 
     def __repr__(self) -> str:
         return f"WeightPoly({self.terms!r})"
-
-
-def format_terms(terms: Sequence[tuple[Key, int]]) -> str:
-    """Human-readable sum with the t variable reconstructed from a + b."""
-    if not terms:
-        return "0"
-    pieces = []
-    for (a, b), c in terms:
-        factors = []
-        if abs(c) != 1 or (a, b) == (0, 0):
-            factors.append(str(abs(c)))
-        for name, e in (("x1", a), ("x2", b), ("t", a + b)):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        body = "*".join(factors)
-        if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(pieces)
 
 
 # -- packed homogeneous slices ----------------------------------------------

@@ -14,7 +14,6 @@ from kolafreq import (
     DegreeProfile,
     EmptyLanguageError,
     NotFactorFreeError,
-    TooLargeError,
     WeightPoly,
     avoided_set,
     build_automaton,
@@ -207,9 +206,9 @@ def test_brute_force_examples():
     assert enumerate_brute([], 4).poly(4) == WeightPoly.letter_sum() ** 4
     assert enumerate_brute(["1", "2"], 3).slices == ((1,), (0, 0), (0, 0, 0), (0, 0, 0, 0))
     assert enumerate_brute(avoided_set(1), 0).slices == ((1,),)
+    # No length is refused: n = 30 is past the old ceiling of 24.
+    assert enumerate_brute(["1"], 30).poly(30) == WeightPoly.monomial(0, 30)
     # The refusals are raises, so they hold under python -O too.
-    with pytest.raises(TooLargeError):
-        enumerate_brute(avoided_set(1), 25)
     with pytest.raises(ValueError, match="n must be >= 0"):
         enumerate_brute(avoided_set(1), -1)
     with pytest.raises(NotFactorFreeError):
@@ -247,9 +246,9 @@ def test_cross_oracle_s2_n10():
 
 
 @pytest.mark.parametrize("d", range(1, 7))
-def test_brute_force_equals_counting_dp_at_the_cap(d):
+def test_brute_force_equals_counting_dp_past_the_old_cap(d):
     words = avoided_set(d).words
-    assert enumerate_brute(words, 24) == weight_poly_dp(words, 24)
+    assert enumerate_brute(words, 26) == weight_poly_dp(words, 26)
 
 
 def test_profile_consistent_with_series_extremes():

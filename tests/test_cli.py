@@ -63,7 +63,11 @@ def test_avoided_command(capsys):
 def test_gf_command(capsys, s1_file):
     code, out, _ = run(capsys, "gf", "--words", s1_file)
     assert code == EXIT_OK
-    assert "denominator = 1 - x1*x2*t^2" in out
+    assert out.splitlines() == [
+        "numerator   = 1 + x2*t + x1*t + x2^2*t^2 + x1*x2*t^2 + x1^2*t^2 + x1*x2^2*t^3"
+        " + x1^2*x2*t^3 + x1^2*x2^2*t^4",
+        "denominator = 1 - x1*x2*t^2 - x1*x2^2*t^3 - x1^2*x2*t^3 - x1^2*x2^2*t^4",
+    ]
 
 
 def test_gf_command_json(capsys, s1_file):
@@ -152,6 +156,18 @@ def test_gf_progress_goes_to_stderr_from_30_words(capsys, tmp_path, many):
         assert all(line.startswith("gf: ") and line.endswith("/30") for line in lines)
         code, out, err = run(capsys, command, "--words", str(s3), *flags)
         assert code == EXIT_OK and json.loads(out) and err == ""
+
+
+def test_word_file_with_a_byte_order_mark_and_crlf_line_ends(capsys, tmp_path):
+    # UTF-8 text may open with a byte-order mark, as some editors write it.
+    plain, marked = tmp_path / "s3.txt", tmp_path / "s3-bom.txt"
+    plain.write_text("".join(w + "\n" for w in avoided_set(3).words), encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes().replace(b"\n", b"\r\n"))
+    assert avoided.read_word_file(marked) == avoided.read_word_file(plain) == avoided_set(3).words
+    argv = ("bounds", "--gf", "--json", "--words")
+    code, out, err = run(capsys, *argv, str(plain))
+    assert code == EXIT_OK and err == ""
+    assert run(capsys, *argv, str(marked)) == (code, out, err)
 
 
 def test_gf_progress_says_when_the_count_restarts(capsys, many):
@@ -355,6 +371,10 @@ def test_report_refuses_negative_terms(capsys, backend, terms):
     (["--d", "1-"], "bad depth spec '1-'"),
     (["--d", "x"], "bad depth spec 'x'"),
     (["--d", "1", "--terms", "200,300"], "--terms must list one value, or one per depth"),
+    (["--d", "1", "--terms", "1.5"], "bad terms spec '1.5'"),
+    (["--d", "1", "--terms", "x"], "bad terms spec 'x'"),
+    (["--d", "1", "--terms="], "bad terms spec ''"),
+    (["--d", "1", "--terms", "5,"], "bad terms spec '5,'"),
 ])
 def test_report_refuses_bad_depths_and_terms(capsys, argv, error):
     code, out, err = run(capsys, "report", *argv)
