@@ -36,8 +36,7 @@ _EXPORTS = {
         "bound_from_denominator", "bound_from_term", "maxratio", "minratio",
     ),
     "cluster": (
-        "ComputationCancelled", "overlap_suffix_lengths", "series_from_gf", "weight_gf",
-        "weight_series",
+        "ComputationCancelled", "series_from_gf", "weight_gf", "weight_series",
     ),
     "polynomials": ("InexactDivisionError", "RationalGF", "Series", "WeightPoly"),
     "quasipoly": ("MaximaReport", "QuasiPolyFit", "certified_fit", "successive_maxima"),

@@ -10,6 +10,7 @@ the previous level, and levels 1..d together form a factor-free set of
 from __future__ import annotations
 
 import os
+from itertools import cycle
 from typing import Iterable, Mapping, Sequence, Union
 
 from . import record
@@ -49,17 +50,11 @@ def expand(runs: Sequence[int] | str, start: int | str) -> str:
     if first not in ("1", "2"):
         raise ValueError("start must be 1 or 2")
     other = "2" if first == "1" else "1"
-    parts = []
-    sym = first
-    for r in counts:
-        parts.append(sym * r)
-        sym = "2" if sym == "1" else "1"
-    word = "".join(parts)
-    last_sym = first if len(counts) % 2 == 1 else other
+    word = "".join(map(str.__mul__, cycle((first, other)), counts))
     if counts[0] == 1:
         word = other + word
     if counts[-1] == 1:
-        word = word + ("2" if last_sym == "1" else "1")
+        word += "2" if word[-1] == "1" else "1"
     return word
 
 

@@ -11,12 +11,13 @@ length-L prefix of v, and the full enumerator is
 
     weight(W) = 1 / (1 - (x1 + x2) t - sum_v C_v).
 
-The closed form (small S) solves the system by Bareiss elimination on
-integers that pack the polynomials, and proves the decoded solution by
-substituting it back; its matrix needs every pair (v, u), so it scans the
-pairs.  The series (large S and N) multiplies the equations through by the
-enumerator and steps degree by degree on packed slices with shifts and
-additions only, reading the words u of each prefix x off a suffix index.
+Both routes read the overlaps off one index of the words' proper suffixes
+(`_suffix_index`): the words u that overlap v by L are those longer than L
+that end with v's length-L prefix.  The closed form (small S) solves the
+system by Bareiss elimination on integers that pack the polynomials, and
+proves the decoded solution by substituting it back.  The series (large S
+and N) multiplies the equations through by the enumerator and steps degree
+by degree on packed slices with shifts and additions only.
 `series_from_gf` expands a closed form slice by slice in plain integers,
 so it checks the packed series without sharing its encoding.  Both routes
 take any set that passes `avoided.checked_words`, the empty set included.
@@ -45,9 +46,20 @@ class ComputationCancelled(RuntimeError):
     """Raised when a cooperative cancellation callback returns True."""
 
 
+def _suffix_index(words: tuple[str, ...]) -> dict[str, list[int]]:
+    """Each proper suffix x of a word -> the indices of the words that end
+    with x, ascending.  The words that overlap v by L are ends[v[:L]]."""
+    ends: dict[str, list[int]] = {}
+    for iu, u in enumerate(words):
+        for L in range(1, len(u)):
+            ends.setdefault(u[-L:], []).append(iu)
+    return ends
+
+
 def overlap_suffix_lengths(u: str, v: str) -> set[int]:
     """All L >= 1 below both lengths with the length-L suffix of u equal to
-    the length-L prefix of v."""
+    the length-L prefix of v.  Neither route calls it: bench/tracer.py counts
+    the overlap tails of a traced series with it."""
     if not u or not v:
         raise ValueError("words must be nonempty")
     return {L for L in range(1, min(len(u), len(v))) if u[-L:] == v[:L]}
@@ -90,11 +102,12 @@ def weight_gf(
     words = checked_words(S)
     one, letters = WeightPoly.one(), WeightPoly.letter_sum()
     m = len(words)
+    ends = _suffix_index(words)
     M = [[WeightPoly.zero()] * m + [-WeightPoly.from_word(v)] for v in words]
     for i, v in enumerate(words):
         M[i][i] = one
-        for j, u in enumerate(words):
-            for L in overlap_suffix_lengths(u, v):
+        for L in range(1, len(v)):
+            for j in ends.get(v[:L], ()):
                 M[i][j] = M[i][j] + WeightPoly.from_word(v[L:])
     a_priori = 1 + sum(max(a for p in row for a, _ in p.terms) for row in M)
     l1 = 1
@@ -256,11 +269,7 @@ def _series_width(counts: list, terms: int) -> int:
 def _packed_slices(words: tuple[str, ...], terms: int, width: int,
                    should_cancel: Cancel) -> Iterator[tuple]:
     """(p_n at x1 = 2^width divided by x1^base_n, base_n) for n = 1..terms."""
-    # ends[x]: the words R_x sums, ascending, read off the proper suffixes.
-    ends: dict[str, list[int]] = {}
-    for iu, u in enumerate(words):
-        for L in range(1, len(u)):
-            ends.setdefault(u[-L:], []).append(iu)
+    ends = _suffix_index(words)  # ends[x]: the words R_x sums
     prefix_index: dict[str, int] = {}
     equations = []
     for v in words:

@@ -55,10 +55,6 @@ class WeightPoly:
         return cls({(0, 0): c})
 
     @classmethod
-    def monomial(cls, ones: int, twos: int, coeff: int = 1) -> "WeightPoly":
-        return cls({(ones, twos): coeff})
-
-    @classmethod
     def from_word(cls, word: str) -> "WeightPoly":
         """Weight of a single word: x1^(#1s) x2^(#2s)."""
         ones = word.count("1")
@@ -149,14 +145,6 @@ class WeightPoly:
         return WeightPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "WeightPoly":
-        if e < 0:
-            raise ValueError("negative power")
-        out = WeightPoly.one()
-        for _ in range(e):
-            out = out * self
-        return out
 
     # -- display -----------------------------------------------------------
 

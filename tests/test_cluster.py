@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +14,6 @@ from kolafreq import (
     WeightPoly,
     avoided_set,
     enumerate_brute,
-    overlap_suffix_lengths,
     series_from_gf,
     weight_gf,
     weight_poly_dp,
@@ -21,6 +21,7 @@ from kolafreq import (
 )
 from kolafreq import cluster, verification
 from kolafreq.avoided import checked_words
+from kolafreq.cluster import overlap_suffix_lengths
 from kolafreq.verification import REF_S3_DEN
 
 words_st = st.text(alphabet="12", min_size=1, max_size=8)
@@ -56,6 +57,33 @@ def test_overlaps_match_brute_force(u, v):
 def test_overlap_rejects_empty():
     with pytest.raises(ValueError):
         overlap_suffix_lengths("", "1")
+
+
+def _minimal_words(drawn: list[str]) -> tuple[str, ...]:
+    return tuple(sorted({w for w in drawn if not any(u != w and u in w for u in drawn)}))
+
+
+factor_free_sets = st.lists(
+    st.text(alphabet="12", min_size=1, max_size=7), min_size=1, max_size=8
+).map(_minimal_words)
+
+
+@given(factor_free_sets)
+@example(avoided_set(3).words)
+@example(("121", "2112", "22222"))  # an overlap prefix shared by two words
+def test_suffix_index_lists_every_overlap(S):
+    # Both routes read the overlaps off this one index: the words u that
+    # overlap v by L are ends[v[:L]], in the order of S.
+    ends = cluster._suffix_index(S)
+    for v in S:
+        for L in range(1, len(v)):
+            assert ends.get(v[:L], []) == [j for j, u in enumerate(S) if L in brute_overlaps(u, v)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(factor_free_sets, st.integers(min_value=0, max_value=12))
+def test_counting_dp_matches_brute_force_on_random_sets(S, n):
+    assert weight_poly_dp(S, n) == enumerate_brute(S, n)
 
 
 def test_gf_of_empty_set():
@@ -105,7 +133,7 @@ def test_series_order_zero():
 
 def test_series_of_empty_set_is_binomial():
     series = weight_series([], 6)
-    assert series.poly(6) == WeightPoly.letter_sum() ** 6
+    assert series.poly(6) == prod([WeightPoly.letter_sum()] * 6)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -153,7 +181,7 @@ def test_series_width_comes_from_the_word_counts(monkeypatch):
     # admits no word past length 1, so its width comes from c_0 = 1.  Either
     # runs one packed pass.
     passes, seen = _spy_passes(monkeypatch), _spy_counts(monkeypatch)
-    assert weight_series((), 40).poly(40) == WeightPoly.letter_sum() ** 40
+    assert weight_series((), 40).poly(40) == prod([WeightPoly.letter_sum()] * 40)
     assert seen == [[2**n for n in range(17)]] and passes == [[16, 0, 16], [40, 48, 40]]
     seen.clear()
     passes.clear()
@@ -182,18 +210,6 @@ def test_packed_series_refuses_a_width_below_its_counts(monkeypatch):
     assert widths == [136] * 193 + [144] * 200
 
 
-def test_series_scans_no_pairs_for_overlaps(monkeypatch):
-    # The words each R_x sums come off one index of suffixes; only the
-    # closed form's matrix reads overlap_suffix_lengths, pair by pair.
-    def refuse(u, v):
-        raise AssertionError(f"overlap_suffix_lengths({u!r}, {v!r}) called")
-
-    monkeypatch.setattr(cluster, "overlap_suffix_lengths", refuse)
-    assert weight_series(avoided_set(6), 40) == weight_poly_dp(avoided_set(6), 40)
-    with pytest.raises(AssertionError, match="called"):
-        weight_gf(avoided_set(1))
-
-
 def test_series_validates_counting_invariants():
     weight_series(avoided_set(3), 40).validate_counting()
 
@@ -208,7 +224,7 @@ def test_series_swap_symmetry():
 def test_series_from_gf_binomial():
     gf = RationalGF(WeightPoly.one(), WeightPoly.one() - WeightPoly.letter_sum())
     series = series_from_gf(gf, 3)
-    assert series.poly(3) == WeightPoly.letter_sum() ** 3
+    assert series.poly(3) == prod([WeightPoly.letter_sum()] * 3)
 
 
 def test_series_from_gf_cross_method_s3():
@@ -322,8 +338,8 @@ def test_exact_division_of_wide_products(f, g, c):
 
 
 def test_inexact_division_raises():
-    x1 = WeightPoly.monomial(1, 0)
-    x2 = WeightPoly.monomial(0, 1)
+    x1 = WeightPoly({(1, 0): 1})
+    x2 = WeightPoly({(0, 1): 1})
     with pytest.raises(InexactDivisionError):
         _long_div(x1, x2)
     with pytest.raises(InexactDivisionError):
@@ -332,8 +348,8 @@ def test_inexact_division_raises():
 
 def _dict_bareiss_gf(S) -> RationalGF:
     """The closed form by Bareiss elimination on `WeightPoly` dicts: an
-    oracle that shares no packing, width loop, identity check or division
-    with `weight_gf`."""
+    oracle that shares no overlap index, packing, width loop, identity check
+    or division with `weight_gf`."""
     words = checked_words(S)
     one, letters = WeightPoly.one(), WeightPoly.letter_sum()
     if not words:
@@ -343,7 +359,7 @@ def _dict_bareiss_gf(S) -> RationalGF:
     for i, v in enumerate(words):
         M[i][i] = one
         for j, u in enumerate(words):
-            for L in overlap_suffix_lengths(u, v):
+            for L in brute_overlaps(u, v):
                 M[i][j] = M[i][j] + WeightPoly.from_word(v[L:])
     zero, prev = WeightPoly.zero(), one
     for k in range(m - 1):
@@ -363,15 +379,6 @@ def _dict_bareiss_gf(S) -> RationalGF:
     for yi in y:
         cluster_sum = cluster_sum + yi
     return RationalGF.canonical(det, det - det * letters - cluster_sum)
-
-
-def _minimal_words(drawn: list[str]) -> tuple[str, ...]:
-    return tuple(sorted({w for w in drawn if not any(u != w and u in w for u in drawn)}))
-
-
-factor_free_sets = st.lists(
-    st.text(alphabet="12", min_size=1, max_size=7), min_size=1, max_size=8
-).map(_minimal_words)
 
 
 @settings(max_examples=80, deadline=None)
@@ -443,7 +450,7 @@ def test_packed_series_ends_at_n_plus_two_bits(monkeypatch):
         assert cluster._series_width([3**n for n in range(17)], terms) == last
     _spy_counts(monkeypatch, first_width=8)
     widths = _spy_widths(monkeypatch)
-    assert weight_series((), 40).poly(40) == WeightPoly.letter_sum() ** 40
+    assert weight_series((), 40).poly(40) == prod([WeightPoly.letter_sum()] * 40)
     assert widths == [8] * 6 + [48] * 40  # 2 c_6 = 2^7 needs 9 bits
 
 
