@@ -10,7 +10,6 @@ the previous level, and levels 1..d together form a factor-free set of
 from __future__ import annotations
 
 import os
-from itertools import cycle
 from typing import Iterable, Mapping, Sequence, Union
 
 from . import record
@@ -32,28 +31,40 @@ class NotFactorFreeError(ValueError):
         self.witness = (inner, outer)
 
 
+# The letters of two runs, keyed by their lengths as digits, for a start
+# letter: the first run is of that letter and the second of the other.
+_RUN_PAIRS = {first: {(a, b): first * int(a) + other * int(b) for a in "123" for b in "123"}
+              for first, other in (("1", "2"), ("2", "1"))}
+_RUN = {"1": 1, "2": 2, "3": 3}
+
+
 def expand(runs: Sequence[int] | str, start: int | str) -> str:
     """Inflate a run-length word into letters, padding unit end runs.
 
     Alternating blocks are laid down with runs[i] copies in block i, the
-    first block using `start`.  A run of length 1 at either end would not
-    survive a run-length reading on its own, so the result is padded there
-    with one copy of the neighbouring letter; this forces the run-length
-    sequence of the output to contain `runs` as a factor.
+    first block using `start`, two blocks per lookup in a table of the nine
+    pairs of run lengths; a lone last block uses `start` again.  A run of
+    length 1 at either end would not survive a run-length reading on its
+    own, so the result is padded there with one copy of the neighbouring
+    letter; this forces the run-length sequence of the output to contain
+    `runs` as a factor.
     """
-    counts = [int(r) for r in runs]
-    if not counts:
+    digits = runs if isinstance(runs, str) else [str(int(r)) for r in runs]
+    if not digits:
         raise ValueError("runs must be nonempty")
-    if any(r not in (1, 2, 3) for r in counts):
-        raise ValueError("run entries must be in {1, 2, 3}")
     first = str(start)
-    if first not in ("1", "2"):
+    if first not in _RUN_PAIRS:
         raise ValueError("start must be 1 or 2")
-    other = "2" if first == "1" else "1"
-    word = "".join(map(str.__mul__, cycle((first, other)), counts))
-    if counts[0] == 1:
-        word = other + word
-    if counts[-1] == 1:
+    pairs = iter(digits)
+    try:
+        word = "".join(map(_RUN_PAIRS[first].__getitem__, zip(pairs, pairs)))
+        if len(digits) % 2:
+            word += first * _RUN[digits[-1]]
+    except KeyError:
+        raise ValueError("run entries must be in {1, 2, 3}") from None
+    if digits[0] == "1":
+        word = ("2" if first == "1" else "1") + word
+    if digits[-1] == "1":
         word += "2" if word[-1] == "1" else "1"
     return word
 

@@ -2,12 +2,15 @@
 
 Letters are the characters "1" and "2" and words are plain strings, which
 keeps factor search (`in`) at C speed even for multi-megabyte prefixes.
-A prefix is made as a stream of shared pieces (`kolakoski_pieces`), so a
-scan over the pieces (`AvoidanceAutomaton.accepts`) never holds it whole.
+A prefix is made as a stream of shared pieces (`kolakoski_pieces`), each
+the expansion of a chunk of the word's own letters read back as run
+lengths, so a scan over the pieces (`AvoidanceAutomaton.accepts`) never
+holds it whole.
 """
 
 from __future__ import annotations
 
+import struct
 from itertools import chain, groupby
 from typing import Iterable, Iterator
 
@@ -38,6 +41,18 @@ def kolakoski_prefix(n: int, first_letter: int | str = 2) -> str:
 _SEED = 64  # runs written letter by letter; they fill 97 letters
 _CHUNK = 32  # even, so every chunk of runs starts with a run of 2s
 _BATCH = 4096  # chunks read per batch, which bounds the batch's lists
+_SPLIT = struct.Struct(f"{_CHUNK}s" * _BATCH).unpack  # a full batch's span into its chunks
+_LENGTHS = bytes.maketrans(b"12", b"\1\2")
+
+
+class _Expansions(dict):
+    """A chunk of run lengths, in ASCII, to the letters it lays down; a
+    chunk not met before is expanded, and kept, on its first lookup."""
+
+    def __missing__(self, lengths: bytes) -> str:
+        self[lengths] = letters = "".join(
+            map(str.__mul__, "21" * (_CHUNK // 2), lengths.translate(_LENGTHS)))
+        return letters
 
 
 def kolakoski_pieces(n: int, first_letter: int | str = 2) -> Iterator[str]:
@@ -46,12 +61,15 @@ def kolakoski_pieces(n: int, first_letter: int | str = 2) -> Iterator[str]:
     The classical word is its own run-length sequence: its letters, once
     made, are read back as the lengths of the runs that follow, _CHUNK runs
     per lookup in a memo of the chunks met so far (782 distinct chunks in
-    the first 10^7 letters).  Past the seed, each piece is the memo's own
-    expansion of a chunk, a string shared by every occurrence, except the
-    one cut at n, chained in C from lists of up to _BATCH.  Only the letters
-    not yet read back are kept: a window from the read position on,
-    re-joined with the pieces made since when the reader runs short, about
-    a third of the letters made.  Bad arguments raise on the first `next`.
+    the first 10^7 letters).  A batch of up to _BATCH chunks is encoded to
+    ASCII once and split into its chunks by one `struct` unpack, in C, and
+    the memo expands a chunk on its first lookup.  Past the seed, each
+    piece is the memo's own expansion of a chunk, a string shared by every
+    occurrence, except the one cut at n, chained in C from the batches'
+    lists.  Only the letters not yet read back are kept: a window from the
+    read position on, re-joined with the pieces made since when the reader
+    runs short, about a third of the letters made.  Bad arguments raise on
+    the first `next`.
     """
     return chain.from_iterable(_batches(n, first_letter))
 
@@ -76,7 +94,7 @@ def _batches(n: int, first_letter: int | str) -> Iterator[list[str]]:
         yield [word[:n]]
     # The seed's 33 unread letters fill a chunk, and a chunk read gives at
     # least as many letters as it takes, so the window never runs dry.
-    memo: dict[str, str] = {}
+    memo = _Expansions()
     window, at, fresh = word, _SEED, []
     total = len(word)  # letters made
     while total < n:
@@ -86,11 +104,13 @@ def _batches(n: int, first_letter: int | str) -> Iterator[list[str]]:
         # A run has one or two letters, about 3/2 on average, so this count
         # rarely overshoots n by more than a chunk; a shortfall loops again.
         count = min(_BATCH, (len(window) - at) // _CHUNK, -(-2 * (n - total) // (3 * _CHUNK)))
-        chunks = [window[i:i + _CHUNK] for i in range(at, at + count * _CHUNK, _CHUNK)]
+        # Only the batch's span is encoded, so the window stays a `str` joined
+        # from shared pieces.  A partial batch (at the start, when the window
+        # runs short, and at n) compiles its own split: kept, one per count,
+        # they would cost about 140 KB each.
+        split = _SPLIT if count == _BATCH else struct.Struct(f"{_CHUNK}s" * count).unpack
+        new = list(map(memo.__getitem__, split(window[at:at + count * _CHUNK].encode("ascii"))))
         at += count * _CHUNK
-        for lengths in set(chunks).difference(memo):
-            memo[lengths] = "".join(map(str.__mul__, "21" * (_CHUNK // 2), map(int, lengths)))
-        new = list(map(memo.__getitem__, chunks))
         fresh += new
         total += sum(map(len, new))
         while total - len(new[-1]) >= n:  # drop the pieces wholly past n

@@ -42,6 +42,11 @@ def test_expand_rejects_bad_input():
         expand([1, 4], 1)
     with pytest.raises(ValueError):
         expand([1, 2], 3)
+    # Entries a table of run pairs must not read as runs: a two-digit entry
+    # alone, a zero in a pair, and a letter at the odd end of a word.
+    for runs, start in (([12], 1), ([0, 2], 1), ("12a", 2)):
+        with pytest.raises(ValueError):
+            expand(runs, start)
 
 
 @given(runs_strategy, st.sampled_from(["1", "2"]))

@@ -114,6 +114,14 @@ def test_ten_million_letters_streamed_piece_by_piece_are_pinned():
     assert len(distinct) == 784
 
 
+def test_pieces_are_shared_memo_objects():
+    # `accepts` keys its per-state dicts by the pieces, so each repeat must be
+    # the memo's own object, whose hash is computed once.
+    pieces = list(kolakoski_pieces(10**6))
+    assert len(pieces) > 10 * len(set(pieces))
+    assert len(set(map(id, pieces))) == len(set(pieces))
+
+
 def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
         kolakoski_prefix(-1, 2)
