@@ -40,9 +40,8 @@ exactly the words containing no avoided factor.  On top of it sit:
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from functools import cache, reduce
-from itertools import groupby, zip_longest
+from itertools import islice, zip_longest
 from operator import add, getitem, itemgetter
 from typing import TYPE_CHECKING, Callable, ClassVar, Iterable
 
@@ -134,9 +133,9 @@ def build_automaton(S: WordsLike) -> AvoidanceAutomaton:
 
 
 # A digest hit at step n0 is confirmed by replaying fewer steps than lie
-# between two checkpoints, from the checkpoint at or before n0.  The first
-# are this many steps apart; past _CHECKPOINTS of them every other one goes
-# and the spacing doubles, so a long run keeps a bounded number of vectors.
+# between two checkpoints, from the checkpoint at or before n0.  A run of N
+# steps spaces them max(_CHECKPOINT_EVERY, ceil(N / _CHECKPOINTS)) apart,
+# so it keeps at most _CHECKPOINTS + 1 vectors.
 _CHECKPOINT_EVERY = 32
 _CHECKPOINTS = 64
 _UNREACHABLE = float("inf")
@@ -285,49 +284,44 @@ class _DelayLine:
     lane above it.  A chain state's only predecessor is the state above it,
     so every chain is wholly live or wholly peeled, and the live chains make
     the first block of lanes.  In each block the lanes run depth by depth,
-    heads first, with the chains ordered by falling in-degree of their head
-    (live edges first) and then by falling length, so a step copies a few
-    byte slices of the old vector and computes only the head ("merge")
-    lanes: an elementwise minimum over their incoming edges, each a gather
-    shifted by the phi of its source plus its letter, on 16-bit lanes of big
-    integers.
+    heads first, with the chains of fed heads (those with an incoming edge)
+    first and then by falling length.  A step copies each chain lane from
+    its source, the lane above it, as byte slices of the old vector, one per
+    run of consecutive sources, and computes only the head ("merge") lanes:
+    an elementwise minimum over their incoming edges, each slot a gather of
+    every fed lane shifted by the phi of its source plus its letter, on
+    16-bit lanes of big integers.
 
     The one layout serves the whole run: up to step L* every lane is
     stepped, then `pruned` cuts a vector to the live block and `advance`
-    steps that block alone, its merge lanes over their live edges only.
-    Raises `_Overflow` when K exceeds 253 and the bytes cannot hold the
-    lanes, and from `advance` when a lane would reach _FAR.
+    steps that block alone, its merge lanes over their edges from live
+    states only.  Raises `_Overflow` when K exceeds 253 and the bytes cannot
+    hold the lanes, and from `advance` when a lane would reach _FAR.
     """
 
     def __init__(self, graph: CoreGraph):
-        ns, live, chains, phi = graph.n_states, graph.live, graph.chains, graph.phi
+        ns, live, chains, phi, edges = graph.n_states, graph.live, graph.chains, graph.phi, graph.heads
         K = max(phi)
         if K > _FAR - 2:  # so a far lane never reads as a rise of 0 or 1
             raise _Overflow
-        edges = {h: sorted(es, key=lambda e: not live[e % ns]) for h, es in graph.heads.items()}
-        n_live = {h: sum(live[e % ns] for e in es) for h, es in edges.items()}
-
-        def group(h: int) -> tuple[bool, int, int]:
-            return not live[h], -n_live[h], -len(edges[h])
-
-        heads = sorted(chains, key=lambda h: (*group(h), -len(chains[h])))
+        heads = sorted(chains, key=lambda h: (not live[h], not edges[h], -len(chains[h])))
         split = sum(map(live.__getitem__, heads))  # the live merge states come first
         order = []  # the state of each lane
         blocks = []  # per block: its merge states, and the copies that make its chain lanes
         for merge_states in (heads[:split], heads[split:]):
-            order += [t for level in zip_longest(*map(chains.get, merge_states), fillvalue=DEAD)
-                      for t in level if t != DEAD]  # depth by depth
-            lengths = [[-len(chains[h]) for h in g] for _key, g in groupby(merge_states, group)]
-            lane = len(order) + sum(map(sum, lengths))  # the block's first lane
+            above = list(range(len(order), len(order) + len(merge_states)))  # each chain's deepest lane so far
+            order += merge_states
             copies: list[list[int]] = []  # [start, stop) of each run of the old vector
-            for depth in range(1, -min(map(min, lengths), default=0)):
-                for g in lengths:  # level depth of a group copies a prefix of level depth - 1
-                    above, alive = bisect_left(g, 1 - depth), bisect_left(g, -depth)
-                    if copies and copies[-1][1] == lane:
-                        copies[-1][1] += alive
-                    elif alive:
-                        copies.append([lane, lane + alive])
-                    lane += above
+            for level in zip_longest(*(islice(chains[h], 1, None) for h in merge_states), fillvalue=DEAD):
+                for i, t in enumerate(level):  # depth by depth, each lane a copy of the one above it
+                    if t == DEAD:
+                        continue
+                    if copies and copies[-1][1] == above[i]:
+                        copies[-1][1] += 1
+                    else:
+                        copies.append([above[i], above[i] + 1])
+                    above[i] = len(order)
+                    order.append(t)
             blocks.append((merge_states, _gatherer([slice(*c) for c in copies]), len(order)))
         self.width, self.last_transient = len(order), graph.last_transient
         self.floor = floor = bytes(_gatherer(order)(phi)).translate(bytes(K - x & 255 for x in range(256)))
@@ -336,17 +330,15 @@ class _DelayLine:
         self.start_lane = lane[graph.start]
 
         def step(merge_states: list[int], copy: Callable, live_only: bool) -> tuple:
-            # A block's share of a step.  Slot j gathers edge j of each merge
-            # lane up to the last with more than j; one with fewer repeats its first.
-            fed = [es[:n_live[h]] if live_only else es for h in merge_states if (es := edges[h])]
+            # A block's share of a step.  Slot j gathers edge j of every fed
+            # merge lane, and edge 0 again of a lane with no edge j.
+            fed = [es for h in merge_states if (es := [e for e in edges[h] if live[e % ns] or not live_only])]
             slots = []
             for j in range(max(map(len, fed), default=0)):
-                k = 1 + max(i for i, es in enumerate(fed) if len(es) > j)
-                into = [es[j] if len(es) > j else es[0] for es in fed[:k]]
+                into = [es[j] if len(es) > j else es[0] for es in fed]
                 rise = _widen(bytes(K - floor[lane[e % ns]] + (e >= ns) for e in into))
-                slots.append((_gatherer([lane[e % ns] for e in into]), rise,
-                              (1 << 16 * k) - 1, _lanes(k, 0x8000)))
-            return (slots, len(fed), _lanes(len(fed), 1),
+                slots.append((_gatherer([lane[e % ns] for e in into]), rise))
+            return (slots, len(fed), int.from_bytes(b"\1\0" * len(fed), "little"),
                     bytes([_FAR]) * (len(merge_states) - len(fed)), copy)
 
         (live_heads, live_copy, self._live), (peeled_heads, peeled_copy, _) = blocks
@@ -388,25 +380,21 @@ class _DelayLine:
 def _merge_lanes(v: bytes, slots: list, fed: int, ones: int) -> bytes:
     """The fed merge lanes of T(v), before normalising.
 
-    Every 16-bit lane stays below 2^15: a reachable one below 2^9 and a far
-    one in [0x40FF, 0x41FF).  So (low | top) - x borrows across no lane and
-    leaves bit 15 set exactly where low >= x.
+    Every slot gathers all fed lanes.  Every 16-bit lane stays below 2^15:
+    a reachable one below 2^9 and a far one in [0x40FF, 0x41FF).  So
+    (acc | top) - x borrows across no lane and leaves bit 15 set exactly
+    where acc >= x.
     """
-    (get, rise, _low, _top), *rest = slots
+    top = ones << 15
+    (get, rise), *rest = slots
     acc = _widen(bytes(get(v))) + rise
-    for get, rise, low, top in rest:  # acc = min(acc, x) on the lanes x covers
+    for get, rise in rest:  # acc = min(acc, x), lane by lane
         x = _widen(bytes(get(v))) + rise
-        low &= acc
-        acc ^= (low ^ x) & (((low | top) - x & top) >> 15) * 0xFFFF
+        acc ^= (acc ^ x) & (((acc | top) - x & top) >> 15) * 0xFFFF
     far = (acc >> 14) & ones
     if (acc + ones) >> 8 & ~far & ones:
         raise _Overflow
     return (acc | far * 0xFF).to_bytes(2 * fed, "little")[::2]
-
-
-def _lanes(k: int, value: int) -> int:
-    """k 16-bit lanes of one integer, each holding value."""
-    return int.from_bytes(value.to_bytes(2, "little") * k, "little")
 
 
 def _widen(lanes: bytes) -> int:
@@ -448,8 +436,9 @@ def _run(step, N: int) -> tuple[list[int], tuple[int, int, int] | None]:
     minimum (`advance`).  A vector is hashable, and two are equal exactly
     when the normalised vectors are.  Vectors are recorded by digest only; a
     digest hit is trusted after all entries of v_(n0), replayed from the
-    nearest checkpoint, equal the current vector.  The certificate is None
-    when no repeat occurs within N steps.
+    checkpoint at or before n0, equal the current vector; checkpoints lie a
+    spacing set from N apart.  The certificate is None when no repeat occurs
+    within N steps.
 
     At step L* + 1, L* the step object's `last_transient`, the vector is
     cut to the live states (`pruned`) and the digests and checkpoints start
@@ -460,7 +449,7 @@ def _run(step, N: int) -> tuple[list[int], tuple[int, int, int] | None]:
     """
     v = step.start()
     min_ones = [0]
-    base, every = 0, _CHECKPOINT_EVERY  # the step of checkpoints[0], and the steps between two
+    base, every = 0, max(_CHECKPOINT_EVERY, -(-N // _CHECKPOINTS))  # the step of checkpoints[0]; their spacing
     seen = {hash(v): [0]}
     checkpoints = [v]
 
@@ -478,7 +467,7 @@ def _run(step, N: int) -> tuple[list[int], tuple[int, int, int] | None]:
         min_ones.append(min_ones[-1] + m)
         if n == step.last_transient + 1:
             v = step.pruned(v)
-            base, every, seen, checkpoints = n, _CHECKPOINT_EVERY, {}, []
+            base, seen, checkpoints = n, {}, []
         digest = hash(v)
         for n0 in seen.get(digest, ()):
             if replay(n0) == v:
@@ -489,9 +478,6 @@ def _run(step, N: int) -> tuple[list[int], tuple[int, int, int] | None]:
         seen.setdefault(digest, []).append(n)
         if (n - base) % every == 0:
             checkpoints.append(v)
-            if len(checkpoints) > _CHECKPOINTS:
-                del checkpoints[1::2]
-                every *= 2
     return min_ones, None
 
 

@@ -149,16 +149,21 @@ def test_certificate_survives_digest_collisions(monkeypatch):
 
 
 def test_certificate_survives_thinned_checkpoints(monkeypatch):
-    # A checkpoint every step and at most four kept: past L* = 10 the
-    # spacing doubles from 1 to 16 before the repeat at step 53, and with
-    # every digest equal each earlier step is replayed from a thinned
-    # checkpoint and rejected component by component.
-    expected = degree_profile(avoided_set(4), 60)
+    # One checkpoint every max(1, ceil(N / 4)) steps: at N = 60 they lie 15
+    # apart, at 0 and, past L* = 10, from step 11 on, before the repeat at
+    # step 53; at N = 600 they lie 150 apart, so the repeat's onset 38 is
+    # replayed from step 11 on the lanes and from step 0 on the lists, which
+    # cut nothing at L*.  With every digest equal, each earlier step is
+    # replayed from the checkpoint before it and rejected component by component.
+    words = avoided_set(4).words
+    expected = degree_profile(words, 600)
     monkeypatch.setattr(automaton, "_CHECKPOINT_EVERY", 1)
     monkeypatch.setattr(automaton, "_CHECKPOINTS", 4)
+    lists = _list_kernel(words, 600)
     monkeypatch.setattr(automaton, "hash", lambda vector: 0, raising=False)
-    thinned = degree_profile(avoided_set(4), 60)
-    assert (thinned, thinned.certificate) == (expected, (38, 15, 7))
+    thinned = degree_profile(words, 60)
+    assert (thinned.min_ones, thinned.certificate) == (expected.min_ones[:61], (38, 15, 7))
+    assert automaton._min_ones(words, 600) == lists == (list(expected.min_ones), (38, 15, 7))
 
 
 def test_certificate_holds_on_the_counting_dp_profile():
@@ -397,10 +402,11 @@ _KOLAKOSKI = kolakoski_prefix(60)
 # first eight 2s: 547 states, and a chain of 256 ones leaves no room in a byte.
 @example(tuple("1" * 260 + _KOLAKOSKI[p:p + 40] for p in range(14) if _KOLAKOSKI[p] == "2"), 400)
 # State "2" has three incoming edges, from "", "1" and itself; past L* = 1
-# only its loop is live, and it stays a merge lane of that one edge.
+# only its loop is live, and the live plan gathers that one edge.
 @example(("11", "21"), 80)
-# Up to L* = 1 the merge lane with two live edges of two precedes the one
-# with one live edge of three, and repeats its first edge in the third gather.
+# Up to L* = 1 one merge lane has two edges and the other three, so every
+# gather covers both and the lane of two repeats its first edge in the third;
+# past L* the lane with one live edge repeats it in the second.
 @example(("11", "21221", "21222"), 80)
 def test_byte_lane_kernel_matches_the_list_kernel(S, N):
     auto = build_automaton(S)
@@ -543,6 +549,9 @@ def _one_edge_cycles(edges):
 
 
 @pytest.mark.parametrize("d,live,last_transient", [
+    (1, 4, 0),
+    (2, 12, 2),
+    (3, 36, 5),
     (4, 108, 10),
     (5, 324, 17),
     (6, 972, 28),
@@ -552,8 +561,12 @@ def _one_edge_cycles(edges):
 def test_live_states_of_avoided_sets(d, live, last_transient):
     graph = automaton.CoreGraph(build_automaton(avoided_set(d)))
     assert (sum(graph.live), graph.last_transient) == (live, last_transient)
-    # 2^d live chains: the live lanes a step computes rather than copies.
-    assert sum(graph.live[h] for h in graph.chains) == 2 ** d
+    assert live == 4 * 3 ** (d - 1)
+    # 2^d live chains: the live lanes a step computes rather than copies,
+    # each entered at its head by exactly two edges from live states.
+    live_heads = [h for h in graph.chains if graph.live[h]]
+    assert len(live_heads) == 2 ** d
+    assert all(sum(graph.live[e % graph.n_states] for e in graph.heads[h]) == 2 for h in live_heads)
 
 
 def _walk_letters(auto, word):

@@ -134,6 +134,16 @@ def test_bounds_command_profile_terms_text(capsys, s1_file):
     ]
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_bounds_gf_flag_names_the_default_route(capsys, tmp_path, flags):
+    # `--gf` changes nothing: S_3's closed-form bound prints the same bytes without it.
+    s3 = tmp_path / "s3.txt"
+    s3.write_text("".join(w + "\n" for w in avoided_set(3).words), encoding="utf-8")
+    bare = run(capsys, "bounds", "--words", str(s3), *flags)
+    assert bare[0] == EXIT_OK and "1/18" in bare[1] and bare[2] == ""
+    assert run(capsys, "bounds", "--words", str(s3), "--gf", *flags) == bare
+
+
 @pytest.fixture
 def many(tmp_path):
     """The 30 words of length 5 other than 11111 and 22222: a set as large
