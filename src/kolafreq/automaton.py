@@ -163,6 +163,11 @@ class CoreGraph:
     A peeled state is reachable at no length past the longest path L* among
     them (`last_transient`, -1 when none is), and some peeled state at every
     length up to L*.  The graph keeps no reference to the automaton.
+
+    It takes the breadth-first numbering of `build_automaton`, unchecked:
+    every state but the start is entered from its parent prefix, numbered
+    before it.  So the chains are walked from their heads in state order,
+    and a cycle of one-edge states passes through the start.
     """
 
     def __init__(self, auto: AvoidanceAutomaton):
@@ -188,14 +193,9 @@ class CoreGraph:
         self.live, self.last_transient = _peel(auto, pred, merges)
         phi = [DEAD] * ns  # DEAD until the state's chain is walked
         chains: dict[int, array] = {}  # arrays, so no state's int object outlives the automaton
-        for t in range(ns):  # so a cycle of one-edge states is first met at its least state
-            if phi[t] != DEAD:
+        for h in range(ns):  # a head before every state below it, and a cycle at its least state
+            if phi[h] != DEAD:
                 continue
-            h = t  # climb to the head of t's chain, or round its cycle back to t
-            while (p := pred[h]) != DEAD and below[p % ns] == h:
-                h = p % ns
-                if h == t:
-                    break
             chain, ones, q = [h], 0, below[h]
             phi[h] = 0
             while q != DEAD and q != h:
@@ -209,11 +209,10 @@ class CoreGraph:
 
 
 def _peel(auto: AvoidanceAutomaton, pred: list[int], merges: dict[int, list[int]]) -> tuple[bytes, int]:
-    """The Kahn pass of `CoreGraph`, `live` and L*; its lists are freed before the chain walk."""
+    """The Kahn pass of `CoreGraph`, `live` and L*; its lists are freed before the chain walk.
+    It starts from the start alone: every other state has an edge in, from its parent prefix."""
     ns = auto.n_states
-    peeled = []  # the states of in-degree 0, then each state once its predecessors are in
-    for _ in range(pred.count(DEAD)):
-        peeled.append(pred.index(DEAD, peeled[-1] + 1 if peeled else 0))
+    peeled = [auto.start] if pred[auto.start] == DEAD else []  # then each state once its predecessors are in
     live, count, longest = bytearray(b"\1") * ns, [0] * ns, [0] * ns
     for q in peeled:  # grows while it is walked
         live[q] = 0
@@ -289,14 +288,14 @@ class _DelayLine:
     its source, the lane above it, as byte slices of the old vector, one per
     run of consecutive sources, and computes only the head ("merge") lanes:
     an elementwise minimum over their incoming edges, each slot a gather of
-    every fed lane shifted by the phi of its source plus its letter, on
-    16-bit lanes of big integers.
+    every fed lane shifted by its rise, the phi of its source plus its
+    letter (a head's own phi is 0), on 16-bit lanes of big integers.
 
     The one layout serves the whole run: up to step L* every lane is
     stepped, then `pruned` cuts a vector to the live block and `advance`
     steps that block alone, its merge lanes over their edges from live
     states only.  Raises `_Overflow` when K exceeds 253 and the bytes cannot
-    hold the lanes, and from `advance` when a lane would reach _FAR.
+    hold the lanes or a rise, and from `advance` when a lane would reach _FAR.
     """
 
     def __init__(self, graph: CoreGraph):
@@ -336,7 +335,7 @@ class _DelayLine:
             slots = []
             for j in range(max(map(len, fed), default=0)):
                 into = [es[j] if len(es) > j else es[0] for es in fed]
-                rise = _widen(bytes(K - floor[lane[e % ns]] + (e >= ns) for e in into))
+                rise = _widen(bytes(phi[e % ns] + (e >= ns) for e in into))
                 slots.append((_gatherer([lane[e % ns] for e in into]), rise))
             return (slots, len(fed), int.from_bytes(b"\1\0" * len(fed), "little"),
                     bytes([_FAR]) * (len(merge_states) - len(fed)), copy)

@@ -1,10 +1,10 @@
 """Words the Kolakoski word provably avoids, generated by run-length expansion.
 
 If a word w never occurs in the Kolakoski word, neither does any word whose
-run-length sequence contains w.  Iterating that observation from the
-single-letter word 3 grows a binary tree of avoided words; level d doubles
-the previous level, and levels 1..d together form a factor-free set of
-2^(d+1) - 2 words, closed under swapping the letters.
+run-length sequence contains w.  Iterating that observation by one rule,
+`expand`, from the root, the run-length word 3, grows a binary tree of
+avoided words; level d doubles the previous level, and levels 1..d together
+form a factor-free set of 2^(d+1) - 2 words, closed under swapping letters.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ DEFAULT_TABLE_TERMS = {1: 200, 2: 200, 3: 200, 4: 500, 5: 800, 6: 600}
 
 
 def avoided_set(d: int) -> AvoidSet:
-    """Generate levels 1..d of the avoided-word tree.
+    """Generate levels 1..d of the avoided-word tree, each expanded from the one above, from the root 3.
 
     Raises CollisionError if two expansions coincide, which would falsify
     the 2^(d+1) - 2 count; no collision is known to occur.
@@ -107,15 +107,9 @@ def avoided_set(d: int) -> AvoidSet:
         raise ValueError("d must be >= 1")
     levels: dict[int, frozenset[str]] = {}
     seen: dict[str, int] = {}
+    parents = ["3"]
     for k in range(1, d + 1):
-        if k == 1:
-            children = [expand([3], s) for s in "12"]
-        else:
-            children = [
-                expand(parent, s)
-                for parent in sorted(levels[k - 1], key=lambda w: (len(w), w))
-                for s in "12"
-            ]
+        children = [expand(parent, s) for parent in parents for s in "12"]
         for w in children:
             if w in seen:
                 raise CollisionError(
@@ -123,6 +117,7 @@ def avoided_set(d: int) -> AvoidSet:
                 )
             seen[w] = k
         levels[k] = frozenset(children)
+        parents = sorted(children, key=lambda w: (len(w), w))
     return AvoidSet(d, tuple(sorted(seen, key=lambda w: (len(w), w))), levels)
 
 

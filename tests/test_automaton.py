@@ -512,9 +512,13 @@ def test_core_graph_matches_its_definition(S):
         for q, t in zip(chain, chain[1:]):
             assert edges[t] in ([q], [n + q])
             assert graph.phi[t] == graph.phi[q] + (edges[t] == [n + q])
+    # The chain walk rests on the breadth-first numbering: every state but the
+    # start is entered from a smaller one, and every one-edge cycle holds the start.
+    cycles = _one_edge_cycles(edges)
+    assert all(any(e % n < t for e in edges[t]) for t in range(n) if t != auto.start)
+    assert all(auto.start in cycle for cycle in cycles)
     # Each cycle of one-edge states holds exactly one head, its least state.
     # Any other one-edge head follows a state whose chain goes on elsewhere.
-    cycles = _one_edge_cycles(edges)
     for cycle in cycles:
         assert [t for t in cycle if t in graph.chains] == [min(cycle)]
     on_cycles = set().union(*cycles)

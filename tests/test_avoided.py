@@ -1,3 +1,6 @@
+import hashlib
+from functools import cache
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -7,11 +10,13 @@ from kolafreq import (
     CollisionError,
     NotFactorFreeError,
     avoided_set,
+    build_automaton,
     expand,
     run_lengths,
     swap_letters,
     verify_factor_free,
 )
+from kolafreq.automaton import DEAD
 from kolafreq.avoided import as_words, checked_words, read_word_file
 from kolafreq.verification import words_for_depth
 
@@ -112,6 +117,39 @@ def test_lower_levels_of_one_expansion_are_the_smaller_sets():
         tree.up_to(9)
     with pytest.raises(ValueError):
         tree.up_to(0)
+
+
+def test_depth_12_tree_is_pinned():
+    # Levels of 2^k words each, and a digest of all 8 190 words in order.
+    tree = avoided_set(12)
+    assert [len(tree.levels[k]) for k in range(1, 13)] == [2 ** k for k in range(1, 13)]
+    assert len(tree) == 8190
+    digest = hashlib.sha256("\n".join(tree.words).encode()).hexdigest()
+    assert digest == "93f57be8edd711b1af2842329a4705f877941b5b8b2fe035c2ebc63d28ca9858"
+
+
+@cache
+def _automaton(d):
+    return build_automaton(avoided_set(d))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.lists(st.booleans(), min_size=1, max_size=120))
+def test_run_lengths_of_a_word_avoiding_the_next_level_avoid_the_set(d, choices):
+    # The tree's lemma: a word avoiding S_(d+1) has runs of 1 or 2 letters,
+    # and its complete runs, its end runs dropped, spell a word avoiding S_d.
+    # At each step a choice picks between the letters that stay off DEAD.
+    auto = _automaton(d + 1)
+    word, q = [], auto.start
+    for pick_two in choices:
+        moves = [(ch, t) for ch, t in (("1", auto.on_one[q]), ("2", auto.on_two[q])) if t != DEAD]
+        if not moves:
+            break
+        ch, q = moves[pick_two and len(moves) > 1]
+        word.append(ch)
+    inner = run_lengths("".join(word))[1:-1]
+    assert set(inner) <= {1, 2}
+    assert _automaton(d).accepts("".join(map(str, inner)))
 
 
 def test_depth_validation():
