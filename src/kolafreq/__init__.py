@@ -28,8 +28,8 @@ _EXPORTS = {
         "enumerate_brute", "weight_poly_dp",
     ),
     "avoided": (
-        "AvoidSet", "CollisionError", "EmptyLanguageError", "NotFactorFreeError",
-        "avoided_set", "expand", "read_word_file", "verify_factor_free",
+        "CollisionError", "EmptyLanguageError", "NotFactorFreeError", "avoided_set",
+        "expand", "read_word_file", "verify_factor_free",
     ),
     "bounds": (
         "Bound", "DegenerateDenominatorError", "DegreeProfile", "best_bound",
@@ -60,13 +60,13 @@ def __dir__() -> list[str]:
     return sorted(set(globals()) | set(__all__))
 
 
-def record(cls=None, /, *, uncompared=(), unshown=()):
+def record(cls=None, /, *, uncompared=()):
     """Class decorator: the methods `dataclasses.dataclass(frozen=True)` writes,
     as closures, so no command imports `dataclasses`.  The fields are the
     annotations not spelled `ClassVar[...]`, with class attributes as their
-    defaults; equality and hash skip `uncompared`, the repr `unshown`."""
+    defaults; equality and hash skip `uncompared`."""
     if cls is None:
-        return lambda cls: record(cls, uncompared=uncompared, unshown=unshown)
+        return lambda cls: record(cls, uncompared=uncompared)
     names = tuple(n for n, kind in cls.__annotations__.items() if not kind.startswith("ClassVar"))
     defaults = {n: vars(cls)[n] for n in names if n in vars(cls)}
     post_init = getattr(cls, "__post_init__", lambda self: None)
@@ -88,5 +88,5 @@ def record(cls=None, /, *, uncompared=(), unshown=()):
         key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented)
     cls.__hash__ = lambda self: hash(key(self))
     cls.__repr__ = lambda self: "{}({})".format(cls.__qualname__, ", ".join(
-        f"{n}={getattr(self, n)!r}" for n in names if n not in unshown))
+        f"{n}={getattr(self, n)!r}" for n in names))
     return cls

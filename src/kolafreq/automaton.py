@@ -46,7 +46,7 @@ from operator import add, getitem, itemgetter
 from typing import TYPE_CHECKING, Callable, ClassVar, Iterable
 
 from . import record
-from .avoided import EmptyLanguageError, WordsLike, as_words, checked_trie, checked_words
+from .avoided import EmptyLanguageError, as_words, checked_trie, checked_words
 from .bounds import DegreeProfile
 from .words import swap_closed, swap_letters
 
@@ -117,7 +117,7 @@ class _Memo(dict):
         return self.setdefault(chunk, memos[q] if q in memos else _Memo(auto, q, memos))
 
 
-def build_automaton(S: WordsLike) -> AvoidanceAutomaton:
+def build_automaton(S: Iterable[str]) -> AvoidanceAutomaton:
     """The automaton of S off the Aho-Corasick pass of `checked_trie`.
 
     As S is factor-free, the dead nodes are exactly the word ends, and the
@@ -480,7 +480,7 @@ def _run(step, N: int) -> tuple[list[int], tuple[int, int, int] | None]:
     return min_ones, None
 
 
-def degree_profile(S: WordsLike, N: int) -> DegreeProfile:
+def degree_profile(S: Iterable[str], N: int) -> DegreeProfile:
     """Fewest and most ones per length 0..N over the words avoiding S.
 
     The fewest come from the min-plus kernel on the `CoreGraph` of S,
@@ -502,7 +502,7 @@ def degree_profile(S: WordsLike, N: int) -> DegreeProfile:
     return DegreeProfile(words, N, tuple(min_ones), max_ones, certificate)
 
 
-def weight_poly_dp(S: WordsLike, N: int) -> Series:
+def weight_poly_dp(S: Iterable[str], N: int) -> Series:
     """Exact slices p_0..p_N of the weight enumerator via one counting DP pass.
 
     One packed big integer per live state (a digit per ones-count) keeps the
@@ -536,7 +536,7 @@ def weight_poly_dp(S: WordsLike, N: int) -> Series:
     return Series(tuple(slices))
 
 
-def enumerate_brute(S: WordsLike, n: int) -> Series:
+def enumerate_brute(S: Iterable[str], n: int) -> Series:
     """Ground-truth oracle: the slices p_0..p_n from one growth pass.
 
     A word avoids S iff none of its prefixes ends with a word of S, so the

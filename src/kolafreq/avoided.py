@@ -5,14 +5,15 @@ run-length sequence contains w.  Iterating that observation by one rule,
 `expand`, from the root, the run-length word 3, grows a binary tree of
 avoided words; level d doubles the previous level, and levels 1..d together
 form a factor-free set of 2^(d+1) - 2 words, closed under swapping letters.
+`avoided_set(d)` returns them as one tuple sorted by (length, lex), the form
+`as_words` gives any collection of words and every route reads; level k is
+`avoided_set(k)` less `avoided_set(k - 1)`.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Iterable, Mapping, Sequence, Union
-
-from . import record
+from typing import Iterable, Sequence
 
 
 class CollisionError(RuntimeError):
@@ -69,56 +70,31 @@ def expand(runs: Sequence[int] | str, start: int | str) -> str:
     return word
 
 
-@record(unshown=("levels",))
-class AvoidSet:
-    """Avoided words from tree levels 1..depth, sorted by (length, lex)."""
-
-    depth: int
-    words: tuple[str, ...]
-    levels: Mapping[int, frozenset[str]]
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __iter__(self):
-        return iter(self.words)
-
-    def up_to(self, d: int) -> "AvoidSet":
-        """Levels 1..d of this set, `avoided_set(d)` without expanding again."""
-        if not 1 <= d <= self.depth:
-            raise ValueError(f"d must be in 1..{self.depth}")
-        levels = {k: self.levels[k] for k in range(1, d + 1)}
-        kept = frozenset().union(*levels.values())
-        return AvoidSet(d, tuple(w for w in self.words if w in kept), levels)
-
-
 # Terms per depth of the paper's results table: `report` without --terms
 # computes depth d to this many (200 past the table), and so do the checks.
 DEFAULT_TABLE_TERMS = {1: 200, 2: 200, 3: 200, 4: 500, 5: 800, 6: 600}
 
 
-def avoided_set(d: int) -> AvoidSet:
-    """Generate levels 1..d of the avoided-word tree, each expanded from the one above, from the root 3.
+def avoided_set(d: int) -> tuple[str, ...]:
+    """The words of levels 1..d of the avoided-word tree, sorted by (length,
+    lex); each level is expanded from the one above, from the root 3.
 
     Raises CollisionError if two expansions coincide, which would falsify
     the 2^(d+1) - 2 count; no collision is known to occur.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    levels: dict[int, frozenset[str]] = {}
     seen: dict[str, int] = {}
-    parents = ["3"]
+    level = ["3"]
     for k in range(1, d + 1):
-        children = [expand(parent, s) for parent in parents for s in "12"]
-        for w in children:
+        level = [expand(parent, s) for parent in level for s in "12"]
+        for w in level:
             if w in seen:
                 raise CollisionError(
                     f"{w!r} generated at level {k} and level {seen[w]}"
                 )
             seen[w] = k
-        levels[k] = frozenset(children)
-        parents = sorted(children, key=lambda w: (len(w), w))
-    return AvoidSet(d, tuple(sorted(seen, key=lambda w: (len(w), w))), levels)
+    return tuple(sorted(seen, key=lambda w: (len(w), w)))
 
 
 def verify_factor_free(words: Iterable[str]) -> tuple[bool, tuple[str, str] | None]:
@@ -176,13 +152,9 @@ def aho_corasick(words: Sequence[str]) -> tuple[tuple[list[int], list[int]], lis
     return goto, states, None if inner == none else (words[inner], next(outer))
 
 
-WordsLike = Union[AvoidSet, Iterable[str]]
-
-
-def as_words(S: WordsLike) -> tuple[str, ...]:
-    """Normalize a word collection to a sorted, deduplicated tuple."""
-    if isinstance(S, AvoidSet):
-        return S.words
+def as_words(S: Iterable[str]) -> tuple[str, ...]:
+    """Normalize any iterable of words, a one-shot generator too, to the
+    sorted, deduplicated tuple that `avoided_set` returns."""
     ws = tuple(sorted(set(S), key=lambda w: (len(w), w)))
     for w in ws:
         if set(w) - {"1", "2"}:
@@ -190,7 +162,7 @@ def as_words(S: WordsLike) -> tuple[str, ...]:
     return ws
 
 
-def checked_trie(S: WordsLike) -> tuple[tuple[str, ...], tuple[list[int], list[int]], list[int]]:
+def checked_trie(S: Iterable[str]) -> tuple[tuple[str, ...], tuple[list[int], list[int]], list[int]]:
     """The word-set rule of every enumeration route: `as_words`, no empty
     word, and no word a factor of another; the empty set passes.  Returns
     the words, and the goto lists and the states of `aho_corasick`."""
@@ -203,7 +175,7 @@ def checked_trie(S: WordsLike) -> tuple[tuple[str, ...], tuple[list[int], list[i
     return words, goto, states
 
 
-def checked_words(S: WordsLike) -> tuple[str, ...]:
+def checked_words(S: Iterable[str]) -> tuple[str, ...]:
     """The words of S under the rule of `checked_trie`."""
     return checked_trie(S)[0]
 

@@ -12,10 +12,10 @@ is exact (fractions of integers); decimal renderings are display-only.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, ClassVar
+from typing import TYPE_CHECKING, ClassVar, Iterable
 
 from . import record
-from .avoided import EmptyLanguageError, WordsLike, as_words
+from .avoided import EmptyLanguageError, as_words
 
 if TYPE_CHECKING:
     from .polynomials import RationalGF, Series, WeightPoly
@@ -121,7 +121,7 @@ class DegreeProfile:
     certificate: tuple[int, int, int] | None = None
 
     @classmethod
-    def from_series(cls, S: WordsLike, series: Series) -> "DegreeProfile":
+    def from_series(cls, S: Iterable[str], series: Series) -> "DegreeProfile":
         """Read the extremes off the nonzero coefficients of each series slice."""
         mins, maxs = [], []
         for n in range(series.order + 1):

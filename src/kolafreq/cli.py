@@ -141,7 +141,7 @@ def cmd_kolakoski(args) -> int:
 def cmd_avoided(args) -> int:
     from .avoided import avoided_set
 
-    for word in avoided_set(args.d).words:
+    for word in avoided_set(args.d):
         print(word)
     return EXIT_OK
 
@@ -297,9 +297,8 @@ def cmd_report(args) -> int:
         if min(terms) < 0:
             raise ValueError("--terms must be >= 0")
     rows = []
-    tree = avoided_set(max(depths))  # one expansion serves every depth
     for d, N in zip(depths, terms):
-        words = tree.up_to(d).words
+        words = avoided_set(d)
         row = {"d": d, "set_size": len(words), "N": N, "n": None, "epsilon": None,
                "backend": args.backend}
         try:

@@ -26,9 +26,9 @@ take any set that passes `avoided.checked_words`, the empty set included.
 from __future__ import annotations
 
 from math import log2
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
-from .avoided import WordsLike, checked_words
+from .avoided import checked_words
 from .polynomials import (
     InexactDivisionError,
     RationalGF,
@@ -72,7 +72,7 @@ _START_WIDTH = 8  # bits per digit of the first packed elimination
 
 
 def weight_gf(
-    S: WordsLike,
+    S: Iterable[str],
     *,
     progress: Progress = None,
     should_cancel: Cancel = None,
@@ -195,7 +195,7 @@ def _exact_div(a, b):
 
 
 def weight_series(
-    S: WordsLike,
+    S: Iterable[str],
     terms: int,
     *,
     progress: Progress = None,

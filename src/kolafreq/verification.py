@@ -105,10 +105,7 @@ REF_MAXIMA = {4: (1, 3, 2), 5: (1, 3, 3)}
 
 @lru_cache(maxsize=16)
 def words_for_depth(d: int) -> tuple[str, ...]:
-    return _avoided_tree(max(d, 8)).up_to(d).words  # one expansion serves S_1..S_8
-
-
-_avoided_tree = lru_cache(maxsize=2)(avoided_set)
+    return avoided_set(d)
 
 
 @lru_cache(maxsize=32)

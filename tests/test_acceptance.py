@@ -73,27 +73,29 @@ def test_properties_names_an_avoided_word_in_the_prefix(monkeypatch):
 
 
 def test_full_run_makes_each_object_once(monkeypatch):
-    # Brute force runs once per depth of triple-oracle, the factor-free pass
-    # once on S_8, and the series once per (set, N): the checks share them.
+    # Each S_d is expanded once, brute force runs once per depth of
+    # triple-oracle, the factor-free pass once on S_8, and the series once
+    # per (set, N): the checks share them.
     calls = Counter()
 
     def counted(name):
         real = getattr(verification, name)
 
         def call(words, *args):
-            calls[(name, tuple(words), *args)] += 1
+            calls[(name, words if isinstance(words, int) else tuple(words), *args)] += 1
             return real(words, *args)
 
         monkeypatch.setattr(verification, name, call)
 
-    for name in ("enumerate_brute", "verify_factor_free", "weight_series"):
+    for name in ("avoided_set", "enumerate_brute", "verify_factor_free", "weight_series"):
         counted(name)
-    for cache in (verification.words_for_depth, verification._avoided_tree,
-                  verification.profile_for_depth, verification.series_for_depth):
+    for cache in (verification.words_for_depth, verification.profile_for_depth,
+                  verification.series_for_depth):
         cache.cache_clear()
     assert all(r.ok for r in verification.run_checks())
     per_name = Counter(name for name, *_ in calls)
-    assert per_name == {"enumerate_brute": 3, "verify_factor_free": 1, "weight_series": 8}
+    assert per_name == {"avoided_set": 8, "enumerate_brute": 3, "verify_factor_free": 1,
+                        "weight_series": 8}
     assert set(calls.values()) == {1}
     assert ("verify_factor_free", verification.words_for_depth(8)) in calls
 
@@ -113,7 +115,7 @@ def test_series_backend_matches_automaton_at_moderate_scale():
     # depth-4 set through t^120 agrees with the automaton profile.
     from kolafreq import degree_profile
 
-    words = avoided_set(4).words
+    words = avoided_set(4)
     series = weight_series(words, 120)
     prof = degree_profile(words, 120)
     for n in range(121):

@@ -47,7 +47,7 @@ def test_single_letter_taboo():
 
 @pytest.mark.parametrize("d,max_n", [(2, 10), (5, 12)])
 def test_automaton_agrees_with_direct_scan(d, max_n):
-    words = avoided_set(d).words
+    words = avoided_set(d)
     auto = build_automaton(words)
     for n in range(max_n + 1):
         for letters in product("12", repeat=n):
@@ -70,7 +70,7 @@ def test_automaton_rejects_bad_sets():
 
 
 def test_live_state_count_is_trie_minus_terminals():
-    words = avoided_set(5).words
+    words = avoided_set(5)
     trie_nodes = {""}
     for w in words:
         for i in range(1, len(w) + 1):
@@ -155,7 +155,7 @@ def test_certificate_survives_thinned_checkpoints(monkeypatch):
     # replayed from step 11 on the lanes and from step 0 on the lists, which
     # cut nothing at L*.  With every digest equal, each earlier step is
     # replayed from the checkpoint before it and rejected component by component.
-    words = avoided_set(4).words
+    words = avoided_set(4)
     expected = degree_profile(words, 600)
     monkeypatch.setattr(automaton, "_CHECKPOINT_EVERY", 1)
     monkeypatch.setattr(automaton, "_CHECKPOINTS", 4)
@@ -167,7 +167,7 @@ def test_certificate_survives_thinned_checkpoints(monkeypatch):
 
 
 def test_certificate_holds_on_the_counting_dp_profile():
-    S = avoided_set(4).words
+    S = avoided_set(4)
     onset, period, slope = degree_profile(S, 200).certificate
     prof = DegreeProfile.from_series(S, weight_poly_dp(S, 200))
     for n in range(onset, 201 - period):
@@ -182,7 +182,7 @@ def test_profile_of_non_swap_closed_set():
 
 
 def test_profile_equality_ignores_the_certificate():
-    S = avoided_set(2).words
+    S = avoided_set(2)
     prof = degree_profile(S, 40)
     from_series = DegreeProfile.from_series(S, weight_poly_dp(S, 40))
     assert (prof.certificate, from_series.certificate) == ((5, 3, 1), None)
@@ -226,7 +226,7 @@ def test_brute_force_examples():
     ("12", "21"),
     ("111", "222"),
     ("11", "222", "1212"),
-    tuple(avoided_set(3).words),
+    avoided_set(3),
 ])
 def test_brute_force_matches_literal_enumeration(S):
     brute = enumerate_brute(S, 10)
@@ -252,12 +252,12 @@ def test_cross_oracle_s2_n10():
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_brute_force_equals_counting_dp_past_the_old_cap(d):
-    words = avoided_set(d).words
+    words = avoided_set(d)
     assert enumerate_brute(words, 26) == weight_poly_dp(words, 26)
 
 
 def test_profile_consistent_with_series_extremes():
-    words = avoided_set(3).words
+    words = avoided_set(3)
     series = weight_series(words, 18)
     prof = degree_profile(words, 18)
     for n in range(19):
@@ -311,11 +311,11 @@ def _automaton_by_definition(S):
 @example(("1",))
 @example(("2", "1111"))
 @example(("12", "21"))
-@example(avoided_set(1).words)
-@example(avoided_set(2).words)
-@example(avoided_set(3).words)
-@example(avoided_set(4).words)
-@example(avoided_set(5).words)
+@example(avoided_set(1))
+@example(avoided_set(2))
+@example(avoided_set(3))
+@example(avoided_set(4))
+@example(avoided_set(5))
 def test_automaton_matches_its_definition(S):
     auto = build_automaton(S)
     assert (auto.on_one, auto.on_two) == _automaton_by_definition(S)
@@ -495,7 +495,7 @@ def _graph_by_definition(auto):
 @example(("11", "21"))  # a live merge with one live edge
 @example(("11", "22"))  # the live states form one cycle
 @example(("1" * 6,))  # one chain of five ones
-@example(avoided_set(3).words)
+@example(avoided_set(3))
 def test_core_graph_matches_its_definition(S):
     auto = build_automaton(S)
     graph = automaton.CoreGraph(auto)

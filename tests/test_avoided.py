@@ -8,13 +8,19 @@ from hypothesis import strategies as st
 import kolafreq.avoided
 from kolafreq import (
     CollisionError,
+    DegreeProfile,
     NotFactorFreeError,
     avoided_set,
     build_automaton,
+    degree_profile,
+    enumerate_brute,
     expand,
     run_lengths,
     swap_letters,
     verify_factor_free,
+    weight_gf,
+    weight_poly_dp,
+    weight_series,
 )
 from kolafreq.automaton import DEAD
 from kolafreq.avoided import as_words, checked_words, read_word_file
@@ -73,11 +79,11 @@ def test_run_lengths_of_expansion_contain_runs(runs, start):
 
 
 def test_level_one():
-    assert set(avoided_set(1).words) == {"111", "222"}
+    assert set(avoided_set(1)) == {"111", "222"}
 
 
 def test_level_two():
-    assert set(avoided_set(2).words) == {
+    assert set(avoided_set(2)) == {
         "111", "222", "12121", "21212", "112211", "221122"
     }
 
@@ -86,45 +92,52 @@ def test_level_two():
 def test_counts_and_factor_freeness(d):
     s = avoided_set(d)
     assert len(s) == 2 ** (d + 1) - 2
-    ok, witness = verify_factor_free(s.words)
+    ok, witness = verify_factor_free(s)
     assert ok, witness
 
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_swap_closure(d):
-    words = set(avoided_set(d).words)
+    words = set(avoided_set(d))
     assert {swap_letters(w) for w in words} == words
 
 
+def _levels(d):
+    """Levels 1..d of the tree: level k is the words of S_k not in S_(k-1)."""
+    sets = [set()] + [set(avoided_set(k)) for k in range(1, d + 1)]
+    return [above - below for below, above in zip(sets, sets[1:])]
+
+
 def test_levels_structure():
-    s = avoided_set(3)
-    assert s.levels[1] == frozenset({"111", "222"})
-    assert len(s.levels[2]) == 4
-    assert len(s.levels[3]) == 8
-    assert set(s.words) == s.levels[1] | s.levels[2] | s.levels[3]
+    levels = _levels(3)
+    assert levels[0] == {"111", "222"}
+    assert len(levels[1]) == 4
+    assert len(levels[2]) == 8
+    assert set(avoided_set(3)) == levels[0] | levels[1] | levels[2]
 
 
 def test_words_sorted_by_length_then_lex():
-    words = avoided_set(4).words
+    words = avoided_set(4)
     assert list(words) == sorted(words, key=lambda w: (len(w), w))
 
 
 def test_lower_levels_of_one_expansion_are_the_smaller_sets():
-    tree = avoided_set(8)
-    for d in range(1, 9):
-        assert tree.up_to(d) == avoided_set(d)
-    with pytest.raises(ValueError):
-        tree.up_to(9)
-    with pytest.raises(ValueError):
-        tree.up_to(0)
+    # S_(d-1) lies in S_d in the same order, and the words S_d adds, its
+    # level d, are the expansions of level d - 1 from either letter.
+    above = {"3"}
+    for d, level in enumerate(_levels(8), 1):
+        smaller = avoided_set(d - 1) if d > 1 else ()
+        assert tuple(w for w in avoided_set(d) if w not in level) == smaller
+        assert level == {expand(w, s) for w in above for s in "12"}
+        above = level
 
 
 def test_depth_12_tree_is_pinned():
     # Levels of 2^k words each, and a digest of all 8 190 words in order.
     tree = avoided_set(12)
-    assert [len(tree.levels[k]) for k in range(1, 13)] == [2 ** k for k in range(1, 13)]
+    assert [len(level) for level in _levels(12)] == [2 ** k for k in range(1, 13)]
     assert len(tree) == 8190
-    digest = hashlib.sha256("\n".join(tree.words).encode()).hexdigest()
+    digest = hashlib.sha256("\n".join(tree).encode()).hexdigest()
     assert digest == "93f57be8edd711b1af2842329a4705f877941b5b8b2fe035c2ebc63d28ca9858"
 
 
@@ -163,12 +176,26 @@ def test_collision_is_a_hard_error(monkeypatch):
         avoided_set(1)
 
 
-def test_words_for_depth_reads_every_set_off_one_tree():
-    # The checks read S_1..S_8 off one expansion to depth 8; each must be
-    # the set that its own expansion gives, in the same order.
-    for d in range(1, 9):
-        assert words_for_depth(d) == avoided_set(d).words
-    assert words_for_depth(9) == avoided_set(9).words
+def test_words_for_depth_is_the_avoided_set():
+    # The checks read each S_d through one cache; it must hold the set that
+    # the expansion gives, in the same order.
+    for d in range(1, 10):
+        assert words_for_depth(d) == avoided_set(d)
+
+
+def test_words_for_depth_calls_the_name_bound_in_its_module(monkeypatch):
+    # A wrapper bound to `verification.avoided_set`, as a tracer binds one,
+    # sees every expansion that the checks make.
+    from kolafreq import verification
+
+    calls = []
+    monkeypatch.setattr(verification, "avoided_set", lambda d: calls.append(d) or avoided_set(d))
+    words_for_depth.cache_clear()
+    try:
+        assert words_for_depth(3) == words_for_depth(3) == avoided_set(3)
+    finally:
+        words_for_depth.cache_clear()
+    assert calls == [3]
 
 
 def test_kolakoski_avoids_depth4(kprefix_1m):
@@ -215,7 +242,7 @@ def test_factor_free_check_matches_the_pairwise_loop(words, minimal):
 
 def test_factor_free_check_of_avoided_sets():
     for d in (6, 7):
-        words = avoided_set(d).words
+        words = avoided_set(d)
         assert verify_factor_free(words) == (True, None)
         # The longest word with a letter cut off each end lies inside it, and
         # may contain or lie inside other words too.
@@ -246,6 +273,34 @@ def test_as_words_normalizes():
     assert as_words(avoided_set(1)) == ("111", "222")
     with pytest.raises(ValueError):
         as_words(["103"])
+
+
+# A word set in each form a caller may pass; the generator is spent by one read.
+INPUT_FORMS = {
+    "sorted-tuple": tuple,
+    "reversed-list": lambda words: list(reversed(words)),
+    "set": set,
+    "generator": lambda words: (w for w in words),
+}
+
+
+@pytest.mark.parametrize("form", INPUT_FORMS.values(), ids=INPUT_FORMS)
+@pytest.mark.parametrize("words", [avoided_set(3), ("12", "21")], ids=["S3", "12-21"])
+def test_every_route_reads_every_form_of_a_word_set(words, form):
+    series = weight_series(words, 12)
+    routes = (
+        build_automaton,
+        lambda S: degree_profile(S, 12),
+        lambda S: degree_profile(S, 12).certificate,
+        lambda S: weight_poly_dp(S, 12),
+        lambda S: enumerate_brute(S, 12),
+        weight_gf,
+        lambda S: weight_series(S, 12),
+        lambda S: DegreeProfile.from_series(S, series),
+        verify_factor_free,
+    )
+    for route in routes:
+        assert route(form(words)) == route(words)
 
 
 def test_read_word_file(tmp_path):

@@ -138,7 +138,7 @@ def test_bounds_command_profile_terms_text(capsys, s1_file):
 def test_bounds_gf_flag_names_the_default_route(capsys, tmp_path, flags):
     # `--gf` changes nothing: S_3's closed-form bound prints the same bytes without it.
     s3 = tmp_path / "s3.txt"
-    s3.write_text("".join(w + "\n" for w in avoided_set(3).words), encoding="utf-8")
+    s3.write_text("".join(w + "\n" for w in avoided_set(3)), encoding="utf-8")
     bare = run(capsys, "bounds", "--words", str(s3), *flags)
     assert bare[0] == EXIT_OK and "1/18" in bare[1] and bare[2] == ""
     assert run(capsys, "bounds", "--words", str(s3), "--gf", *flags) == bare
@@ -157,7 +157,7 @@ def many(tmp_path):
 def test_gf_progress_goes_to_stderr_from_30_words(capsys, tmp_path, many):
     # S_3 (14 words) stays silent.
     s3 = tmp_path / "s3.txt"
-    s3.write_text("".join(w + "\n" for w in avoided_set(3).words), encoding="utf-8")
+    s3.write_text("".join(w + "\n" for w in avoided_set(3)), encoding="utf-8")
     for command, flags in (("gf", ["--json"]), ("bounds", ["--gf", "--json"])):
         code, out, err = run(capsys, command, "--words", str(many), *flags)
         assert code == EXIT_OK and json.loads(out)
@@ -171,9 +171,9 @@ def test_gf_progress_goes_to_stderr_from_30_words(capsys, tmp_path, many):
 def test_word_file_with_a_byte_order_mark_and_crlf_line_ends(capsys, tmp_path):
     # UTF-8 text may open with a byte-order mark, as some editors write it.
     plain, marked = tmp_path / "s3.txt", tmp_path / "s3-bom.txt"
-    plain.write_text("".join(w + "\n" for w in avoided_set(3).words), encoding="utf-8")
+    plain.write_text("".join(w + "\n" for w in avoided_set(3)), encoding="utf-8")
     marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes().replace(b"\n", b"\r\n"))
-    assert avoided.read_word_file(marked) == avoided.read_word_file(plain) == avoided_set(3).words
+    assert avoided.read_word_file(marked) == avoided.read_word_file(plain) == avoided_set(3)
     argv = ("bounds", "--gf", "--json", "--words")
     code, out, err = run(capsys, *argv, str(plain))
     assert code == EXIT_OK and err == ""
@@ -203,7 +203,7 @@ def test_series_progress_says_when_the_count_restarts(capsys, monkeypatch, tmp_p
     # prove a slice.  From 8 bits S_4 fails at slice 13, and the width read
     # off the counts proven so far, 24 bits, fails at slice 89.
     s4 = tmp_path / "s4.txt"
-    s4.write_text("".join(w + "\n" for w in avoided_set(4).words), encoding="utf-8")
+    s4.write_text("".join(w + "\n" for w in avoided_set(4)), encoding="utf-8")
     argv = ("series", "--words", str(s4), "--terms", "200", "--json")
     code, out, err = run(capsys, *argv)
     real, widths = cluster._series_width, []
@@ -248,7 +248,7 @@ def test_quasifit_command(capsys, s1_file):
 @pytest.mark.parametrize("d", sorted(REF_QUASIPOLY))
 def test_quasifit_matches_the_reference_fits(capsys, tmp_path, d):
     words_path = tmp_path / f"s{d}.txt"
-    words_path.write_text("\n".join(avoided_set(d).words) + "\n", encoding="utf-8")
+    words_path.write_text("\n".join(avoided_set(d)) + "\n", encoding="utf-8")
     code, out, _ = run(capsys, "quasifit", "--words", str(words_path),
                        "--terms", str(DEFAULT_TABLE_TERMS[d]))
     assert code == EXIT_OK
@@ -322,15 +322,15 @@ def test_report_default_table(capsys):
 
 
 def test_report_rows_avoid_the_sets_of_their_depths(capsys):
-    # One expansion of the deepest level serves every row.
+    # Each row expands its own depth.
     with mock.patch.object(automaton, "degree_profile", wraps=automaton.degree_profile) as profile, \
             mock.patch.object(avoided, "expand", wraps=avoided.expand) as expand:
         code, out, _ = run(capsys, "report", "--d", "5,2-4,1", "--terms", "30", "--json")
     assert code == EXIT_OK
     assert [call.args[0] for call in profile.call_args_list] == [
-        avoided_set(d).words for d in (5, 2, 3, 4, 1)]
+        avoided_set(d) for d in (5, 2, 3, 4, 1)]
     assert [row["set_size"] for row in json.loads(out)] == [62, 6, 14, 30, 2]
-    assert expand.call_count == 62  # the tree to depth 5, grown once
+    assert expand.call_count == 114  # 2^(d+1) - 2 words for each d in 5, 2, 3, 4, 1
 
 
 def test_report_is_deterministic(capsys):

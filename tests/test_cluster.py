@@ -69,7 +69,7 @@ factor_free_sets = st.lists(
 
 
 @given(factor_free_sets)
-@example(avoided_set(3).words)
+@example(avoided_set(3))
 @example(("121", "2112", "22222"))  # an overlap prefix shared by two words
 def test_suffix_index_lists_every_overlap(S):
     # Both routes read the overlaps off this one index: the words u that
@@ -192,7 +192,7 @@ def test_series_width_comes_from_the_word_counts(monkeypatch):
 def test_packed_series_keeps_only_the_band_of_nonzero_digits():
     # S_4's slices of degree 250 have nonzero digits only at x1-exponents
     # 115-135; kept whole, p_250 would reach 134 digits of 64 bits.
-    steps = list(cluster._packed_slices(avoided_set(4).words, 250, 64, None))
+    steps = list(cluster._packed_slices(avoided_set(4), 250, 64, None))
     assert steps[-1][1] == 115  # the base of degree 250
     assert max(x.bit_length() for x, _ in steps) <= 40 * 64
 
@@ -344,6 +344,10 @@ def test_inexact_division_raises():
         _long_div(x1, x2)
     with pytest.raises(InexactDivisionError):
         _long_div(WeightPoly.constant(3), WeightPoly.constant(2))
+    # The packed closed form's Bareiss step divides integers the same way.
+    assert cluster._exact_div(6, 2) == 3
+    with pytest.raises(InexactDivisionError):
+        cluster._exact_div(7, 2)
 
 
 def _dict_bareiss_gf(S) -> RationalGF:
@@ -383,9 +387,9 @@ def _dict_bareiss_gf(S) -> RationalGF:
 
 @settings(max_examples=80, deadline=None)
 @given(factor_free_sets)
-@example(avoided_set(1).words)
-@example(avoided_set(2).words)
-@example(avoided_set(3).words)
+@example(avoided_set(1))
+@example(avoided_set(2))
+@example(avoided_set(3))
 @example(("112", "22121"))  # a real common factor, reduced symbolically
 def test_packed_gf_matches_dict_bareiss(S):
     assert weight_gf(S) == _dict_bareiss_gf(S)
@@ -396,8 +400,8 @@ def test_packed_gf_matches_dict_bareiss(S):
 @example((), 40)
 @example(("1", "22"), 40)
 # Many words of S_6 and S_7 share each prefix x, so each R_x sums many words.
-@example(avoided_set(6).words, 30)
-@example(avoided_set(7).words, 30)
+@example(avoided_set(6), 30)
+@example(avoided_set(7), 30)
 def test_series_matches_counting_dp_on_random_sets(S, N):
     assert weight_series(S, N) == weight_poly_dp(S, N)
 
@@ -424,7 +428,7 @@ def test_packed_series_restarts_from_8_bits_on_random_sets(S, N):
     (("12",), 1000, 16), (("112", "221"), 1000, 16),
 ])
 def test_series_width_read_off_the_prefix_counts(S, N, width):
-    words = avoided_set(S).words if isinstance(S, int) else S
+    words = avoided_set(S) if isinstance(S, int) else S
     k = 2 * max(map(len, words)) + 16  # the prefix that weight_series counts
     counts = [1, *(int(c) for c, _ in cluster._packed_slices(words, k, 0, None))]
     assert cluster._series_width(counts, N) == width
@@ -472,7 +476,7 @@ def test_packed_series_runs_once_past_its_prefix(monkeypatch, d, N, width):
     # 2 max|v| + 16 steps and one packed pass, with no step at width 0 past it.
     passes = _spy_passes(monkeypatch)
     weight_series(avoided_set(d), N)
-    k = 2 * max(map(len, avoided_set(d).words)) + 16
+    k = 2 * max(map(len, avoided_set(d))) + 16
     assert passes == [[k, 0, k], [N, width, N]]
 
 
@@ -609,8 +613,8 @@ MANY = tuple(w for w in map("".join, itertools.product("12", repeat=5)) if len(s
 
 # The probe's D against the a-priori D: S_1 4 of 4, S_2 9 of 15, S_3 23 of 52,
 # S_4 62 of 171 (its x1-degree is 60, so 61 would do) and `many` 6 of 76.
-@pytest.mark.parametrize("S, D", [(avoided_set(1).words, 4), (avoided_set(2).words, 9),
-                                  (avoided_set(3).words, 23), (avoided_set(4).words, 62),
+@pytest.mark.parametrize("S, D", [(avoided_set(1), 4), (avoided_set(2), 9),
+                                  (avoided_set(3), 23), (avoided_set(4), 62),
                                   (MANY, 6)],
                          ids=["S1", "S2", "S3", "S4", "many"])
 def test_packed_gf_solves_at_the_first_elimination(monkeypatch, S, D):

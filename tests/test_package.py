@@ -1,6 +1,7 @@
 """The package namespace loads each submodule on first use, the CLI loads
 only the modules a command runs, and the package's records keep the
-constructor, equality and frozenness of the dataclasses they replaced."""
+constructor, equality and frozenness of the dataclasses they replaced; the
+README's library example runs as written."""
 
 import importlib
 import json
@@ -64,10 +65,17 @@ def test_a_frozen_record_refuses_assignment():
     with pytest.raises(AttributeError):
         del bound.provenance
     assert bound.epsilon == Fraction(1, 6) and bound == kolafreq.Bound(Fraction(1, 6), "x")
-    s1 = kolafreq.avoided_set(1)
-    with pytest.raises(AttributeError, match="'depth' of a frozen AvoidSet"):
-        s1.depth = 2
-    assert repr(s1) == "AvoidSet(depth=1, words=('111', '222'))"  # no levels
+    profile = kolafreq.DegreeProfile(("111", "222"), 1, (0, 0), (0, 1))
+    with pytest.raises(AttributeError, match="'N' of a frozen DegreeProfile"):
+        profile.N = 2
+    assert repr(profile) == ("DegreeProfile(words=('111', '222'), N=1, min_ones=(0, 0), "
+                             "max_ones=(0, 1), certificate=None)")  # every field, compared or not
+
+
+def test_the_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def test_records_take_their_fields_by_position_or_keyword():
@@ -122,7 +130,7 @@ def ours(modules: set[str]) -> set[str]:
 @pytest.fixture(scope="module")
 def s3_file(tmp_path_factory) -> str:
     words = tmp_path_factory.mktemp("words") / "s3.txt"
-    words.write_text("\n".join(kolafreq.avoided_set(3).words) + "\n", encoding="utf-8")
+    words.write_text("\n".join(kolafreq.avoided_set(3)) + "\n", encoding="utf-8")
     return str(words)
 
 

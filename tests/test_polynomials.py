@@ -29,6 +29,8 @@ def test_basic_arithmetic():
     assert (x1 - x2) * (x1 + x2) == x1 * x1 - x2 * x2
     assert 2 * x1 + x1 == WeightPoly({(1, 0): 3})
     assert (x1 + 1) * 0 == 0
+    assert (WeightPoly.one() == "1") is False  # not a polynomial: NotImplemented
+    assert eval(repr(2 * x1), {"WeightPoly": WeightPoly}) == WeightPoly({(1, 0): 2})
 
 
 def test_from_word_and_accessors():
@@ -182,3 +184,5 @@ def test_rational_gf_rejects_zero_constant_denominator():
         RationalGF.canonical(WeightPoly.one(), WeightPoly({(1, 0): 1}))
     with pytest.raises(ZeroDivisionError):
         RationalGF.canonical(WeightPoly.one(), WeightPoly.zero())
+    with pytest.raises(ValueError, match="cannot normalize denominator constant term to 1"):
+        RationalGF.canonical(WeightPoly.one(), WeightPoly({(0, 0): 2, (1, 0): 1}))

@@ -21,7 +21,7 @@ from kolafreq import (
 
 def test_fit_input_validation():
     # A profile read off a series carries no certificate, so it gets no fit.
-    S = avoided_set(1).words
+    S = avoided_set(1)
     with pytest.raises(ValueError, match="no certified period within 30 steps"):
         certified_fit(DegreeProfile.from_series(S, weight_series(S, 30)))
 
@@ -159,7 +159,7 @@ def test_verify_runs_the_kernel_once_per_depth():
                       verification.check_limits_and_maxima):
             assert check()[0]
     assert [call.args[0] for call in kernel.call_args_list] == [
-        avoided_set(d).words for d in range(1, 7)]
+        avoided_set(d) for d in range(1, 7)]
     # The fit reads the certificate off the profile and runs no kernel.
     profile = verification.profile_for_depth(5, 800)
     with mock.patch.object(automaton, "_min_ones", side_effect=AssertionError("kernel run")):
