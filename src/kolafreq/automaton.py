@@ -23,14 +23,14 @@ exactly the words containing no avoided factor.  On top of it sit:
   per state laid out as delay lines: a lane holding v - phi is a plain copy
   of the lane above it, so a step copies a few byte slices and computes
   only the head lanes, as an elementwise minimum on big-integer lanes.  The
-  live chains come first in its one layout, so once the states that no
-  cycle reaches are dead for good, a vector is cut to that prefix and only
-  it is stepped, with nothing laid out anew.  `_Lists` is T as defined on
-  the automaton, a minimum per state over the edges its transitions give,
-  on tuples (+inf where no word ends), and steps every state, unpruned on
-  purpose: it takes over a run whose lanes outgrow a byte, from the
+  live chains come first in its one layout, so once a vector shows the
+  states that no cycle reaches dead for good, it is cut to that prefix and
+  only it is stepped, with nothing laid out anew.  `_Lists` is T as defined
+  on the automaton, a minimum per state over the edges its transitions
+  give, on tuples (+inf where no word ends), and steps every state, uncut
+  on purpose: it takes over a run whose lanes outgrow a byte, from the
   automaton built again, and is the oracle of the lanes, the chain cover
-  and the pruning;
+  and the cut;
 - the most ones per length, n minus the fewest ones avoiding swap(S), with
   no second DP (`degree_profile`);
 - one brute-force growth pass for the slices up to any length, an
@@ -160,9 +160,9 @@ class CoreGraph:
     predecessor outlives the constructor.  `phi[t]` counts the ones on the
     edges from t's head down to t.  The Kahn pass peels the states whose
     every predecessor is peeled; the rest, `live`, are reached from a cycle.
-    A peeled state is reachable at no length past the longest path L* among
-    them (`last_transient`, -1 when none is), and some peeled state at every
-    length up to L*.  The graph keeps no reference to the automaton.
+    So a peeled state's predecessors are all peeled, and once no peeled
+    state is reachable, none is again.  The graph keeps no reference to the
+    automaton.
 
     It takes the breadth-first numbering of `build_automaton`, unchecked:
     every state but the start is entered from its parent prefix, numbered
@@ -190,7 +190,7 @@ class CoreGraph:
                     merges[t] = [first, letter + q]
                     if below[first % ns] == t:
                         below[first % ns] = DEAD
-        self.live, self.last_transient = _peel(auto, pred, merges)
+        self.live = _peel(auto, pred, merges)
         phi = [DEAD] * ns  # DEAD until the state's chain is walked
         chains: dict[int, array] = {}  # arrays, so no state's int object outlives the automaton
         for h in range(ns):  # a head before every state below it, and a cycle at its least state
@@ -208,22 +208,20 @@ class CoreGraph:
         self.heads = {h: merges.get(h) or ([] if pred[h] == DEAD else [pred[h]]) for h in chains}
 
 
-def _peel(auto: AvoidanceAutomaton, pred: list[int], merges: dict[int, list[int]]) -> tuple[bytes, int]:
-    """The Kahn pass of `CoreGraph`, `live` and L*; its lists are freed before the chain walk.
+def _peel(auto: AvoidanceAutomaton, pred: list[int], merges: dict[int, list[int]]) -> bytes:
+    """`CoreGraph.live` by a Kahn pass, whose lists are freed before the chain walk.
     It starts from the start alone: every other state has an edge in, from its parent prefix."""
     ns = auto.n_states
     peeled = [auto.start] if pred[auto.start] == DEAD else []  # then each state once its predecessors are in
-    live, count, longest = bytearray(b"\1") * ns, [0] * ns, [0] * ns
+    live, count = bytearray(b"\1") * ns, [0] * ns
     for q in peeled:  # grows while it is walked
         live[q] = 0
         for t in (auto.on_one[q], auto.on_two[q]):
             if t != DEAD:
-                if longest[t] <= longest[q]:
-                    longest[t] = longest[q] + 1
                 count[t] += 1
                 if t not in merges or count[t] == len(merges[t]):
                     peeled.append(t)
-    return bytes(live), max(_gatherer(peeled)(longest), default=-1)
+    return bytes(live)
 
 
 def _gatherer(idx: list) -> Callable:
@@ -244,10 +242,8 @@ class _Lists:
     entry, plus one after a 1: with an edge numbered q for a 2 from q and
     n_states + q for a 1 from q, that is entry e of v followed by v + 1.
     It reads the edges off the automaton's transitions, sharing none of the
-    chain cover it checks, and prunes no state: its L* is -1.
+    chain cover it checks, and cuts no state.
     """
-
-    last_transient = -1
 
     def __init__(self, auto: AvoidanceAutomaton):
         self.n_states, self.start_state = auto.n_states, auto.start
@@ -291,11 +287,13 @@ class _DelayLine:
     every fed lane shifted by its rise, the phi of its source plus its
     letter (a head's own phi is 0), on 16-bit lanes of big integers.
 
-    The one layout serves the whole run: up to step L* every lane is
-    stepped, then `pruned` cuts a vector to the live block and `advance`
-    steps that block alone, its merge lanes over their edges from live
-    states only.  Raises `_Overflow` when K exceeds 253 and the bytes cannot
-    hold the lanes or a rise, and from `advance` when a lane would reach _FAR.
+    The one layout serves the whole run: every lane is stepped until the
+    peeled block of a step's output reads _FAR throughout.  No peeled state
+    is then reachable again, so `advance` cuts that output to the live block
+    and from then on steps that block alone, its merge lanes over their
+    edges from live states only.  Raises `_Overflow` when K exceeds 253 and
+    the bytes cannot hold the lanes or a rise, and from `advance` when a
+    lane would reach _FAR.
     """
 
     def __init__(self, graph: CoreGraph):
@@ -322,7 +320,7 @@ class _DelayLine:
                     above[i] = len(order)
                     order.append(t)
             blocks.append((merge_states, _gatherer([slice(*c) for c in copies]), len(order)))
-        self.width, self.last_transient = len(order), graph.last_transient
+        self.width = len(order)
         self.floor = floor = bytes(_gatherer(order)(phi)).translate(bytes(K - x & 255 for x in range(256)))
         sources = {e % ns for es in edges.values() for e in es} | {graph.start}
         lane = {t: i for i, t in enumerate(order) if t in sources}
@@ -347,16 +345,13 @@ class _DelayLine:
             self._live: (self._live, int.from_bytes(floor[:self._live], "little"),
                          [step(live_heads, live_copy, True)]),
         }
+        self._dead_peeled = bytes([_FAR]) * (self.width - self._live)
 
     def start(self) -> bytes:
         """The vector of length 0: the empty word ends in the start state."""
         v = bytearray([_FAR]) * self.width
         v[self.start_lane] = self.floor[self.start_lane]
         return bytes(v)
-
-    def pruned(self, v: bytes) -> bytes:
-        """The live lanes of v, once no peeled state is reachable."""
-        return v[:self._live]
 
     def advance(self, v: bytes) -> tuple[bytes, int | None]:
         """(T(v) - m, m) for m = min(T(v)), or (T(v), None) if no lane is reachable."""
@@ -369,6 +364,9 @@ class _DelayLine:
             pieces.append(unfed)
             pieces += copy(mv)
         new = b"".join(pieces)
+        if width > self._live and new.endswith(self._dead_peeled):
+            new = new[:self._live]
+            width, floor, _ = self._plans[self._live]
         x = (int.from_bytes(new, "little") - floor).to_bytes(width, "little")
         if b"\0" in x:  # the fewest ones rise by 0 or 1, or else by more
             return new, 0
@@ -413,11 +411,11 @@ def _shift_table(c: int) -> bytes:
 def _min_ones(words: tuple[str, ...], N: int) -> tuple[list[int], tuple[int, int, int] | None]:
     """Fewest ones per length 0..N, and the certificate (onset, period, slope).
 
-    `_run` on `_DelayLine` of the words' automaton's `CoreGraph`, past L*
-    only over the live states.  A lane holds at most n + K at step n, K
-    below the number of states; when a lane would outgrow its byte, the
-    whole run restarts on `_Lists` of the automaton built again, after the
-    failed lanes and graph are freed.
+    `_run` on `_DelayLine` of the words' automaton's `CoreGraph`, only over
+    the live states once no other is reachable.  A lane holds at most n + K
+    at step n, K below the number of states; when a lane would outgrow its
+    byte, the whole run restarts on `_Lists` of the automaton built again,
+    after the failed lanes and graph are freed.
     """
     try:
         return _run(_DelayLine(CoreGraph(build_automaton(words))), N)
@@ -435,25 +433,25 @@ def _run(step, N: int) -> tuple[list[int], tuple[int, int, int] | None]:
     minimum (`advance`).  A vector is hashable, and two are equal exactly
     when the normalised vectors are.  Vectors are recorded by digest only; a
     digest hit is trusted after all entries of v_(n0), replayed from the
-    checkpoint at or before n0, equal the current vector; checkpoints lie a
-    spacing set from N apart.  The certificate is None when no repeat occurs
-    within N steps.
+    checkpoint at or before n0, equal the current vector; checkpoints lie at
+    the multiples of a spacing set from N.  The certificate is None when no
+    repeat occurs within N steps.
 
-    At step L* + 1, L* the step object's `last_transient`, the vector is
-    cut to the live states (`pruned`) and the digests and checkpoints start
-    afresh.  That leaves the certificate as it was: at every step up to L*
-    some peeled state is reachable and past it none is, so no repeat pairs
-    a step up to L* with a later one, and past L* the peeled states are
-    unreachable.
+    `_DelayLine.advance` cuts the vector to the live lanes at the first step
+    at which no peeled state is reachable.  That leaves the certificate as
+    it was: before that step some peeled state is reachable at every step,
+    and from it on none is, so no repeat pairs a step before the cut with a
+    later one, whose vector is shorter.  A replay from a checkpoint before
+    the cut crosses it, as the cut depends only on the vector.
     """
     v = step.start()
     min_ones = [0]
-    base, every = 0, max(_CHECKPOINT_EVERY, -(-N // _CHECKPOINTS))  # the step of checkpoints[0]; their spacing
+    every = max(_CHECKPOINT_EVERY, -(-N // _CHECKPOINTS))  # the spacing of checkpoints
     seen = {hash(v): [0]}
     checkpoints = [v]
 
     def replay(n0: int):
-        k, r = divmod(n0 - base, every)
+        k, r = divmod(n0, every)
         x = checkpoints[k]
         for _ in range(r):
             x = step.advance(x)[0]
@@ -464,9 +462,6 @@ def _run(step, N: int) -> tuple[list[int], tuple[int, int, int] | None]:
         if m is None:
             raise EmptyLanguageError(f"no word of length {n} avoids the set")
         min_ones.append(min_ones[-1] + m)
-        if n == step.last_transient + 1:
-            v = step.pruned(v)
-            base, seen, checkpoints = n, {}, []
         digest = hash(v)
         for n0 in seen.get(digest, ()):
             if replay(n0) == v:
@@ -475,7 +470,7 @@ def _run(step, N: int) -> tuple[list[int], tuple[int, int, int] | None]:
                     min_ones.append(min_ones[k - period] + slope)
                 return min_ones, (n0, period, slope)
         seen.setdefault(digest, []).append(n)
-        if (n - base) % every == 0:
+        if n % every == 0:
             checkpoints.append(v)
     return min_ones, None
 

@@ -150,11 +150,12 @@ def test_certificate_survives_digest_collisions(monkeypatch):
 
 def test_certificate_survives_thinned_checkpoints(monkeypatch):
     # One checkpoint every max(1, ceil(N / 4)) steps: at N = 60 they lie 15
-    # apart, at 0 and, past L* = 10, from step 11 on, before the repeat at
-    # step 53; at N = 600 they lie 150 apart, so the repeat's onset 38 is
-    # replayed from step 11 on the lanes and from step 0 on the lists, which
-    # cut nothing at L*.  With every digest equal, each earlier step is
-    # replayed from the checkpoint before it and rejected component by component.
+    # apart, before the repeat at step 53; at N = 600 they lie 150 apart, so
+    # the repeat's onset 38 is replayed from step 0, on the lanes across
+    # their cut to the live block at step 11.  With one checkpoint every N
+    # steps, the onset is replayed from step 0 across the cut at N = 60 too.
+    # With every digest equal, each earlier step is replayed from the
+    # checkpoint before it and rejected component by component.
     words = avoided_set(4)
     expected = degree_profile(words, 600)
     monkeypatch.setattr(automaton, "_CHECKPOINT_EVERY", 1)
@@ -164,6 +165,8 @@ def test_certificate_survives_thinned_checkpoints(monkeypatch):
     thinned = degree_profile(words, 60)
     assert (thinned.min_ones, thinned.certificate) == (expected.min_ones[:61], (38, 15, 7))
     assert automaton._min_ones(words, 600) == lists == (list(expected.min_ones), (38, 15, 7))
+    monkeypatch.setattr(automaton, "_CHECKPOINTS", 1)
+    assert automaton._min_ones(words, 60) == (list(expected.min_ones[:61]), (38, 15, 7))
 
 
 def test_certificate_holds_on_the_counting_dp_profile():
@@ -401,12 +404,13 @@ _KOLAKOSKI = kolakoski_prefix(60)
 # Eight words 1^260 w, w the 40-letter factors of the Kolakoski word at its
 # first eight 2s: 547 states, and a chain of 256 ones leaves no room in a byte.
 @example(tuple("1" * 260 + _KOLAKOSKI[p:p + 40] for p in range(14) if _KOLAKOSKI[p] == "2"), 400)
-# State "2" has three incoming edges, from "", "1" and itself; past L* = 1
-# only its loop is live, and the live plan gathers that one edge.
+# State "2" has three incoming edges, from "", "1" and itself; from the
+# lanes' cut at step 2 only its loop is live, and the live plan gathers that
+# one edge.
 @example(("11", "21"), 80)
-# Up to L* = 1 one merge lane has two edges and the other three, so every
-# gather covers both and the lane of two repeats its first edge in the third;
-# past L* the lane with one live edge repeats it in the second.
+# Before the cut at step 2 one merge lane has two edges and the other three,
+# so every gather covers both and the lane of two repeats its first edge in
+# the third; from the cut the lane with one live edge repeats it in the second.
 @example(("11", "21221", "21222"), 80)
 def test_byte_lane_kernel_matches_the_list_kernel(S, N):
     auto = build_automaton(S)
@@ -488,6 +492,18 @@ def _graph_by_definition(auto):
     return edges, live, max((k for k, w in enumerate(ends) if w - live), default=-1)
 
 
+def _cut_step(graph, steps):
+    """The first step within `steps` whose byte lanes are cut to the live block, None if none is."""
+    lanes = automaton._DelayLine(graph)
+    v = lanes.start()
+    for n in range(1, steps + 1):
+        v = lanes.advance(v)[0]
+        if len(v) < lanes.width:
+            assert len(v) == sum(graph.live)
+            return n
+    return None
+
+
 @settings(max_examples=100, deadline=None)
 @given(factor_free_sets)
 @example(())  # one state with a loop on each letter
@@ -503,7 +519,10 @@ def test_core_graph_matches_its_definition(S):
     n = auto.n_states
     assert automaton._Lists(auto).edges == edges
     assert graph.heads == {h: edges[h] for h in graph.chains}
-    assert ({t for t in range(n) if graph.live[t]}, graph.last_transient) == (live, last_transient)
+    assert {t for t in range(n) if graph.live[t]} == live
+    # L* < n, as W_n holds only live states; the lanes cut at L* + 1, the
+    # first step that reaches no peeled state.
+    assert _cut_step(graph, n) == (last_transient + 1 if last_transient >= 0 else None)
     # The chains partition the states.  Below its head, a chain state's one
     # edge comes from the state above it, and phi counts the ones from the head.
     assert sorted(t for chain in graph.chains.values() for t in chain) == list(range(n))
@@ -552,7 +571,8 @@ def _one_edge_cycles(edges):
     return cycles
 
 
-@pytest.mark.parametrize("d,live,last_transient", [
+# The last step before the lanes' cut is the last that reaches a peeled state.
+@pytest.mark.parametrize("d,live,before_cut", [
     (1, 4, 0),
     (2, 12, 2),
     (3, 36, 5),
@@ -562,9 +582,9 @@ def _one_edge_cycles(edges):
     (7, 2916, 45),
     (8, 8748, 70),
 ])
-def test_live_states_of_avoided_sets(d, live, last_transient):
+def test_live_states_of_avoided_sets(d, live, before_cut):
     graph = automaton.CoreGraph(build_automaton(avoided_set(d)))
-    assert (sum(graph.live), graph.last_transient) == (live, last_transient)
+    assert (sum(graph.live), _cut_step(graph, 100)) == (live, before_cut + 1)
     assert live == 4 * 3 ** (d - 1)
     # 2^d live chains: the live lanes a step computes rather than copies,
     # each entered at its head by exactly two edges from live states.
